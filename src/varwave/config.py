@@ -13,6 +13,7 @@ diffable.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -109,6 +110,8 @@ def _reject_unknown(section: Dict, allowed, path: str):
 def _require_number(val, path: str, positive=False, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path} must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, Infinity, or beyond a float
+        raise ConfigError(f"{path} must be a finite number")
     if integer and int(val) != val:
         raise ConfigError(f"{path} must be an integer")
     if positive and val <= 0:
@@ -200,9 +203,9 @@ def parse_config(doc: Dict) -> RunConfig:
     _reject_unknown(outputs, _SECTION_KEYS["outputs"], "outputs")
     snaps = outputs["snapshot_times"]
     if not isinstance(snaps, list) or any(
-            isinstance(t, bool) or not isinstance(t, (int, float)) or t < 0
-            for t in snaps):
-        raise ConfigError("outputs.snapshot_times must be a list of "
+            isinstance(t, bool) or not isinstance(t, (int, float))
+            or not 0 <= t <= sys.float_info.max for t in snaps):
+        raise ConfigError("outputs.snapshot_times must be a list of finite "
                           "nonnegative numbers")
     outputs["snapshot_times"] = [float(t) for t in snaps]
     outputs["energy_every"] = _require_number(

@@ -21,6 +21,8 @@ __all__ = [
     "Grid1D",
     "ComplexField",
     "StateNorms",
+    "Stencil",
+    "stencil",
     "interpolate",
     "integrate",
     "norms",
@@ -62,22 +64,49 @@ class Grid1D:
         return bool(np.all(x >= self.x_min - 1e-12) and np.all(x <= self.x_max + 1e-12))
 
 
-def interpolate(grid: Grid1D, samples: np.ndarray, x, fill=None):
-    """Four-point Lagrange interpolation of nodal samples at query points.
+@dataclass(frozen=True)
+class Stencil:
+    """Four-point Lagrange stencil of one set of query points on a grid.
 
-    Exact for cubic polynomials and exact at grid nodes.  Queries outside the
-    grid raise DomainError unless a fill value is supplied (used by the
-    transport solver, whose characteristics leave through a constant far
-    field).
+    Built once by `stencil` and applied to any number of sample arrays on
+    that grid: `apply` interpolates along the last axis, so one call samples
+    a (k, n) stack of fields at the same queries.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xq = np.atleast_1d(x).astype(float)
-    samples = np.asarray(samples)
 
+    base: np.ndarray     # first of the four stencil nodes, per query
+    weights: tuple       # the four Lagrange weights, per query
+    snap: np.ndarray     # queries on a node (to 1e-9 cells) ...
+    snap_node: np.ndarray  # ... and the node each of them sits on
+    inside: np.ndarray   # queries inside the grid
+    scalar: bool
+
+    def apply(self, samples, fill=None):
+        """Interpolate samples of shape (..., n) at the m queries.
+
+        Queries outside the grid raise DomainError unless a fill value is
+        supplied; it broadcasts against the (..., m) result, so a (k, 1)
+        array gives each row of a stack its own far-field constant.
+        """
+        samples = np.asarray(samples)
+        outside = not np.all(self.inside)
+        if fill is None and outside:
+            raise DomainError("interpolation query outside the grid")
+        w0, w1, w2, w3 = self.weights
+        at = lambda k: np.take(samples, self.base + k, axis=-1)
+        out = w0 * at(0) + w1 * at(1) + w2 * at(2) + w3 * at(3)
+        # snap exact nodes so interpolation at a node returns the sample bitwise
+        if self.snap_node.size:
+            out[..., self.snap] = np.take(samples, self.snap_node, axis=-1)
+        if outside:
+            out = np.where(self.inside, out, fill)
+        return out[..., 0] if self.scalar else out
+
+
+def stencil(grid: Grid1D, x) -> Stencil:
+    """Interpolation stencil of the query points x (see `interpolate`)."""
+    x = np.asarray(x, dtype=float)
+    xq = np.atleast_1d(x)
     inside = (xq >= grid.x_min - 1e-12 * grid.dx) & (xq <= grid.x_max + 1e-12 * grid.dx)
-    if fill is None and not np.all(inside):
-        raise DomainError("interpolation query outside the grid")
 
     pos = (xq - grid.x_min) / grid.dx
     pos = np.clip(pos, 0.0, grid.n - 1.0)
@@ -85,22 +114,23 @@ def interpolate(grid: Grid1D, samples: np.ndarray, x, fill=None):
     t = pos - (jbase + 1)  # offset from the second stencil node, in cells
 
     tm, t0, t1, t2 = t + 1.0, t, t - 1.0, t - 2.0
-    w0 = -t0 * t1 * t2 / 6.0
-    w1 = tm * t1 * t2 / 2.0
-    w2 = -tm * t0 * t2 / 2.0
-    w3 = tm * t0 * t1 / 6.0
-    out = (w0 * samples[jbase] + w1 * samples[jbase + 1]
-           + w2 * samples[jbase + 2] + w3 * samples[jbase + 3])
-
-    # snap exact nodes so interpolation at a node returns the sample bitwise
+    weights = (-t0 * t1 * t2 / 6.0, tm * t1 * t2 / 2.0,
+               -tm * t0 * t2 / 2.0, tm * t0 * t1 / 6.0)
     near = np.abs(pos - np.round(pos)) < 1e-9
-    if np.any(near):
-        idx = np.round(pos[near]).astype(int)
-        out[near] = samples[idx]
+    return Stencil(jbase, weights, near, np.round(pos[near]).astype(int),
+                   inside, x.ndim == 0)
 
-    if fill is not None and not np.all(inside):
-        out = np.where(inside, out, fill)
-    return out[0] if scalar else out
+
+def interpolate(grid: Grid1D, samples: np.ndarray, x, fill=None):
+    """Four-point Lagrange interpolation of nodal samples at query points.
+
+    Exact for cubic polynomials and exact at grid nodes.  Queries outside the
+    grid raise DomainError unless a fill value is supplied (used by the
+    transport solver, whose characteristics leave through a constant far
+    field).  To sample several fields at the same queries, build the
+    `stencil` once and apply it to their stack.
+    """
+    return stencil(grid, x).apply(samples, fill)
 
 
 def integrate(grid: Grid1D, samples: np.ndarray, a: Optional[float] = None,
@@ -146,8 +176,9 @@ def integrate(grid: Grid1D, samples: np.ndarray, a: Optional[float] = None,
 
 
 def centered_derivative(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
-    """Second-order spatial derivative: centered inside, one-sided at the ends."""
-    return np.gradient(np.asarray(samples), grid.dx, edge_order=2)
+    """Second-order spatial derivative along the last axis: centered inside,
+    one-sided at the ends."""
+    return np.gradient(np.asarray(samples), grid.dx, axis=-1, edge_order=2)
 
 
 # ---------------------------------------------------------------------------

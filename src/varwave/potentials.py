@@ -305,18 +305,6 @@ class WaveSpeed:
     def c_max(self) -> float:
         return math.sqrt(max(self.K1, self.K3))
 
-    @property
-    def c_min(self) -> float:
-        return math.sqrt(min(self.K1, self.K3))
-
-    @property
-    def anisotropy(self) -> float:
-        return self.K1 - self.K3
-
-    @property
-    def isotropic(self) -> bool:
-        return self.K1 == self.K3
-
 
 def wave_speed(K1: float, K3: float) -> WaveSpeed:
     return WaveSpeed(K1=float(K1), K3=float(K3))

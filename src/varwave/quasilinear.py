@@ -23,6 +23,10 @@ previous iterate of a whole-window fixed point.  Windows halve when the
 iteration fails to contract or when a budget monitor (energy, W^{1,inf}
 norm, 1/s) trips, so acceptance of a window is itself the certificate that
 the linearization was taken inside the contraction regime.
+
+4 stencils, stacked state: the six fields live in one (6, n) array, and a
+step builds one interpolation stencil per query set (two characteristic
+midpoints, two feet) and samples all six fields through each in one call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from .diagnostics import EnergyReport, conservation_residuals, energy_density_polar
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError)
-from .fields import Grid1D, centered_derivative, integrate, interpolate
+from .fields import Grid1D, centered_derivative, integrate, interpolate, stencil
 from .potentials import PotentialSpec, WaveSpeed
 
 __all__ = [
@@ -59,29 +63,31 @@ _S_FLOOR = 1e-12
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
 
-@dataclass
+def _row(i: int) -> property:
+    return property(lambda st: st.U[i],
+                    lambda st, val: st.U.__setitem__(i, val))
+
+
 class PolarState:
-    """Nodal state of the director-angle system at one time."""
+    """Nodal state of the director-angle system at one time.
 
-    grid: Grid1D
-    psi: np.ndarray
-    s: np.ndarray
-    phi: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-    r: np.ndarray
-    time: float = 0.0
-    far_field: Optional[Tuple[float, float]] = None
+    The six fields are the rows of one (6, n) array U, in the order of
+    _FIELDS; psi, s, ... are views of their rows, and assigning to one
+    writes into U.  The constructor copies the fields it is given.
+    """
 
-    def __post_init__(self):
-        n = self.grid.n
-        for name in _FIELDS:
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (n,):
-                raise ConfigError(f"{name} must have shape ({n},)")
-            setattr(self, name, a)
-        if self.far_field is None:
-            self.far_field = (float(self.psi[0]), float(self.s[0]))
+    psi, s, phi, v, omega, r = map(_row, range(len(_FIELDS)))
+
+    def __init__(self, grid: Grid1D, psi, s, phi, v, omega, r,
+                 time: float = 0.0,
+                 far_field: Optional[Tuple[float, float]] = None):
+        rows = [np.asarray(f, dtype=float) for f in (psi, s, phi, v, omega, r)]
+        for name, f in zip(_FIELDS, rows):
+            if f.shape != (grid.n,):
+                raise ConfigError(f"{name} must have shape ({grid.n},)")
+        self.grid, self.U, self.time = grid, np.array(rows), time
+        self.far_field = (far_field if far_field is not None
+                          else (float(self.psi[0]), float(self.s[0])))
 
     def check(self):
         """Enforce positivity, the order-parameter range, and pinned edges."""
@@ -123,18 +129,17 @@ class PolarState:
                    omega, r, time=time, far_field=far_field)
 
     def copy(self) -> "PolarState":
-        return PolarState(self.grid, self.psi.copy(), self.s.copy(),
-                          self.phi.copy(), self.v.copy(), self.omega.copy(),
-                          self.r.copy(), time=self.time, far_field=self.far_field)
+        return PolarState(self.grid, *self.U, time=self.time,
+                          far_field=self.far_field)
 
     def w1_inf(self) -> float:
         """max over fields of sup|f| and sup|f_x| (the continuation norm)."""
-        worst = 0.0
-        for name in _FIELDS:
-            f = getattr(self, name)
-            worst = max(worst, float(np.max(np.abs(f))),
-                        float(np.max(np.abs(centered_derivative(self.grid, f)))))
-        return worst
+        return _w1_sup(self.grid, self.U)
+
+
+def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
+    return max(float(np.max(np.abs(U))),
+               float(np.max(np.abs(centered_derivative(grid, U)))))
 
 
 def rhs_sources(p: PotentialSpec, ws: WaveSpeed, psi, s, phi, v, omega, r):
@@ -209,10 +214,6 @@ def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
     return cur if np.ndim(x) else float(cur[0])
 
 
-def _interp_all(grid: Grid1D, fields, x, far):
-    return tuple(interpolate(grid, f, x, fill=fv) for f, fv in zip(fields, far))
-
-
 def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float,
                    frozen_mid: Optional[PolarState] = None,
                    frozen_end: Optional[PolarState] = None,
@@ -226,31 +227,32 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     midpoint state at the characteristic midpoints.  `forcing(x, t)` may
     return four arrays added to (S_phi, S_v, S_omega, S_r) for manufactured
     solutions.  Feet outside the grid read the constant far-field state.
+
+    4 stencils, stacked state: one interpolation stencil per query set (two
+    characteristic midpoints, two feet), each applied to all six rows of the
+    stacked state in one call.
     """
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
-    far = state.far
+    far = np.array(state.far)[:, None]
     x = g.nodes
     t_half = state.time + 0.5 * dt
 
-    # feet of the two characteristic families, RK2 through frozen angles
+    # feet of the two characteristic families, RK2 through frozen angles;
+    # the frozen midpoint state sampled at the half-way points also feeds
+    # the sources, and its angle row gives the midpoint speeds
     c_end = ws.c(end.psi)
     half_m = x - 0.5 * dt * c_end   # family moving right (speed +c)
     half_p = x + 0.5 * dt * c_end   # family moving left  (speed -c)
-    c_mid_m = ws.c(interpolate(g, mid.psi, half_m, fill=far[0]))
-    c_mid_p = ws.c(interpolate(g, mid.psi, half_p, fill=far[0]))
-    foot_m = x - dt * c_mid_m
-    foot_p = x + dt * c_mid_p
+    args_m = stencil(g, half_m).apply(mid.U, fill=far)
+    args_p = stencil(g, half_p).apply(mid.U, fill=far)
+    foot_m = x - dt * ws.c(args_m[0])
+    foot_p = x + dt * ws.c(args_p[0])
 
-    dep = (state.psi, state.s, state.phi, state.v, state.omega, state.r)
-    psi_m, s_m, phi_m, v_m, om_m, r_m = _interp_all(g, dep, foot_m, far)
-    psi_p, s_p, phi_p, v_p, om_p, r_p = _interp_all(g, dep, foot_p, far)
+    psi_m, s_m, phi_m, v_m, om_m, r_m = stencil(g, foot_m).apply(state.U, fill=far)
+    psi_p, s_p, phi_p, v_p, om_p, r_p = stencil(g, foot_p).apply(state.U, fill=far)
 
-    # sources on the frozen midpoint state, sampled at characteristic midpoints
-    mid_fields = (mid.psi, mid.s, mid.phi, mid.v, mid.omega, mid.r)
-    args_m = _interp_all(g, mid_fields, half_m, far)
-    args_p = _interp_all(g, mid_fields, half_p, far)
     sphi_m, sv_m, som_m, sr_m = rhs_sources(p, ws, *args_m)
     sphi_p, sv_p, som_p, sr_p = rhs_sources(p, ws, *args_p)
     if forcing is not None:
@@ -337,25 +339,16 @@ class QuasilinearResult:
 
 def _window_diff(grid: Grid1D, traj_a: List[PolarState], traj_b: List[PolarState]) -> float:
     """Sup over levels of the W^{1,inf} distance between window trajectories."""
-    worst = 0.0
-    for a, b in zip(traj_a[1:], traj_b[1:]):
-        for name in _FIELDS:
-            d = getattr(a, name) - getattr(b, name)
-            worst = max(worst, float(np.max(np.abs(d))))
-            dx = centered_derivative(grid, d)
-            worst = max(worst, float(np.max(np.abs(dx))))
-    return worst
+    return max(_w1_sup(grid, a.U - b.U) for a, b in zip(traj_a[1:], traj_b[1:]))
 
 
 def _average_state(a: PolarState, b: PolarState) -> PolarState:
-    return PolarState(a.grid, 0.5 * (a.psi + b.psi), 0.5 * (a.s + b.s),
-                      0.5 * (a.phi + b.phi), 0.5 * (a.v + b.v),
-                      0.5 * (a.omega + b.omega), 0.5 * (a.r + b.r),
+    return PolarState(a.grid, *(0.5 * (a.U + b.U)),
                       time=0.5 * (a.time + b.time), far_field=a.far_field)
 
 
 def _total_energy(st: PolarState, p: PotentialSpec, ws: WaveSpeed) -> float:
-    E = energy_density_polar(st.psi, st.s, st.phi, st.v, st.omega, st.r, p, ws)[0]
+    E = energy_density_polar(*st.U, p, ws)[0]
     return float(integrate(st.grid, E))
 
 
@@ -494,17 +487,14 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     trajectory: List[PolarState] = [] if keep_trajectory else None
 
     def record(st: PolarState):
-        E, F, c2F, EmW = energy_density_polar(st.psi, st.s, st.phi, st.v,
-                                              st.omega, st.r, p, ws)
-        sup = max(float(np.max(np.abs(f))) for f in (st.phi, st.v, st.omega, st.r))
+        E, F, c2F, EmW = energy_density_polar(*st.U, p, ws)
+        sup = float(np.max(np.abs(st.U[2:])))
         reports.append(EnergyReport(
             time=st.time, total_E=float(integrate(grid, E)),
             total_F=float(integrate(grid, F)),
             residual_E=math.nan, residual_F=math.nan,
             sup_state=sup, apriori_violated=False))
-        grad = max(float(np.max(np.abs(centered_derivative(grid, f))))
-                   for f in (st.phi, st.v, st.omega, st.r))
-        w2_sup.append(grad)
+        w2_sup.append(float(np.max(np.abs(centered_derivative(grid, st.U[2:])))))
         density_buf.append((E, F, c2F, EmW))
         if len(density_buf) > 3:
             density_buf.pop(0)
@@ -547,10 +537,8 @@ def write_polar_snapshot_csv(path, st: PolarState):
     xs = st.grid.nodes
     with open(path, "w") as fh:
         fh.write(POLAR_SNAPSHOT_HEADER + "\n")
-        for i in range(st.grid.n):
-            fh.write(f"{xs[i]:.17g},{st.psi[i]:.17g},{st.s[i]:.17g},"
-                     f"{st.phi[i]:.17g},{st.v[i]:.17g},{st.omega[i]:.17g},"
-                     f"{st.r[i]:.17g}\n")
+        for xi, row in zip(xs, st.U.T):
+            fh.write(",".join(f"{val:.17g}" for val in (xi, *row)) + "\n")
 
 
 def read_polar_snapshot_csv(path, time: float = 0.0) -> PolarState:
@@ -562,5 +550,4 @@ def read_polar_snapshot_csv(path, time: float = 0.0) -> PolarState:
     grid = Grid1D(float(x[0]), float(x[-1]), x.size)
     if not np.allclose(x, grid.nodes, rtol=0.0, atol=1e-9 * grid.dx):
         raise ConfigError("snapshot nodes are not uniform")
-    return PolarState(grid, data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                      data[:, 5], data[:, 6], time=time)
+    return PolarState(grid, *data[:, 1:].T, time=time)

@@ -99,6 +99,33 @@ def test_misaligned_snapshot_time_exits_2(tmp_path, capsys):
     assert "snapshot time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+@pytest.mark.parametrize("solver", ["hs2", "quasilinear"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, solver, token):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"solver": "%s", "time": {"t_final": %s}}\n'
+                    % (solver, token))
+    assert main(["run-" + solver, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "time.t_final must be a finite number" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_snapshot_time_exits_2(tmp_path, capsys, token):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "solver": "quasilinear",
+        "potential": {"name": "flat4", "params": {"s0": 0.5}},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 65},
+        "time": {"t_final": 0.1, "cfl": 0.8},
+        "outputs": {"snapshot_times": [0.0, "SNAP"],
+                    "out_dir": str(tmp_path / "o")},
+    }).replace('"SNAP"', token))
+    assert main(["run-quasilinear", "--config", str(path), "--quiet"]) == 2
+    assert "outputs.snapshot_times" in capsys.readouterr().err
+
+
 # --- semilinear and quasilinear runs ----------------------------------------
 
 

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varwave import (ComplexField, ConfigError, DomainError, Grid1D,
-                     integrate, interpolate, norms, read_snapshot_csv,
-                     reference_potential, state_distance, write_snapshot_csv)
+                     centered_derivative, integrate, interpolate, norms,
+                     read_snapshot_csv, reference_potential, state_distance,
+                     write_snapshot_csv)
+from varwave.fields import stencil
 
 
 # --- Grid1D ------------------------------------------------------------------
@@ -71,6 +75,56 @@ def test_interpolate_scalar_query_returns_scalar():
     g = Grid1D(0.0, 1.0, 17)
     out = interpolate(g, g.nodes ** 2, 0.3)
     assert np.ndim(out) == 0
+
+
+@st.composite
+def _stack_and_queries(draw):
+    """A grid, a (k, n) stack of samples, per-row fills, and query points
+    mixing near-node points, interior points and points outside the grid;
+    the last item maps each near-node query to its node (-1 elsewhere)."""
+    n = draw(st.integers(16, 48))
+    k = draw(st.integers(1, 6))
+    g = Grid1D(-1.0, 2.0, n)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(k, n))
+    fill = rng.normal(size=(k, 1))
+    m = draw(st.integers(1, 40))
+    node = np.where(rng.integers(0, 3, size=m) == 0,
+                    rng.integers(0, n, size=m), -1)
+    q = np.where(node >= 0,
+                 g.nodes[node] + rng.uniform(-1e-10, 1e-10, size=m) * g.dx,
+                 rng.uniform(g.x_min - 0.5, g.x_max + 0.5, size=m))
+    if draw(st.booleans()):
+        q = np.clip(q, g.x_min, g.x_max)
+    return g, samples, fill, q, node
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stack_and_queries())
+def test_stacked_stencil_matches_rowwise_interpolate(case):
+    g, samples, fill, q, node = case
+    sten = stencil(g, q)
+    rows = lambda x, fills: np.array(
+        [interpolate(g, f, x, fill=fv) for f, fv in zip(samples, fills)])
+    stacked = sten.apply(samples, fill=fill)
+    assert np.array_equal(stacked, rows(q, fill[:, 0]))
+    # queries within 1e-9 cells of a node inside the grid snap to its sample
+    snapped = (node >= 0) & (q >= g.x_min) & (q <= g.x_max)
+    assert np.array_equal(stacked[:, snapped], samples[:, node[snapped]])
+    if g.contains(q):
+        assert np.array_equal(sten.apply(samples), rows(q, [None] * len(fill)))
+    else:
+        with pytest.raises(DomainError):
+            sten.apply(samples)
+        with pytest.raises(DomainError):
+            interpolate(g, samples[0], q)
+    # a scalar query gives one value per row
+    out = stencil(g, q[0]).apply(samples, fill=fill)
+    assert out.shape == (len(samples),)
+    assert np.array_equal(out, rows(q[0], fill[:, 0]))
+    assert np.array_equal(centered_derivative(g, samples),
+                          np.array([centered_derivative(g, f) for f in samples]))
 
 
 # --- integrate ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from varwave import (ConfigError, DegeneracyError, DomainError, Grid1D,
                      PolarState, QuasilinearConfig, StateEscapeError, advance,
                      centered_derivative, ensure_valid, fit_order,
-                     fixpoint_solve, flat_point_potential,
+                     fixpoint_solve, flat_point_potential, interpolate,
                      read_polar_snapshot_csv, reference_potential,
                      rhs_sources, trace_characteristics, transport_step,
                      wave_speed, write_polar_snapshot_csv, zero_potential)
@@ -256,6 +256,86 @@ def test_transport_degeneracy_and_escape_guards():
         transport_step(st, p, ws, dt)
 
 
+def _reference_transport_step(state, p, ws, dt, frozen_mid=None,
+                              frozen_end=None, forcing=None):
+    """The per-field step: one interpolate call per field and query set."""
+    g = state.grid
+    mid = frozen_mid if frozen_mid is not None else state
+    end = frozen_end if frozen_end is not None else state
+    far = state.far
+    x = g.nodes
+    t_half = state.time + 0.5 * dt
+    each = lambda fields, q: tuple(interpolate(g, f, q, fill=fv)
+                                   for f, fv in zip(fields, far))
+
+    c_end = ws.c(end.psi)
+    half_m = x - 0.5 * dt * c_end
+    half_p = x + 0.5 * dt * c_end
+    c_mid_m = ws.c(interpolate(g, mid.psi, half_m, fill=far[0]))
+    c_mid_p = ws.c(interpolate(g, mid.psi, half_p, fill=far[0]))
+    foot_m = x - dt * c_mid_m
+    foot_p = x + dt * c_mid_p
+
+    dep = (state.psi, state.s, state.phi, state.v, state.omega, state.r)
+    psi_m, s_m, phi_m, v_m, om_m, r_m = each(dep, foot_m)
+    psi_p, s_p, phi_p, v_p, om_p, r_p = each(dep, foot_p)
+    mid_fields = (mid.psi, mid.s, mid.phi, mid.v, mid.omega, mid.r)
+    sphi_m, sv_m, som_m, sr_m = rhs_sources(p, ws, *each(mid_fields, half_m))
+    sphi_p, sv_p, som_p, sr_p = rhs_sources(p, ws, *each(mid_fields, half_p))
+    if forcing is not None:
+        fphi_m, fv_m, fom_m, fr_m = forcing(half_m, t_half)
+        fphi_p, fv_p, fom_p, fr_p = forcing(half_p, t_half)
+        sphi_m, sv_m, som_m, sr_m = (sphi_m + fphi_m, sv_m + fv_m,
+                                     som_m + fom_m, sr_m + fr_m)
+        sphi_p, sv_p, som_p, sr_p = (sphi_p + fphi_p, sv_p + fv_p,
+                                     som_p + fom_p, sr_p + fr_p)
+
+    R1 = (phi_p + om_p) + dt * (sphi_p + som_p)
+    R2 = (phi_m - om_m) + dt * (sphi_m - som_m)
+    R3 = (v_p + r_p) + dt * (sv_p + sr_p)
+    R4 = (v_m - r_m) + dt * (sv_m - sr_m)
+    phi_half = 0.5 * (state.phi + end.phi) if frozen_end is not None else state.phi
+    v_half = 0.5 * (state.v + end.v) if frozen_end is not None else state.v
+    return (state.psi + dt * phi_half, state.s + dt * v_half,
+            0.5 * (R1 + R2), 0.5 * (R3 + R4), 0.5 * (R1 - R2), 0.5 * (R3 - R4))
+
+
+def _wavy_forcing(x, t):
+    return (0.2 * np.sin(x + t), 0.1 * np.cos(x), 0.05 * np.sin(2.0 * x),
+            -0.03 * np.cos(x - t))
+
+
+@pytest.mark.parametrize("case", ["plain", "frozen", "far_field", "forcing"])
+def test_transport_step_matches_per_field_reference(case):
+    g = Grid1D(-8.0, 8.0, 257)
+    p = reference_potential() if case == "plain" else flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    dt = 0.8 * g.dx / ws.c_max
+    st = _bump_state(g, ws, psi0=0.6, s0=0.5)
+    st.phi = 0.05 * np.sin(g.nodes)
+    st.v = 0.02 * np.cos(g.nodes)
+    st.time = 0.3
+    kw = {}
+    if case == "frozen":
+        kw = dict(frozen_mid=_bump_state(g, ws, a_psi=0.12, a_s=0.04),
+                  frozen_end=_bump_state(g, ws, a_psi=0.08, a_s=0.06))
+    elif case == "far_field":
+        # data up to the edges and a far field apart from the edge values:
+        # feet of the boundary nodes leave the grid and read the far field
+        bump = 0.1 * np.exp(-(g.nodes - 7.5) ** 2)
+        st = PolarState.from_primitives(g, 0.6 + bump, 0.5 + 0.5 * bump,
+                                        bump, -bump, ws, time=0.3,
+                                        far_field=(0.65, 0.52))
+        assert np.any(g.nodes + dt * ws.c(st.psi) > g.x_max)
+    elif case == "forcing":
+        kw = dict(forcing=_wavy_forcing)
+    out = transport_step(st, p, ws, dt, **kw)
+    ref = _reference_transport_step(st, p, ws, dt, **kw)
+    for name, want in zip(("psi", "s", "phi", "v", "omega", "r"), ref):
+        assert np.array_equal(getattr(out, name), want), name
+    assert out.time == st.time + dt and out.far_field == st.far_field
+
+
 # --- fixpoint_solve / advance ------------------------------------------------
 
 
@@ -379,8 +459,44 @@ def test_polar_snapshot_round_trip(tmp_path):
     path = tmp_path / "polar.csv"
     write_polar_snapshot_csv(path, st)
     st2 = read_polar_snapshot_csv(path)
-    for name in ("psi", "s", "phi", "v", "omega", "r"):
-        assert np.max(np.abs(getattr(st2, name) - getattr(st, name))) < 1e-15
+    assert np.array_equal(st2.U, st.U)
+    # the per-node row format: x and the six fields, each as %.17g
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,psi,s,phi,v,omega,r"
+    assert lines[1:] == [
+        f"{g.nodes[i]:.17g},{st.psi[i]:.17g},{st.s[i]:.17g},{st.phi[i]:.17g},"
+        f"{st.v[i]:.17g},{st.omega[i]:.17g},{st.r[i]:.17g}" for i in range(g.n)]
+
+
+def test_polar_state_fields_are_views_of_one_stack():
+    g = Grid1D(-4.0, 4.0, 65)
+    st = _bump_state(g, wave_speed(2.0, 1.0))
+    assert st.U.shape == (6, g.n)
+    for i, name in enumerate(("psi", "s", "phi", "v", "omega", "r")):
+        assert np.shares_memory(getattr(st, name), st.U)
+        assert np.array_equal(getattr(st, name), st.U[i])
+    st.psi = np.linspace(0.0, 1.0, g.n)
+    assert np.array_equal(st.U[0], np.linspace(0.0, 1.0, g.n))
+    st.v = 0.25
+    assert np.all(st.U[3] == 0.25)
+    st.omega[3] = 9.0
+    assert st.U[4, 3] == 9.0
+    with pytest.raises(ConfigError, match="omega must have shape"):
+        PolarState(g, *st.U[:4], np.zeros(3), st.r)
+
+
+def test_polar_state_copy_is_independent():
+    g = Grid1D(-4.0, 4.0, 65)
+    st = _bump_state(g, wave_speed(2.0, 1.0))
+    st.time = 0.7
+    dup = st.copy()
+    assert np.array_equal(dup.U, st.U) and not np.shares_memory(dup.U, st.U)
+    assert (dup.time, dup.far_field) == (st.time, st.far_field)
+    before = st.U.copy()
+    dup.psi = 0.0
+    dup.r[5] = 3.0
+    dup.time = 1.0
+    assert np.array_equal(st.U, before) and st.time == 0.7
 
 
 def test_polar_snapshot_rejects_wrong_width(tmp_path):
