@@ -37,7 +37,8 @@ import numpy as np
 
 from .diagnostics import fit_order
 from .errors import ConfigError, VarwaveError
-from .fields import Grid1D, centered_derivative, interpolate
+from .fields import (Grid1D, centered_derivative, interpolate, l2_norm,
+                     trapezoid_weights)
 from .hunter_saxton import evolve_markers, make_markers, sample_eulerian
 from .potentials import PotentialSpec, WaveSpeed
 from .quasilinear import PolarState, QuasilinearConfig, advance
@@ -291,11 +292,7 @@ def _dT_axis(B: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _weights(m: int, n: int, dtau: float, dy: float) -> np.ndarray:
-    wt = np.full(m, dtau)
-    wt[0] = wt[-1] = 0.5 * dtau
-    wy = np.full(n, dy)
-    wy[0] = wy[-1] = 0.5 * dy
-    return np.outer(wt, wy)
+    return np.outer(trapezoid_weights(m, dtau), trapezoid_weights(n, dy))
 
 
 def action_value(coeffs: SlowCoefficients, dtau: float, dy: float,
@@ -410,12 +407,6 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 # epsilon sweep against the marker reference
 
 
-def _l2(y: np.ndarray, err: np.ndarray) -> float:
-    w = np.full(y.size, y[1] - y[0])
-    w[0] = w[-1] = 0.5 * (y[1] - y[0])
-    return float(np.sqrt(np.sum(err ** 2 * w)))
-
-
 def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
                       u0: Callable, rho0: Callable, epsilons: Sequence[float],
                       tau_final: float, *,
@@ -472,6 +463,7 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     if res.broke:
         raise ConfigError(f"reference solution breaks before tau = {tau_final}")
     y_grid = np.linspace(y_eval[0], y_eval[1], n_eval)
+    dy = y_grid[1] - y_grid[0]
 
     # move the left-pinned reference into the gauge the full dynamics
     # selects: constant drop tau*E in u, frame shift tau^2 E/2 in y
@@ -505,8 +497,8 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
             continue
         err_u = ext.u - u_ref
         err_rho = ext.rho - rho_ref
-        l2_u = _l2(y_grid, err_u)
-        l2_rho = _l2(y_grid, err_rho)
+        l2_u = float(l2_norm(err_u, dy))
+        l2_rho = float(l2_norm(err_rho, dy))
         combined = math.hypot(l2_u, l2_rho)
         runs.append({
             "epsilon": eps,

@@ -20,6 +20,7 @@ versions, so a rerun of the same config produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,13 +30,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import (RunConfig, build_grid, build_potential, build_wave_speed,
-                     dump_config, load_config)
+                     load_config)
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
 from .diagnostics import energy_density_complex, fit_order, write_energy_csv
 from .fields import (ComplexField, integrate, read_snapshot_csv,
-                     write_snapshot_csv)
+                     write_csv_rows, write_snapshot_csv)
 from .potentials import apriori_constants, ensure_valid, validate_potential
 from .profiles import constant, make_profile, zero
 from .semilinear import SemilinearConfig, contraction_window, picard_solve
@@ -71,11 +72,9 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(out_dir: str, name: str, text: str) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+def _write_text(out_dir: str, name: str, text: str):
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    return path
 
 
 def _versions() -> Dict[str, str]:
@@ -89,14 +88,14 @@ def _versions() -> Dict[str, str]:
     }
 
 
-def _manifest(cfg: RunConfig, achieved_T: Optional[float],
-              artifacts: List[str]) -> Dict:
-    return {
+def _write_manifest(out_dir: str, cfg: RunConfig,
+                    achieved_T: Optional[float], artifacts: List[str]):
+    _write_text(out_dir, "manifest.json", _canonical({
         "config": cfg.to_dict(),
         "versions": _versions(),
         "achieved_T": achieved_T,
         "artifacts": sorted(artifacts),
-    }
+    }))
 
 
 def _resolve_out_dir(cfg: RunConfig, args) -> str:
@@ -134,24 +133,30 @@ def _rho_profile_from(init: Dict):
     return zero()
 
 
-def _snapshot_levels(times, dt: float, n_levels: int) -> List[int]:
-    levels = []
-    for t in times:
-        lev = int(round(t / dt))
+def _write_solver_run(cfg: RunConfig, args, result, dt: float,
+                      write_snapshot, achieved_T: float):
+    """energy.csv (every energy_every-th report and the last), one snapshot
+    per configured time, and the manifest."""
+    out = _resolve_out_dir(cfg, args)
+    artifacts = ["energy.csv", "manifest.json"]
+    reports = result.energy_reports
+    kept = reports[::cfg.outputs["energy_every"]]
+    if reports and reports[-1] is not kept[-1]:
+        kept.append(reports[-1])
+    write_energy_csv(os.path.join(out, "energy.csv"), kept)
+    times = cfg.outputs["snapshot_times"]
+    levels = [int(round(t / dt)) for t in times]
+    for t, lev in zip(times, levels):
         if abs(t - lev * dt) > 1e-9 * max(1.0, abs(t)) or not (
-                0 <= lev < n_levels):
+                0 <= lev < len(result.trajectory)):
             raise ConfigError(
                 f"snapshot time {t} is not an integer number of steps "
                 f"(dt = {dt}) inside the run")
-        levels.append(lev)
-    return levels
-
-
-def _thin(reports, every: int):
-    kept = reports[::every]
-    if reports and reports[-1] is not kept[-1]:
-        kept = kept + [reports[-1]]
-    return kept
+    for idx, lev in enumerate(levels):
+        name = "snapshot_%04d.csv" % idx
+        write_snapshot(os.path.join(out, name), result.trajectory[lev])
+        artifacts.append(name)
+    _write_manifest(out, cfg, achieved_T, artifacts)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,7 @@ def _cmd_validate_potential(cfg: RunConfig, args) -> int:
     if args.out is not None:
         out = _resolve_out_dir(cfg, args)
         _write_text(out, "validation.json", _canonical(doc))
-        _write_text(out, "manifest.json",
-                    _canonical(_manifest(cfg, None, ["validation.json"])))
+        _write_manifest(out, cfg, None, ["validation.json"])
     return 0 if report.valid else 1
 
 
@@ -217,24 +221,10 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
     except ConfigError:
         apriori = None
 
-    snap_times = cfg.outputs["snapshot_times"]
     scfg = SemilinearConfig(c=c, dt=dt, T_window=T_window)
     result = picard_solve(f0, p, scfg, t_final, apriori=apriori,
-                          keep_trajectory=bool(snap_times))
-
-    out = _resolve_out_dir(cfg, args)
-    artifacts = ["energy.csv", "manifest.json"]
-    write_energy_csv(os.path.join(out, "energy.csv"),
-                     _thin(result.energy_reports, cfg.outputs["energy_every"]))
-    if snap_times:
-        levels = _snapshot_levels(snap_times, dt, len(result.trajectory))
-        for idx, lev in enumerate(levels):
-            name = "snapshot_%04d.csv" % idx
-            write_snapshot_csv(os.path.join(out, name),
-                               result.trajectory[lev])
-            artifacts.append(name)
-    _write_text(out, "manifest.json",
-                _canonical(_manifest(cfg, t_final, artifacts)))
+                          keep_trajectory=bool(cfg.outputs["snapshot_times"]))
+    _write_solver_run(cfg, args, result, dt, write_snapshot_csv, t_final)
     if not args.quiet:
         print(f"semilinear run reached t = {t_final:g} "
               f"({result.trace.iterate_count} contraction iterations)")
@@ -287,24 +277,11 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
     steps = max(1, int(round(t_final / dt)))
     dt = t_final / steps
 
-    snap_times = cfg.outputs["snapshot_times"]
     qcfg = QuasilinearConfig(dt=dt, T_local=min(t_final, max(dt, 0.25)))
     result = advance(state, p, ws, qcfg, t_final,
-                     keep_trajectory=bool(snap_times))
-
-    out = _resolve_out_dir(cfg, args)
-    artifacts = ["energy.csv", "manifest.json"]
-    write_energy_csv(os.path.join(out, "energy.csv"),
-                     _thin(result.energy_reports, cfg.outputs["energy_every"]))
-    if snap_times:
-        levels = _snapshot_levels(snap_times, dt, len(result.trajectory))
-        for idx, lev in enumerate(levels):
-            name = "snapshot_%04d.csv" % idx
-            write_polar_snapshot_csv(os.path.join(out, name),
-                                     result.trajectory[lev])
-            artifacts.append(name)
-    _write_text(out, "manifest.json",
-                _canonical(_manifest(cfg, result.achieved_T, artifacts)))
+                     keep_trajectory=bool(cfg.outputs["snapshot_times"]))
+    _write_solver_run(cfg, args, result, dt, write_polar_snapshot_csv,
+                      result.achieved_T)
     if not args.quiet:
         print(f"quasilinear run reached t = {result.achieved_T:g} "
               f"of {t_final:g}")
@@ -325,21 +302,16 @@ def _cmd_run_hs2(cfg: RunConfig, args) -> int:
 
     out = _resolve_out_dir(cfg, args)
     every = cfg.outputs["energy_every"]
-    traj_path = os.path.join(out, "trajectory.csv")
-    counter = {"k": 0}
+    frames = itertools.count()
 
-    with open(traj_path, "w") as fh:
+    with open(os.path.join(out, "trajectory.csv"), "w") as fh:
         fh.write(HS_TRAJECTORY_HEADER + "\n")
 
         def observer(st):
-            k = counter["k"]
-            counter["k"] = k + 1
-            if k % every and abs(st.time - t_final) > 1e-12:
+            if next(frames) % every and abs(st.time - t_final) > 1e-12:
                 return
-            for i in range(st.xi.shape[0]):
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                    st.time, st.xi[i], st.x[i], st.u[i], st.alpha[i],
-                    st.rho[i], st.J[i]))
+            write_csv_rows(fh, (st.time, st.xi, st.x, st.u, st.alpha,
+                                st.rho, st.J))
 
         result = evolve_markers(markers, t_final, dt, observer=observer)
 
@@ -350,8 +322,7 @@ def _cmd_run_hs2(cfg: RunConfig, args) -> int:
     }
     artifacts = ["trajectory.csv", "blowup.json", "manifest.json"]
     _write_text(out, "blowup.json", _canonical(blow))
-    _write_text(out, "manifest.json",
-                _canonical(_manifest(cfg, result.state.time, artifacts)))
+    _write_manifest(out, cfg, result.state.time, artifacts)
     if result.broke:
         if not args.quiet:
             print("wave breaking at t = %.6g (marker %d)"
@@ -406,8 +377,7 @@ def _cmd_run_asymptotic(cfg: RunConfig, args) -> int:
     out = _resolve_out_dir(cfg, args)
     artifacts = ["study.json", "manifest.json"]
     _write_text(out, "study.json", _canonical(study))
-    _write_text(out, "manifest.json",
-                _canonical(_manifest(cfg, cfg.time["t_final"], artifacts)))
+    _write_manifest(out, cfg, cfg.time["t_final"], artifacts)
     if not args.quiet:
         order = study["fitted_order"]
         shown = "none" if order is None else "%.3f" % order

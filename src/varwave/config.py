@@ -1,7 +1,7 @@
 """Strict JSON run configurations for the command-line surface.
 
 A run config is a single JSON object with the sections solver, potential,
-wave_speed, grid, time, initial_data, outputs, seeds.  Loading is strict:
+wave_speed, grid, time, initial_data, outputs.  Loading is strict:
 unknown keys anywhere are rejected with the offending path named, missing
 values are filled from documented defaults, and numeric ranges are checked
 up front so solvers never see malformed input.  Serialization is canonical
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .errors import ConfigError
 from .fields import Grid1D
@@ -40,7 +40,7 @@ SOLVERS = ("semilinear", "quasilinear", "hs2", "asymptotic",
 _POTENTIALS = ("reference", "flat4", "quadratic", "zero")
 
 _TOP_KEYS = {"solver", "potential", "wave_speed", "grid", "time",
-             "initial_data", "outputs", "seeds"}
+             "initial_data", "outputs"}
 _SECTION_KEYS = {
     "potential": {"name", "params"},
     "potential.params": {"s0"},
@@ -70,7 +70,6 @@ _DEFAULTS = {
     "initial_data": {"family": "gaussian", "amplitude": 0.1, "center": 0.0,
                      "width": 1.0},
     "outputs": {"snapshot_times": [], "energy_every": 1, "out_dir": "."},
-    "seeds": 0,
 }
 
 
@@ -85,7 +84,6 @@ class RunConfig:
     time: Dict
     initial_data: Dict
     outputs: Dict
-    seeds: int
 
     def to_dict(self) -> Dict:
         return {
@@ -96,7 +94,6 @@ class RunConfig:
             "time": self.time,
             "initial_data": self.initial_data,
             "outputs": self.outputs,
-            "seeds": self.seeds,
         }
 
 
@@ -214,12 +211,8 @@ def parse_config(doc: Dict) -> RunConfig:
     if not isinstance(outputs["out_dir"], str):
         raise ConfigError("outputs.out_dir must be a string")
 
-    seeds = doc.get("seeds", _DEFAULTS["seeds"])
-    seeds = _require_number(seeds, "seeds", integer=True)
-
     return RunConfig(solver=solver, potential=pot, wave_speed=ws, grid=grid,
-                     time=time, initial_data=init, outputs=outputs,
-                     seeds=seeds)
+                     time=time, initial_data=init, outputs=outputs)
 
 
 def load_config(path: str) -> RunConfig:

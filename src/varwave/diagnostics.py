@@ -13,16 +13,18 @@ steps carry no residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import astuple, dataclass
+from typing import List
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid1D, centered_derivative, integrate
+from .fields import Grid1D, centered_derivative, integrate, write_csv
 
 __all__ = [
     "EnergyReport",
+    "EnergyLog",
     "energy_density_polar",
     "energy_density_complex",
     "conservation_residuals",
@@ -85,6 +87,34 @@ def conservation_residuals(grid: Grid1D, triple_E, triple_c2F, triple_F, triple_
             float(integrate(grid, np.abs(resF) * interior)))
 
 
+class EnergyLog:
+    """Energy reports of one run, one per accepted time level.
+
+    `record` takes each level's densities (E, F, c2F, EmW) in time order;
+    a level's centered residuals are filled in when the next level comes,
+    so the first and last reports keep NaN residuals.
+    """
+
+    def __init__(self, grid: Grid1D, dt: float):
+        self.grid, self.dt = grid, dt
+        self.reports: List[EnergyReport] = []
+        self._triple: List[tuple] = []  # densities of the last three levels
+
+    def record(self, time: float, densities, sup_state: float,
+               apriori_violated: bool = False):
+        g = self.grid
+        self.reports.append(EnergyReport(
+            time, float(integrate(g, densities[0])),
+            float(integrate(g, densities[1])), math.nan, math.nan,
+            sup_state, apriori_violated))
+        self._triple = self._triple[-2:] + [densities]
+        if len(self._triple) == 3:
+            E, F, c2F, EmW = zip(*self._triple)
+            mid = self.reports[-2]
+            mid.residual_E, mid.residual_F = conservation_residuals(
+                g, E, c2F, F, EmW, self.dt)
+
+
 def fit_order(pairs) -> float:
     """Least-squares slope of log(error) against log(h).
 
@@ -108,9 +138,6 @@ ENERGY_HEADER = "t,total_E,total_F,residual_E,residual_F,sup_state,apriori_viola
 
 
 def write_energy_csv(path, reports):
-    with open(path, "w") as fh:
-        fh.write(ENERGY_HEADER + "\n")
-        for r in reports:
-            fh.write(f"{r.time:.17g},{r.total_E:.17g},{r.total_F:.17g},"
-                     f"{r.residual_E:.17g},{r.residual_F:.17g},"
-                     f"{r.sup_state:.17g},{int(r.apriori_violated)}\n")
+    """One row per report, columns in ENERGY_HEADER order (the flag as 0/1)."""
+    write_csv(path, ENERGY_HEADER,
+              np.array([astuple(r) for r in reports], dtype=float).T)

@@ -25,9 +25,14 @@ __all__ = [
     "stencil",
     "interpolate",
     "integrate",
+    "trapezoid_weights",
+    "l2_norm",
     "norms",
     "state_distance",
     "centered_derivative",
+    "write_csv_rows",
+    "write_csv",
+    "read_grid_csv",
     "write_snapshot_csv",
     "read_snapshot_csv",
 ]
@@ -59,9 +64,13 @@ class Grid1D:
     def length(self) -> float:
         return self.x_max - self.x_min
 
+    def inside(self, x) -> np.ndarray:
+        """Mask of the points in the grid, ends widened by 1e-12 cells."""
+        tol = 1e-12 * self.dx
+        return (x >= self.x_min - tol) & (x <= self.x_max + tol)
+
     def contains(self, x) -> bool:
-        x = np.asarray(x)
-        return bool(np.all(x >= self.x_min - 1e-12) and np.all(x <= self.x_max + 1e-12))
+        return bool(np.all(self.inside(np.asarray(x))))
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,7 @@ def stencil(grid: Grid1D, x) -> Stencil:
     """Interpolation stencil of the query points x (see `interpolate`)."""
     x = np.asarray(x, dtype=float)
     xq = np.atleast_1d(x)
-    inside = (xq >= grid.x_min - 1e-12 * grid.dx) & (xq <= grid.x_max + 1e-12 * grid.dx)
+    inside = grid.inside(xq)
 
     pos = (xq - grid.x_min) / grid.dx
     pos = np.clip(pos, 0.0, grid.n - 1.0)
@@ -144,7 +153,7 @@ def integrate(grid: Grid1D, samples: np.ndarray, a: Optional[float] = None,
     b = grid.x_max if b is None else float(b)
     if b < a:
         raise ConfigError("integration bounds reversed")
-    if a < grid.x_min - 1e-12 or b > grid.x_max + 1e-12:
+    if not grid.contains((a, b)):
         raise DomainError("integration bounds outside the grid")
     a = min(max(a, grid.x_min), grid.x_max)
     b = min(max(b, grid.x_min), grid.x_max)
@@ -237,72 +246,108 @@ class StateNorms:
     w0_mass: float
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights of n nodes spaced h apart."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def l2_norm(a, h: float):
+    """Trapezoid L^2 norm along the last axis of nodal samples spaced h apart."""
+    a = np.asarray(a)
+    return np.sqrt(np.sum(np.abs(a) ** 2 * trapezoid_weights(a.shape[-1], h), axis=-1))
+
+
 def norms(f: ComplexField, p=None) -> StateNorms:
     """Norm bundle of a state: sup and H^1 distance to the far field, sup/L2
     of the velocity, and the L^1 mass of W0(|zeta|) when a potential is given."""
-    g = f.grid
-    dz = f.zeta - f.far_field
-    zx = f.zeta_x()
-    l2 = lambda arr: float(np.sqrt(max(integrate(g, np.abs(arr) ** 2).real, 0.0)))
+    h = f.grid.dx
     w0_mass = 0.0
     if p is not None:
-        w0_mass = float(integrate(g, p.eval_0(np.abs(f.zeta))))
+        w0_mass = float(np.sum(p.eval_0(np.abs(f.zeta)) * trapezoid_weights(f.grid.n, h)))
     return StateNorms(
         sup_zeta=float(np.max(np.abs(f.zeta))),
-        h1_dist=l2(dz) + l2(zx),
+        h1_dist=float(l2_norm(f.zeta - f.far_field, h) + l2_norm(f.zeta_x(), h)),
         sup_zeta_t=float(np.max(np.abs(f.zeta_t))),
-        l2_zeta_t=l2(f.zeta_t),
+        l2_zeta_t=float(l2_norm(f.zeta_t, h)),
         w0_mass=w0_mass,
     )
 
 
-def state_distance(f1: ComplexField, f2: ComplexField, p=None) -> float:
-    """Metric distance between two states on the same grid.
+def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p=None):
+    """Metric distance between two states (zeta, zeta_t) on the grid.
 
     Sup and L^2 norms of the differences of zeta, zeta_x, zeta_t, plus the
-    L^1 difference of the potential densities; this is the contraction metric
-    of the windowed fixed-point solver.
+    L^1 difference of the potential densities when p is given; this is the
+    contraction metric of the windowed fixed-point solver.  The arrays may
+    be (..., n) stacks of time levels: the distance is taken along the last
+    axis, one value per level.
     """
-    if f1.grid != f2.grid:
-        raise ConfigError("states live on different grids")
-    g = f1.grid
-    dz = f1.zeta - f2.zeta
-    dzx = centered_derivative(g, dz)
-    dzt = f1.zeta_t - f2.zeta_t
-    l2 = lambda arr: float(np.sqrt(max(integrate(g, np.abs(arr) ** 2).real, 0.0)))
-    d = (float(np.max(np.abs(dz))) + float(np.max(np.abs(dzx)))
-         + l2(dz) + l2(dzx)
-         + float(np.max(np.abs(dzt))) + l2(dzt))
+    shapes = {np.shape(a) for a in (zeta1, zeta_t1, zeta2, zeta_t2)}
+    if shapes != {np.shape(zeta1)[:-1] + (grid.n,)}:
+        raise ConfigError("states must match each other and the grid")
+    h = grid.dx
+    dz = np.asarray(zeta1) - zeta2
+    dzx = centered_derivative(grid, dz)
+    dzt = np.asarray(zeta_t1) - zeta_t2
+    sup = lambda a: np.max(np.abs(a), axis=-1)
+    d = (sup(dz) + sup(dzx) + l2_norm(dz, h) + l2_norm(dzx, h)
+         + sup(dzt) + l2_norm(dzt, h))
     if p is not None:
-        d += float(integrate(g, np.abs(p.eval_0(np.abs(f1.zeta)) - p.eval_0(np.abs(f2.zeta)))))
+        dw = np.abs(p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
+        d = d + np.sum(dw * trapezoid_weights(grid.n, h), axis=-1)
     return d
 
 
 # ---------------------------------------------------------------------------
-# snapshot serialization
+# csv files: one row per node (or marker), every value as %.17g
+
+
+def write_csv_rows(fh, columns):
+    """Write one row per index of the columns, each value as %.17g.
+
+    columns are equal-length 1-d sequences; a scalar column broadcasts.
+    """
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    fh.writelines(fmt % row for row in zip(*cols))
+
+
+def write_csv(path, header: str, columns):
+    """A header line, then `write_csv_rows` of the columns."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        write_csv_rows(fh, columns)
+
+
+def read_grid_csv(path, n_columns: int, what: str):
+    """Read a csv written by `write_csv` whose first column is the grid.
+
+    Checks the column count and that the x column holds uniform nodes;
+    returns the grid and the (n_columns - 1, n) array of the other columns.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.ndim != 2 or data.shape[1] != n_columns:
+        raise ConfigError(f"{what} must have {n_columns} columns")
+    x = data[:, 0]
+    grid = Grid1D(float(x[0]), float(x[-1]), x.size)
+    if not np.allclose(x, grid.nodes, rtol=0.0, atol=1e-9 * grid.dx):
+        raise ConfigError(f"{what} nodes are not uniform")
+    return grid, data[:, 1:].T
+
 
 SNAPSHOT_HEADER = "x,re_zeta,im_zeta,re_zeta_t,im_zeta_t"
 
 
 def write_snapshot_csv(path, f: ComplexField):
     """One row per node: x, Re zeta, Im zeta, Re zeta_t, Im zeta_t."""
-    xs = f.grid.nodes
-    with open(path, "w") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
-        for i in range(f.grid.n):
-            fh.write(f"{xs[i]:.17g},{f.zeta[i].real:.17g},{f.zeta[i].imag:.17g},"
-                     f"{f.zeta_t[i].real:.17g},{f.zeta_t[i].imag:.17g}\n")
+    write_csv(path, SNAPSHOT_HEADER, (f.grid.nodes, f.zeta.real, f.zeta.imag,
+                                      f.zeta_t.real, f.zeta_t.imag))
 
 
 def read_snapshot_csv(path, far_field=0.0 + 0.0j, time=0.0) -> ComplexField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise ConfigError("snapshot csv must have five columns")
-    x = data[:, 0]
-    n = x.size
-    grid = Grid1D(float(x[0]), float(x[-1]), n)
-    if not np.allclose(x, grid.nodes, rtol=0.0, atol=1e-9 * grid.dx):
-        raise ConfigError("snapshot nodes are not uniform")
-    zeta = data[:, 1] + 1j * data[:, 2]
-    zeta_t = data[:, 3] + 1j * data[:, 4]
-    return ComplexField(grid, zeta, zeta_t, far_field=far_field, time=time)
+    """Inverse of write_snapshot_csv; grid rebuilt from the x column."""
+    grid, (re_z, im_z, re_zt, im_zt) = read_grid_csv(path, 5, "snapshot csv")
+    return ComplexField(grid, re_z + 1j * im_z, re_zt + 1j * im_zt,
+                        far_field=far_field, time=time)

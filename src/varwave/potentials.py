@@ -9,7 +9,6 @@ validation gate is built around.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -54,7 +53,6 @@ class PotentialSpec:
     eval_4: Callable[[np.ndarray], np.ndarray]
     zeros: tuple = ()
     flat_point: Optional[float] = None
-    validated: bool = False
     name: str = ""
 
     def w0(self, s, order: int = 0):
@@ -271,12 +269,12 @@ def validate_potential(p: PotentialSpec, tail_samples: int = 2048) -> Validation
 
 
 def ensure_valid(p: PotentialSpec, tail_samples: int = 2048) -> PotentialSpec:
-    """Validate and stamp the potential; raise ConfigError on rejection."""
+    """Return the potential if it passes the gate; raise ConfigError if not."""
     rep = validate_potential(p, tail_samples=tail_samples)
     if not rep.valid:
         raise ConfigError("potential rejected: " + "; ".join(
             f"{k}: {rep.clauses[k].detail}" for k in rep.failing()))
-    return dataclasses.replace(p, validated=True)
+    return p
 
 
 # ---------------------------------------------------------------------------

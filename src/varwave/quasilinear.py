@@ -37,10 +37,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import EnergyReport, conservation_residuals, energy_density_polar
+# conservation_residuals is not called here (EnergyLog calls it); the name
+# stays bound because perfbench/tracing.py wraps this module attribute
+from .diagnostics import (EnergyLog, EnergyReport, conservation_residuals,
+                          energy_density_polar)
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
-                     DomainError, NonContractionError, StateEscapeError)
-from .fields import Grid1D, centered_derivative, integrate, interpolate, stencil
+                     NonContractionError, StateEscapeError)
+from .fields import (Grid1D, centered_derivative, integrate, interpolate,
+                     read_grid_csv, stencil, write_csv)
 from .potentials import PotentialSpec, WaveSpeed
 
 __all__ = [
@@ -481,30 +485,14 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     E_prime, L_prime = resolve_budgets(state, p, ws, cfg)
     cfg = replace(cfg, E_budget=E_prime, L_budget=L_prime)
 
-    reports: List[EnergyReport] = []
+    log = EnergyLog(grid, cfg.dt)
     w2_sup: List[float] = []
-    density_buf: List[tuple] = []
     trajectory: List[PolarState] = [] if keep_trajectory else None
 
     def record(st: PolarState):
-        E, F, c2F, EmW = energy_density_polar(*st.U, p, ws)
-        sup = float(np.max(np.abs(st.U[2:])))
-        reports.append(EnergyReport(
-            time=st.time, total_E=float(integrate(grid, E)),
-            total_F=float(integrate(grid, F)),
-            residual_E=math.nan, residual_F=math.nan,
-            sup_state=sup, apriori_violated=False))
+        log.record(st.time, energy_density_polar(*st.U, p, ws),
+                   float(np.max(np.abs(st.U[2:]))))
         w2_sup.append(float(np.max(np.abs(centered_derivative(grid, st.U[2:])))))
-        density_buf.append((E, F, c2F, EmW))
-        if len(density_buf) > 3:
-            density_buf.pop(0)
-        if len(density_buf) == 3:
-            b = density_buf
-            rE, rF = conservation_residuals(
-                grid, (b[0][0], b[1][0], b[2][0]), (b[0][2], b[1][2], b[2][2]),
-                (b[0][1], b[1][1], b[2][1]), (b[0][3], b[1][3], b[2][3]), cfg.dt)
-            reports[-2].residual_E = rE
-            reports[-2].residual_F = rF
 
     record(state)
     if keep_trajectory:
@@ -524,7 +512,7 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
         cur = traj[-1]
         done += trace.steps
 
-    return QuasilinearResult(state=cur, traces=traces, energy_reports=reports,
+    return QuasilinearResult(state=cur, traces=traces, energy_reports=log.reports,
                              w2_sup=w2_sup, achieved_T=done * cfg.dt,
                              trajectory=trajectory)
 
@@ -534,20 +522,10 @@ POLAR_SNAPSHOT_HEADER = "x,psi,s,phi,v,omega,r"
 
 def write_polar_snapshot_csv(path, st: PolarState):
     """One row per node: x and the six state fields."""
-    xs = st.grid.nodes
-    with open(path, "w") as fh:
-        fh.write(POLAR_SNAPSHOT_HEADER + "\n")
-        for xi, row in zip(xs, st.U.T):
-            fh.write(",".join(f"{val:.17g}" for val in (xi, *row)) + "\n")
+    write_csv(path, POLAR_SNAPSHOT_HEADER, (st.grid.nodes, *st.U))
 
 
 def read_polar_snapshot_csv(path, time: float = 0.0) -> PolarState:
     """Inverse of write_polar_snapshot_csv; grid rebuilt from the x column."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise ConfigError("polar snapshot csv must have seven columns")
-    x = data[:, 0]
-    grid = Grid1D(float(x[0]), float(x[-1]), x.size)
-    if not np.allclose(x, grid.nodes, rtol=0.0, atol=1e-9 * grid.dx):
-        raise ConfigError("snapshot nodes are not uniform")
-    return PolarState(grid, *data[:, 1:].T, time=time)
+    grid, fields = read_grid_csv(path, 7, "polar snapshot csv")
+    return PolarState(grid, *fields, time=time)

@@ -25,10 +25,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import EnergyReport, conservation_residuals, energy_density_complex
+# conservation_residuals is not called here (EnergyLog calls it); the name
+# stays bound because perfbench/tracing.py wraps this module attribute
+from .diagnostics import (EnergyLog, EnergyReport, conservation_residuals,
+                          energy_density_complex)
 from .errors import (AprioriViolationError, ConfigError, DomainError,
                      NonContractionError, StateEscapeError)
-from .fields import ComplexField, Grid1D, centered_derivative, integrate
+from .fields import ComplexField, Grid1D, centered_derivative, state_distance
 from .potentials import AprioriConstants, PotentialSpec, apriori_constants
 
 __all__ = [
@@ -150,7 +153,7 @@ def _cone_corrections(grid: Grid1D, q_levels: np.ndarray, q_ff: complex,
 
     corr_z = np.zeros((m + 1, n), dtype=complex)
     corr_zt = np.zeros((m + 1, n), dtype=complex)
-    base = pad  # index of grid node 0 inside padded arrays (prefix has n+1 values)
+    base = pad  # index of grid node 0 inside padded arrays (prefix has n values)
     for j in range(1, m + 1):
         acc_z = np.zeros(n, dtype=complex)
         acc_zt = np.zeros(n, dtype=complex)
@@ -232,21 +235,6 @@ class SemilinearResult:
     trajectory: Optional[List[ComplexField]] = None
 
 
-def _level_metric(grid: Grid1D, z1, zt1, z2, zt2, p: PotentialSpec) -> float:
-    """Metric distance between two window trajectories: max over levels."""
-    dz = z1 - z2
-    dzt = zt1 - zt2
-    dzx = np.gradient(dz, grid.dx, axis=1, edge_order=2)
-    wts = np.full(grid.n, grid.dx)
-    wts[0] = wts[-1] = 0.5 * grid.dx
-    l2 = lambda a: np.sqrt(np.sum(np.abs(a) ** 2 * wts, axis=1))
-    per_level = (np.max(np.abs(dz), axis=1) + np.max(np.abs(dzx), axis=1)
-                 + l2(dz) + l2(dzx)
-                 + np.max(np.abs(dzt), axis=1) + l2(dzt)
-                 + np.sum(np.abs(p.eval_0(np.abs(z1)) - p.eval_0(np.abs(z2))) * wts, axis=1))
-    return float(np.max(per_level))
-
-
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
                     cfg: SemilinearConfig, m: int):
     """Picard-iterate one window of m steps; returns level arrays and diffs."""
@@ -268,7 +256,7 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
         # boundary pinned to the (equilibrium) far field
         new_z[:, 0] = new_z[:, -1] = f0.far_field
         new_zt[:, 0] = new_zt[:, -1] = 0.0
-        d = _level_metric(grid, new_z, new_zt, hat_z, hat_zt, p)
+        d = float(np.max(state_distance(grid, new_z, new_zt, hat_z, hat_zt, p)))
         diffs.append(d)
         hat_z, hat_zt = new_z, new_zt
         if d < cfg.picard_tol:
@@ -303,31 +291,15 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
 
     bound = apriori.cE + 1e-6 if apriori is not None else None
 
-    reports: List[EnergyReport] = []
+    log = EnergyLog(grid, cfg.dt)
     trajectory: List[ComplexField] = [] if keep_trajectory else None
-    density_buf: List[tuple] = []  # rolling (E, F, c2F, EmW) triples
 
     def record_level(zeta, zeta_t, t):
         zx = np.gradient(zeta, grid.dx, edge_order=2)
-        E, F, c2F, EmW = energy_density_complex(zeta, zeta_t, zx, p, cfg.c)
         sup = float(np.max(np.abs(zeta)))
         violated = bound is not None and sup > bound
-        reports.append(EnergyReport(
-            time=t, total_E=float(integrate(grid, E)), total_F=float(integrate(grid, F)),
-            residual_E=math.nan, residual_F=math.nan,
-            sup_state=sup, apriori_violated=violated))
-        density_buf.append((E, F, c2F, EmW))
-        if len(density_buf) > 3:
-            density_buf.pop(0)
-        if len(density_buf) == 3:
-            trip = density_buf
-            rE, rF = conservation_residuals(
-                grid, (trip[0][0], trip[1][0], trip[2][0]),
-                (trip[0][2], trip[1][2], trip[2][2]),
-                (trip[0][1], trip[1][1], trip[2][1]),
-                (trip[0][3], trip[1][3], trip[2][3]), cfg.dt)
-            reports[-2].residual_E = rE
-            reports[-2].residual_F = rF
+        log.record(t, energy_density_complex(zeta, zeta_t, zx, p, cfg.c),
+                   sup, violated)
         if violated:
             raise AprioriViolationError(
                 f"sup|zeta| = {sup:.8f} exceeded certified bound {bound:.8f} at t = {t:.6f}",
@@ -362,5 +334,5 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
         done += m
 
     trace = PicardTrace(iterate_count=iterate_count, diff_norms=windows, converged=True)
-    return SemilinearResult(field=state, trace=trace, energy_reports=reports,
+    return SemilinearResult(field=state, trace=trace, energy_reports=log.reports,
                             trajectory=trajectory)

@@ -1,10 +1,12 @@
 """End-to-end command line runs: exit codes, artifacts, determinism."""
 
+import io
 import json
 import math
 
 import pytest
 
+from varwave import constant, evolve_markers, gaussian, make_markers
 from varwave.cli import main
 
 
@@ -248,6 +250,50 @@ def test_hs2_reruns_are_byte_identical(tmp_path):
         outs.append(out)
     for name in ("trajectory.csv", "blowup.json", "manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("rho_value, t_final, code", [(0.5, 0.23, 0),
+                                                      (0.0, 2.0, 5)])
+def test_hs2_trajectory_matches_per_row_writer(tmp_path, rho_value, t_final,
+                                               code):
+    doc = {
+        "solver": "hs2",
+        "grid": {"x_min": -6.0, "x_max": 6.0, "n": 129},
+        "time": {"t_final": t_final, "dt": 0.01},
+        "initial_data": {"family": "gaussian", "amplitude": 2.0,
+                         "width": 1.2, "rho_value": rho_value},
+        "outputs": {"energy_every": 7, "out_dir": "unused"},
+    }
+    out = tmp_path / "run"
+    assert main(["run-hs2", "--config", _write_config(tmp_path, doc),
+                 "--out", str(out), "--quiet"]) == code
+    # the per-row observer the shared csv row writer replaced
+    u0 = gaussian(2.0, 0.0, 1.2)
+    markers = make_markers((-6.0, 6.0), 129, u0, constant(rho_value),
+                           du0=u0.derivative)
+    steps = max(1, int(round(t_final / 0.01)))
+    fh = io.StringIO()
+    fh.write("t,xi,x,u,alpha,rho,J\n")
+    counter = {"k": 0}
+
+    def observer(st):
+        k = counter["k"]
+        counter["k"] = k + 1
+        if k % 7 and abs(st.time - t_final) > 1e-12:
+            return
+        for i in range(st.xi.shape[0]):
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                st.time, st.xi[i], st.x[i], st.u[i], st.alpha[i],
+                st.rho[i], st.J[i]))
+
+    evolve_markers(markers, t_final, t_final / steps, observer=observer)
+    assert counter["k"] > 7
+    got = (out / "trajectory.csv").read_text().splitlines(keepends=True)
+    want = fh.getvalue().splitlines(keepends=True)
+    # name the first differing row rather than diffing thousands of rows
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
 
 
 # --- slow-scale sweep --------------------------------------------------------

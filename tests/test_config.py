@@ -24,7 +24,6 @@ def test_minimal_config_gets_defaults():
     assert cfg.time["t_final"] == 1.0
     assert cfg.initial_data["family"] == "gaussian"
     assert cfg.outputs["energy_every"] == 1
-    assert cfg.seeds == 0
 
 
 def test_solver_required_and_validated():
@@ -41,6 +40,8 @@ def test_unknown_keys_name_their_path():
         parse_config(_minimal(grid={"dx": 0.1}))
     with pytest.raises(ConfigError, match="extra_section"):
         parse_config(_minimal(extra_section={}))
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config(_minimal(seeds=0))
 
 
 def test_bad_values_name_their_path():
@@ -93,7 +94,6 @@ def test_dump_load_round_trip_is_byte_stable(tmp_path):
         initial_data={"family": "gaussian", "amplitude": 0.05},
         outputs={"snapshot_times": [0.25], "energy_every": 10,
                  "out_dir": "run"},
-        seeds=7,
     )
     cfg = parse_config(doc)
     text1 = dump_config(cfg)

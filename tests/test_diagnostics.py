@@ -1,14 +1,19 @@
 """Energy densities, local conservation residuals, and order fitting."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from varwave import (ConfigError, Grid1D, centered_derivative,
+from varwave import (ComplexField, ConfigError, EnergyReport, Grid1D,
+                     PolarState, QuasilinearConfig, SemilinearConfig, advance,
+                     apriori_constants, centered_derivative,
                      conservation_residuals, energy_density_complex,
-                     energy_density_polar, fit_order, reference_potential,
-                     wave_speed, zero_potential)
+                     energy_density_polar, fit_order, flat_point_potential,
+                     integrate, picard_solve, reference_potential, wave_speed,
+                     write_energy_csv, zero_potential)
+from varwave.diagnostics import EnergyLog
 
 
 def _grids(n=257, half=8.0):
@@ -186,3 +191,119 @@ def test_fit_order_input_validation():
 def test_fit_order_accepts_unsorted_pairs():
     pairs = [(0.025, 2.0 * 0.025**3), (0.1, 2.0 * 0.1**3), (0.05, 2.0 * 0.05**3)]
     assert fit_order(pairs) == pytest.approx(3.0, abs=1e-10)
+
+
+# --- energy log --------------------------------------------------------------
+
+
+def _reference_reports(grid, dt, levels):
+    """The rolling-triple recorder each solver used to carry: levels are
+    (time, (E, F, c2F, EmW), sup, violated) in time order."""
+    reports, buf = [], []
+    for t, dens, sup, violated in levels:
+        E, F, c2F, EmW = dens
+        reports.append(EnergyReport(
+            time=t, total_E=float(integrate(grid, E)),
+            total_F=float(integrate(grid, F)),
+            residual_E=math.nan, residual_F=math.nan,
+            sup_state=sup, apriori_violated=violated))
+        buf.append((E, F, c2F, EmW))
+        if len(buf) > 3:
+            buf.pop(0)
+        if len(buf) == 3:
+            b = buf
+            rE, rF = conservation_residuals(
+                grid, (b[0][0], b[1][0], b[2][0]), (b[0][2], b[1][2], b[2][2]),
+                (b[0][1], b[1][1], b[2][1]), (b[0][3], b[1][3], b[2][3]), dt)
+            reports[-2].residual_E = rE
+            reports[-2].residual_F = rF
+    return reports
+
+
+def _table(reports):
+    return np.array([astuple(r) for r in reports], dtype=float)
+
+
+def _assert_same_reports(got, want):
+    assert len(got) == len(want)
+    assert [type(r.apriori_violated) for r in got] == [bool] * len(got)
+    assert np.array_equal(_table(got), _table(want), equal_nan=True)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7])
+def test_energy_log_matches_rolling_triple_reference(levels):
+    g = _grids(n=65)
+    rng = np.random.default_rng(levels)
+    rows = [(0.1 * k, tuple(rng.normal(size=(4, g.n))), float(rng.uniform()),
+             bool(k % 3 == 2)) for k in range(levels)]
+    log = EnergyLog(g, 0.1)
+    for t, dens, sup, violated in rows:
+        log.record(t, dens, sup, violated)
+    _assert_same_reports(log.reports, _reference_reports(g, 0.1, rows))
+    # residuals are centered in time: none at the ends, all in between
+    res = _table(log.reports)[:, 3:5]
+    assert np.all(np.isnan(res[[0, -1]]))
+    assert np.all(np.isfinite(res[1:-1]))
+
+
+def test_semilinear_reports_match_reference_recorder():
+    g = Grid1D(-8.0, 8.0, 129)
+    p = reference_potential()
+    zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
+    cfg = SemilinearConfig.aligned(g, 1.0, T_window=0.5)
+    E0 = float(integrate(g, energy_density_complex(
+        f0.zeta, f0.zeta_t, f0.zeta_x(), p, 1.0)[0]))
+    apriori = apriori_constants(p, E0)
+    bound = apriori.cE + 1e-6
+    out = picard_solve(f0, p, cfg, 1.0, apriori=apriori, keep_trajectory=True)
+    rows = []
+    for f in out.trajectory:
+        zx = np.gradient(f.zeta, g.dx, edge_order=2)
+        sup = float(np.max(np.abs(f.zeta)))
+        rows.append((f.time, energy_density_complex(f.zeta, f.zeta_t, zx, p, 1.0),
+                     sup, sup > bound))
+    _assert_same_reports(out.energy_reports, _reference_reports(g, cfg.dt, rows))
+
+
+def test_quasilinear_reports_match_reference_recorder():
+    g = Grid1D(-8.0, 8.0, 129)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    psi = math.pi / 4.0 + 0.1 * np.exp(-g.nodes ** 2)
+    z = np.zeros(g.n)
+    st = PolarState.from_primitives(g, psi, np.full(g.n, 0.5), z, z, ws,
+                                    far_field=(math.pi / 4.0, 0.5))
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    out = advance(st, p, ws, cfg, 12 * cfg.dt, keep_trajectory=True)
+    rows = [(s.time, energy_density_polar(*s.U, p, ws),
+             float(np.max(np.abs(s.U[2:]))), False) for s in out.trajectory]
+    _assert_same_reports(out.energy_reports, _reference_reports(g, cfg.dt, rows))
+
+
+def _reference_energy_csv(path, reports):
+    """The per-row energy writer the shared csv writer replaced."""
+    with open(path, "w") as fh:
+        fh.write("t,total_E,total_F,residual_E,residual_F,sup_state,"
+                 "apriori_violated\n")
+        for r in reports:
+            fh.write(f"{r.time:.17g},{r.total_E:.17g},{r.total_F:.17g},"
+                     f"{r.residual_E:.17g},{r.residual_F:.17g},"
+                     f"{r.sup_state:.17g},{int(r.apriori_violated)}\n")
+
+
+def test_energy_csv_bytes_match_per_row_writer(tmp_path):
+    g = _grids(n=65)
+    rng = np.random.default_rng(5)
+    log = EnergyLog(g, 1e-3)
+    for k, t in enumerate((0.0, 1e-3, 2e-3, 3e-3, 1.0 / 3.0)):
+        log.record(t, tuple(rng.normal(size=(4, g.n)) * 10.0 ** (4 * k - 8)),
+                   [0.0, -0.0, 1e-300, 12345.678, math.inf][k], k == 3)
+    reports = log.reports
+    assert math.isnan(reports[0].residual_E) and reports[3].apriori_violated
+    write_energy_csv(tmp_path / "new.csv", reports)
+    _reference_energy_csv(tmp_path / "old.csv", reports)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert lines[1].split(",")[3:5] == ["nan", "nan"]
+    assert [ln[-1] for ln in lines[1:]] == ["0", "0", "0", "1", "0"]

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varwave import (ComplexField, ConfigError, DomainError, Grid1D,
                      centered_derivative, integrate, interpolate, norms,
-                     read_snapshot_csv, reference_potential, state_distance,
-                     write_snapshot_csv)
-from varwave.fields import stencil
+                     read_polar_snapshot_csv, read_snapshot_csv,
+                     reference_potential, state_distance, write_snapshot_csv)
+from varwave.fields import stencil, trapezoid_weights
 
 
 # --- Grid1D ------------------------------------------------------------------
@@ -102,6 +102,11 @@ def _stack_and_queries(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_stack_and_queries())
+# a query 5e-13 past the right end: outside by the stencil's 1e-12-cell rule,
+# which `contains` has to share
+@example((Grid1D(-1.0, 2.0, 28),
+          np.random.default_rng(0).normal(size=(2, 28)),
+          np.array([[0.5], [-0.5]]), np.array([2.0 + 5e-13]), np.array([-1])))
 def test_stacked_stencil_matches_rowwise_interpolate(case):
     g, samples, fill, q, node = case
     sten = stencil(g, q)
@@ -248,14 +253,96 @@ def test_state_distance_separates_and_vanishes():
     g = Grid1D(-8.0, 8.0, 128)
     f1 = ComplexField(g, _bump(g, 0.1).astype(complex), np.zeros(g.n))
     f2 = ComplexField(g, _bump(g, 0.2).astype(complex), np.zeros(g.n))
-    assert state_distance(f1, f1) == 0.0
-    assert state_distance(f1, f2, reference_potential()) > 0.0
+    assert state_distance(g, f1.zeta, f1.zeta_t, f1.zeta, f1.zeta_t) == 0.0
+    assert state_distance(g, f1.zeta, f1.zeta_t, f2.zeta, f2.zeta_t,
+                          reference_potential()) > 0.0
     with pytest.raises(ConfigError):
-        state_distance(f1, ComplexField(Grid1D(-8.0, 8.0, 64),
-                                        np.zeros(64, complex), np.zeros(64)))
+        state_distance(g, f1.zeta, f1.zeta_t, np.zeros(64, complex),
+                       np.zeros(64, complex))
+
+
+def _reference_level_metric(grid, z1, zt1, z2, zt2, p):
+    """The per-level contraction metric the Picard solver used to carry."""
+    dz = z1 - z2
+    dzt = zt1 - zt2
+    dzx = np.gradient(dz, grid.dx, axis=1, edge_order=2)
+    wts = np.full(grid.n, grid.dx)
+    wts[0] = wts[-1] = 0.5 * grid.dx
+    l2 = lambda a: np.sqrt(np.sum(np.abs(a) ** 2 * wts, axis=1))
+    return (np.max(np.abs(dz), axis=1) + np.max(np.abs(dzx), axis=1)
+            + l2(dz) + l2(dzx)
+            + np.max(np.abs(dzt), axis=1) + l2(dzt)
+            + np.sum(np.abs(p.eval_0(np.abs(z1)) - p.eval_0(np.abs(z2))) * wts, axis=1))
+
+
+@pytest.mark.parametrize("use_potential", [False, True])
+def test_state_distance_on_stack_equals_per_level_calls(use_potential):
+    g = Grid1D(-8.0, 8.0, 257)
+    p = reference_potential() if use_potential else None
+    rng = np.random.default_rng(11)
+    z1, zt1, z2, zt2 = (0.3 * (rng.uniform(-1, 1, (9, g.n))
+                               + 1j * rng.uniform(-1, 1, (9, g.n)))
+                        for _ in range(4))
+    stacked = state_distance(g, z1, zt1, z2, zt2, p)
+    levels = [state_distance(g, z1[l], zt1[l], z2[l], zt2[l], p)
+              for l in range(9)]
+    assert stacked.shape == (9,)
+    assert np.array_equal(stacked, np.array(levels))
+    if use_potential:
+        assert np.array_equal(stacked, _reference_level_metric(g, z1, zt1, z2, zt2, p))
+
+
+def test_trapezoid_weights_integrate_linear_functions_exactly():
+    g = Grid1D(-1.0, 3.0, 33)
+    w = trapezoid_weights(g.n, g.dx)
+    assert w[0] == w[-1] == 0.5 * g.dx and np.all(w[1:-1] == g.dx)
+    assert np.sum(w * (2.0 * g.nodes + 1.0)) == pytest.approx(12.0, rel=1e-14)
 
 
 # --- snapshot files ----------------------------------------------------------
+
+
+def _reference_snapshot_csv(path, f):
+    """The per-row snapshot writer the shared csv writer replaced."""
+    xs = f.grid.nodes
+    with open(path, "w") as fh:
+        fh.write("x,re_zeta,im_zeta,re_zeta_t,im_zeta_t\n")
+        for i in range(f.grid.n):
+            fh.write(f"{xs[i]:.17g},{f.zeta[i].real:.17g},{f.zeta[i].imag:.17g},"
+                     f"{f.zeta_t[i].real:.17g},{f.zeta_t[i].imag:.17g}\n")
+
+
+def test_snapshot_csv_bytes_match_per_row_writer(tmp_path):
+    g = Grid1D(-3.0, 1.0 / 3.0, 40)
+    rng = np.random.default_rng(2)
+    zeta = rng.normal(size=g.n) * 10.0 ** rng.integers(-300, 3, g.n) + 1j * rng.normal(size=g.n)
+    zt = np.full(g.n, -0.0 + 1e-310j)
+    zt[::3] = 1.0 / 3.0 - 2.5j
+    f = ComplexField(g, zeta, zt, validate=False)
+    write_snapshot_csv(tmp_path / "new.csv", f)
+    _reference_snapshot_csv(tmp_path / "old.csv", f)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("reader, width, value", [(read_snapshot_csv, 5, 0.0),
+                                                  (read_polar_snapshot_csv, 7, 0.5)])
+def test_grid_csv_readers_reject_bad_columns_and_nodes(tmp_path, reader, width,
+                                                       value):
+    x = np.linspace(0.0, 1.0, 17)
+    rows = np.column_stack([x] + [np.full(17, value)] * (width - 1))
+    good = tmp_path / "good.csv"
+    np.savetxt(good, rows, delimiter=",", header="h", comments="")
+    reader(good)
+    narrow = tmp_path / "narrow.csv"
+    np.savetxt(narrow, rows[:, :-1], delimiter=",", header="h", comments="")
+    with pytest.raises(ConfigError, match=f"{width} columns"):
+        reader(narrow)
+    rows[5, 0] += 0.01
+    skewed = tmp_path / "skewed.csv"
+    np.savetxt(skewed, rows, delimiter=",", header="h", comments="")
+    with pytest.raises(ConfigError, match="not uniform"):
+        reader(skewed)
+
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -67,9 +67,9 @@ def test_flat_point_potential_passes_and_is_flat():
         assert abs(float(p.w0(0.5, order))) <= 1e-10
 
 
-def test_ensure_valid_marks_spec():
-    p = ensure_valid(reference_potential())
-    assert p.validated
+def test_ensure_valid_returns_accepted_spec():
+    p = reference_potential()
+    assert ensure_valid(p) is p
 
 
 # --- wave_speed ------------------------------------------------------------

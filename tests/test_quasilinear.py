@@ -468,6 +468,25 @@ def test_polar_snapshot_round_trip(tmp_path):
         f"{st.v[i]:.17g},{st.omega[i]:.17g},{st.r[i]:.17g}" for i in range(g.n)]
 
 
+def _reference_polar_snapshot_csv(path, st):
+    """The per-row polar snapshot writer the shared csv writer replaced."""
+    with open(path, "w") as fh:
+        fh.write("x,psi,s,phi,v,omega,r\n")
+        for xi, row in zip(st.grid.nodes, st.U.T):
+            fh.write(",".join(f"{val:.17g}" for val in (xi, *row)) + "\n")
+
+
+def test_polar_snapshot_bytes_match_per_row_writer(tmp_path):
+    g = Grid1D(-1.0 / 3.0, 7.0, 33)
+    st = _bump_state(g, wave_speed(2.0, 1.0))
+    rng = np.random.default_rng(4)
+    st.U[2:] = rng.normal(size=(4, g.n)) * 10.0 ** rng.integers(-320, 300, (4, g.n))
+    st.v[::4] = -0.0
+    write_polar_snapshot_csv(tmp_path / "new.csv", st)
+    _reference_polar_snapshot_csv(tmp_path / "old.csv", st)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_polar_state_fields_are_views_of_one_stack():
     g = Grid1D(-4.0, 4.0, 65)
     st = _bump_state(g, wave_speed(2.0, 1.0))
