@@ -406,6 +406,9 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 # ---------------------------------------------------------------------------
 # epsilon sweep against the marker reference
 
+# every full-dynamics run of the sweep: CFL number, local window, tolerance
+_CFL, _T_LOCAL, _FIXPOINT_TOL = 0.8, 0.2, 1e-8
+
 
 def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
                       u0: Callable, rho0: Callable, epsilons: Sequence[float],
@@ -417,9 +420,6 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
                       dx: float = 0.05,
                       n_markers: int = 4001,
                       marker_dt: float = 1e-3,
-                      cfl: float = 0.8,
-                      T_local: float = 0.2,
-                      fixpoint_tol: float = 1e-8,
                       pad: float = 8.0) -> Dict:
     """Measure the distance between the full dynamics and its reduction.
 
@@ -481,11 +481,11 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         x_lo = y_span[0] - pad
         n_nodes = int(round((y_span[1] + cfg.c0 * t_fast + pad - x_lo) / dx)) + 1
         grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
-        dt0 = cfl * grid.dx / ws.c_max
+        dt0 = _CFL * grid.dx / ws.c_max
         n_steps = int(math.ceil(t_fast / dt0))
-        qcfg = QuasilinearConfig(dt=t_fast / n_steps, T_local=T_local,
-                                 fixpoint_tol=fixpoint_tol,
-                                 cfl_limit=min(0.9, cfl + 0.05))
+        qcfg = QuasilinearConfig(dt=t_fast / n_steps, T_local=_T_LOCAL,
+                                 fixpoint_tol=_FIXPOINT_TOL,
+                                 cfl_limit=_CFL + 0.05)
         try:
             st0 = embed(cfg, grid, p=p)
             out = advance(st0, p, ws, qcfg, t_fast)

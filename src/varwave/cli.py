@@ -116,27 +116,42 @@ def _rho_profile_from(init: Dict):
     A rho_* family mirrors the displacement keys; a bare rho_value means a
     constant; nothing at all means rho = 0.
     """
-    if "rho_family" in init:
-        fam = init["rho_family"]
-        spec = {"family": fam}
-        if fam == "constant":
-            spec["value"] = init.get("rho_value", 0.0)
-        else:
-            for src, dst in (("rho_amplitude", "amplitude"),
-                             ("rho_center", "center"),
-                             ("rho_width", "width")):
-                if src in init:
-                    spec[dst] = init[src]
-        return make_profile(spec)
-    if "rho_value" in init:
-        return constant(float(init["rho_value"]))
-    return zero()
+    fam = init.get("rho_family")
+    if fam == "constant" or (fam is None and "rho_value" in init):
+        return constant(init.get("rho_value", 0.0))
+    if fam is None:
+        return zero()
+    return _profile_from({key[4:]: val for key, val in init.items()
+                          if key.startswith("rho_")})
 
 
-def _write_solver_run(cfg: RunConfig, args, result, dt: float,
+def _snapshot_keeper(cfg: RunConfig, dt: float, steps: int):
+    """Check the snapshot times against a run of `steps` steps of size dt;
+    return a solver observer keeping the states at those levels and the
+    list they land in, in configured order, as the run goes."""
+    times = cfg.outputs["snapshot_times"]
+    levels = [int(round(t / dt)) for t in times]
+    for t, lev in zip(times, levels):
+        if abs(t - lev * dt) > 1e-9 * max(1.0, abs(t)) or not 0 <= lev <= steps:
+            raise ConfigError(
+                f"snapshot time {t} is not an integer number of steps "
+                f"(dt = {dt}) inside the run")
+    snapshots = [None] * len(levels)
+    frames = itertools.count()
+
+    def observer(st):
+        lev = next(frames)
+        for idx, wanted in enumerate(levels):
+            if wanted == lev:
+                snapshots[idx] = st
+
+    return observer, snapshots
+
+
+def _write_solver_run(cfg: RunConfig, args, result, snapshots,
                       write_snapshot, achieved_T: float):
-    """energy.csv (every energy_every-th report and the last), one snapshot
-    per configured time, and the manifest."""
+    """energy.csv (every energy_every-th report and the last), the kept
+    snapshots, and the manifest."""
     out = _resolve_out_dir(cfg, args)
     artifacts = ["energy.csv", "manifest.json"]
     reports = result.energy_reports
@@ -144,17 +159,9 @@ def _write_solver_run(cfg: RunConfig, args, result, dt: float,
     if reports and reports[-1] is not kept[-1]:
         kept.append(reports[-1])
     write_energy_csv(os.path.join(out, "energy.csv"), kept)
-    times = cfg.outputs["snapshot_times"]
-    levels = [int(round(t / dt)) for t in times]
-    for t, lev in zip(times, levels):
-        if abs(t - lev * dt) > 1e-9 * max(1.0, abs(t)) or not (
-                0 <= lev < len(result.trajectory)):
-            raise ConfigError(
-                f"snapshot time {t} is not an integer number of steps "
-                f"(dt = {dt}) inside the run")
-    for idx, lev in enumerate(levels):
+    for idx, st in enumerate(snapshots):
         name = "snapshot_%04d.csv" % idx
-        write_snapshot(os.path.join(out, name), result.trajectory[lev])
+        write_snapshot(os.path.join(out, name), st)
         artifacts.append(name)
     _write_manifest(out, cfg, achieved_T, artifacts)
 
@@ -222,9 +229,11 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
         apriori = None
 
     scfg = SemilinearConfig(c=c, dt=dt, T_window=T_window)
+    observer, snapshots = _snapshot_keeper(cfg, dt, int(round(t_final / dt)))
     result = picard_solve(f0, p, scfg, t_final, apriori=apriori,
-                          keep_trajectory=bool(cfg.outputs["snapshot_times"]))
-    _write_solver_run(cfg, args, result, dt, write_snapshot_csv, t_final)
+                          observer=observer)
+    _write_solver_run(cfg, args, result, snapshots, write_snapshot_csv,
+                      t_final)
     if not args.quiet:
         print(f"semilinear run reached t = {t_final:g} "
               f"({result.trace.iterate_count} contraction iterations)")
@@ -242,45 +251,33 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
         state = read_polar_snapshot_csv(init["path"])
         grid = state.grid
     else:
-        psi_base = float(init.get("psi_base", math.pi / 4))
-        s_base = float(init.get("s_base", 0.5))
-        x = grid.nodes
+        psi_base = init.get("psi_base", math.pi / 4)
+        s_base = init.get("s_base", 0.5)
         psi = np.full(grid.n, psi_base)
         s = np.full(grid.n, s_base)
+        # family, center and width always hold a value (given or default)
         if init.get("psi_amplitude"):
-            bump = make_profile({
-                "family": init.get("family", "gaussian"),
-                "amplitude": init["psi_amplitude"],
-                "center": init.get("center", 0.0),
-                "width": init.get("width", 1.0),
-                **({"k": init["k"]} if "k" in init else {}),
-            })
-            psi = psi + bump(x)
+            psi = psi + _profile_from(
+                {**init, "amplitude": init["psi_amplitude"]})(grid.nodes)
         if init.get("s_amplitude"):
-            bump = make_profile({
-                "family": init.get("family", "gaussian"),
-                "amplitude": init["s_amplitude"],
-                "center": init.get("s_center", init.get("center", 0.0)),
-                "width": init.get("s_width", init.get("width", 1.0)),
-            })
-            s = s + bump(x)
+            s = s + _profile_from(
+                {**init, "amplitude": init["s_amplitude"],
+                 "center": init.get("s_center", init["center"]),
+                 "width": init.get("s_width", init["width"])},
+                keys=("family", "amplitude", "center", "width"))(grid.nodes)
         state = PolarState.from_primitives(grid, psi, s, np.zeros(grid.n),
                                            np.zeros(grid.n), ws,
                                            far_field=(psi_base, s_base))
 
     c_max = float(np.max(ws.c(state.psi)))
-    if "dt" in cfg.time:
-        dt = cfg.time["dt"]
-    else:
-        cfl = cfg.time.get("cfl", 0.8)
-        dt = cfl * grid.dx / c_max
+    dt = cfg.time.get("dt", cfg.time.get("cfl", 0.8) * grid.dx / c_max)
     steps = max(1, int(round(t_final / dt)))
     dt = t_final / steps
 
     qcfg = QuasilinearConfig(dt=dt, T_local=min(t_final, max(dt, 0.25)))
-    result = advance(state, p, ws, qcfg, t_final,
-                     keep_trajectory=bool(cfg.outputs["snapshot_times"]))
-    _write_solver_run(cfg, args, result, dt, write_polar_snapshot_csv,
+    observer, snapshots = _snapshot_keeper(cfg, dt, steps)
+    result = advance(state, p, ws, qcfg, t_final, observer=observer)
+    _write_solver_run(cfg, args, result, snapshots, write_polar_snapshot_csv,
                       result.achieved_T)
     if not args.quiet:
         print(f"quasilinear run reached t = {result.achieved_T:g} "
@@ -342,7 +339,7 @@ def _cmd_run_asymptotic(cfg: RunConfig, args) -> int:
                           "background order parameter")
     ws = build_wave_speed(cfg)
     init = cfg.initial_data
-    psi0 = float(init.get("psi_base", math.pi / 4))
+    psi0 = init.get("psi_base", math.pi / 4)
     s0 = float(cfg.potential.get("params", {}).get("s0", 0.5))
     p = ensure_valid(build_potential(cfg))
 

@@ -61,6 +61,8 @@ _INITIAL_KEYS = {
                    "rho_family", "rho_amplitude", "rho_center", "rho_width"},
     "validate-potential": {"family"},
 }
+# the initial_data keys that hold strings; every other one holds a number
+_INITIAL_STRINGS = {"family", "rho_family", "path"}
 
 _DEFAULTS = {
     "potential": {"name": "reference", "params": {}},
@@ -195,6 +197,14 @@ def parse_config(doc: Dict) -> RunConfig:
         time["cfl"] = cfl
 
     init = merged["initial_data"]
+    for key, val in list(init.items()):
+        if key not in _INITIAL_STRINGS:
+            init[key] = _require_number(val, f"initial_data.{key}")
+        elif not isinstance(val, str):
+            raise ConfigError(f"initial_data.{key} must be a string")
+    if (init.get("family") == "file" and "path" in allowed_init
+            and "path" not in init):
+        raise ConfigError("initial_data.family 'file' needs initial_data.path")
 
     outputs = merged["outputs"]
     _reject_unknown(outputs, _SECTION_KEYS["outputs"], "outputs")

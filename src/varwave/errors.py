@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the solver modules.
 
 Each class maps to one failure mode of the numerical contracts; the CLI
-translates them into process exit codes (see cli.EXIT_CODES).
+translates them into process exit codes (see cli._EXIT_BY_ERROR).
 """
 
 
@@ -32,9 +32,8 @@ class NonContractionError(VarwaveError):
 class WavebreakingError(VarwaveError):
     """A marker Jacobian hit zero: derivative blow-up detected."""
 
-    def __init__(self, msg, time=None, marker_index=None):
+    def __init__(self, msg, marker_index=None):
         super().__init__(msg)
-        self.time = time
         self.marker_index = marker_index
 
 

@@ -326,8 +326,14 @@ def read_grid_csv(path, n_columns: int, what: str):
 
     Checks the column count and that the x column holds uniform nodes;
     returns the grid and the (n_columns - 1, n) array of the other columns.
+    An unreadable file or a non-numeric or non-finite cell is a ConfigError.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"cannot read {what} {path}: a cell is not finite")
     if data.ndim != 2 or data.shape[1] != n_columns:
         raise ConfigError(f"{what} must have {n_columns} columns")
     x = data[:, 0]

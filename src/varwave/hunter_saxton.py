@@ -15,7 +15,9 @@ with du/dt constant per marker because (alpha^2 + rho^2) J is.  Wave
 breaking is the Jacobian touching zero: alpha = u_x blows down while u stays
 bounded.  w = alpha + i rho obeys dw/dt = -w^2/2, so each marker is an exact
 Riccati flow; the solver exploits that only for blow-up prediction and for
-test oracles, and otherwise integrates with classical RK4.
+test oracles, and otherwise integrates with classical RK4.  A run hands
+each level to an optional observer and reports breaking on its result
+(broke, t_star, marker_index) instead of raising.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
     "sample_eulerian",
     "breaking_time_riccati",
 ]
+
+_MARGIN = 0.1  # markers cover the span widened by this fraction each side
+_J_FLOOR = 1e-4  # a step taking any Jacobian to this or below is breaking
 
 
 @dataclass
@@ -75,9 +80,8 @@ class MarkerState:
 
 def make_markers(span: Tuple[float, float], m: int,
                  u0: Callable, rho0: Callable,
-                 du0: Optional[Callable] = None,
-                 margin: float = 0.1) -> MarkerState:
-    """Seed m markers uniformly over span widened by a relative margin.
+                 du0: Optional[Callable] = None) -> MarkerState:
+    """Seed m markers uniformly over span widened by 10% on each side.
 
     At t = 0 the labels coincide with positions (J = 1).  The slope is taken
     from du0 when given, otherwise by centered differences of u0 on the
@@ -88,7 +92,7 @@ def make_markers(span: Tuple[float, float], m: int,
     lo, hi = span
     if not hi > lo:
         raise ConfigError("empty span")
-    pad = margin * (hi - lo)
+    pad = _MARGIN * (hi - lo)
     xi = np.linspace(lo - pad, hi + pad, m)
     u = np.asarray(u0(xi), dtype=float)
     rho = np.asarray(rho0(xi), dtype=float)
@@ -150,7 +154,6 @@ class HSResult:
     marker_index: Optional[int]
     energy_history: List[Tuple[float, float]]
     sup_alpha: float
-    trajectory: Optional[List[MarkerState]] = None
 
 
 def _rk4_step(st: MarkerState, dt: float) -> MarkerState:
@@ -168,26 +171,24 @@ def _rk4_step(st: MarkerState, dt: float) -> MarkerState:
 
 
 def evolve_markers(st: MarkerState, t_final: float, dt: float,
-                   j_floor: float = 1e-4,
-                   raise_on_breaking: bool = False,
-                   keep_trajectory: bool = False,
                    observer: Optional[Callable] = None) -> HSResult:
     """March the markers to t_final with RK4, watching for breaking.
 
-    A step that drives any Jacobian to j_floor or below stops the run; the
-    breaking time is then predicted from the Riccati structure of the last
-    healthy state (exact when the collapsing marker carries rho = 0), and
-    the state returned is that last healthy one.  Set raise_on_breaking to
-    get a WavebreakingError instead of a flagged result.
+    A step that drives any Jacobian to the floor 1e-4 or below stops the
+    run; the breaking time is then predicted from the Riccati structure of
+    the last healthy state (exact when the collapsing marker carries
+    rho = 0), and the result is flagged: broke, t_star and marker_index are
+    set and the state returned is that last healthy one.
 
     The entry check dt * sup|alpha| <= 0.1 keeps the fastest Riccati
     transient resolved at the start; near breaking alpha grows like the
-    inverse remaining time, so the run stops at the Jacobian floor (default
-    1e-4, where |alpha| has grown by ~100x) rather than resolving the
-    collapse itself, and leaves t_star to the exact per-marker prediction.
+    inverse remaining time, so the run stops at the Jacobian floor (where
+    |alpha| has grown by ~100x) rather than resolving the collapse itself,
+    and leaves t_star to the exact per-marker prediction.
 
-    `observer(state)` is called on the initial state and after every
-    accepted step, a memory-light alternative to keep_trajectory.
+    `observer(state)` is called with the initial state and then with each
+    accepted step, in time order; the solver never changes a MarkerState
+    after handing it over.
     """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -202,14 +203,13 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
     cur = st.copy()
     hist = [(cur.time, cur.energy)]
     sup_alpha = float(np.max(np.abs(cur.alpha)))
-    trajectory = [cur.copy()] if keep_trajectory else None
     if observer is not None:
         observer(cur)
 
     for _ in range(steps):
         try:
             nxt = _rk4_step(cur, dt)
-            collapsed = bool(np.min(nxt.J) <= j_floor)
+            collapsed = bool(np.min(nxt.J) <= _J_FLOOR)
         except WavebreakingError:
             nxt = cur
             collapsed = True
@@ -221,24 +221,17 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
                 t_star = cur.time + dt
             else:
                 t_star = cur.time + remaining
-            if raise_on_breaking:
-                raise WavebreakingError(
-                    f"Jacobian collapse: marker {idx} at t ~ {t_star:.8f}",
-                    time=t_star, marker_index=idx)
             return HSResult(state=cur, broke=True, t_star=t_star,
                             marker_index=idx, energy_history=hist,
-                            sup_alpha=sup_alpha, trajectory=trajectory)
+                            sup_alpha=sup_alpha)
         cur = nxt
         hist.append((cur.time, cur.energy))
         sup_alpha = max(sup_alpha, float(np.max(np.abs(cur.alpha))))
-        if keep_trajectory:
-            trajectory.append(cur.copy())
         if observer is not None:
             observer(cur)
 
     return HSResult(state=cur, broke=False, t_star=None, marker_index=None,
-                    energy_history=hist, sup_alpha=sup_alpha,
-                    trajectory=trajectory)
+                    energy_history=hist, sup_alpha=sup_alpha)
 
 
 def sample_eulerian(st: MarkerState, x_query) -> Tuple[np.ndarray, np.ndarray]:

@@ -149,14 +149,9 @@ class ValidationReport:
     def failing(self):
         return [k for k, c in self.clauses.items() if not c.passed]
 
-    def summary(self) -> str:
-        lines = [f"potential {self.name or '<unnamed>'}: " + ("ADMISSIBLE" if self.valid else "REJECTED")]
-        for k, c in self.clauses.items():
-            lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {k}: {c.detail}")
-        return "\n".join(lines)
-
 
 _DELTA_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_TAIL_SAMPLES = 2048  # scan of the non-negativity and positive-tail clauses
 
 
 def _tail_integrals(p: PotentialSpec, deltas=_DELTA_LADDER):
@@ -197,7 +192,7 @@ def positivity_threshold(p: PotentialSpec, samples: int = 4096) -> float:
     return float(s[bad[-1]])
 
 
-def validate_potential(p: PotentialSpec, tail_samples: int = 2048) -> ValidationReport:
+def validate_potential(p: PotentialSpec) -> ValidationReport:
     """Run every admissibility clause and report per-clause outcomes.
 
     Clause names are stable: nonnegative, smooth_c4, zero_set, divergence,
@@ -207,7 +202,7 @@ def validate_potential(p: PotentialSpec, tail_samples: int = 2048) -> Validation
     clauses = {}
 
     # non-negativity on a dense scan of [0, 1)
-    s = np.linspace(0.0, 1.0 - 1e-6, max(tail_samples, 256))
+    s = np.linspace(0.0, 1.0 - 1e-6, _TAIL_SAMPLES)
     w = p.eval_0(s)
     worst = float(np.min(w))
     clauses["nonnegative"] = ClauseResult(worst >= -1e-12, f"min W0 on scan = {worst:.3e}")
@@ -260,7 +255,7 @@ def validate_potential(p: PotentialSpec, tail_samples: int = 2048) -> Validation
 
     # positive increasing tail: some s_tilde < 1 with W0, W0' > 0 beyond it
     try:
-        st = positivity_threshold(p, samples=max(tail_samples, 1024))
+        st = positivity_threshold(p, samples=_TAIL_SAMPLES)
         clauses["positive_tail"] = ClauseResult(True, f"s_tilde = {st:.6g}")
     except ConfigError as e:
         clauses["positive_tail"] = ClauseResult(False, str(e))
@@ -268,9 +263,9 @@ def validate_potential(p: PotentialSpec, tail_samples: int = 2048) -> Validation
     return ValidationReport(clauses=clauses, name=p.name)
 
 
-def ensure_valid(p: PotentialSpec, tail_samples: int = 2048) -> PotentialSpec:
+def ensure_valid(p: PotentialSpec) -> PotentialSpec:
     """Return the potential if it passes the gate; raise ConfigError if not."""
-    rep = validate_potential(p, tail_samples=tail_samples)
+    rep = validate_potential(p)
     if not rep.valid:
         raise ConfigError("potential rejected: " + "; ".join(
             f"{k}: {rep.clauses[k].detail}" for k in rep.failing()))
@@ -329,7 +324,11 @@ class AprioriConstants:
     s_tilde: float
 
 
-def _pin_integral_grid(p: PotentialSpec, s_tilde: float, resolution: int = 1500):
+_PIN_RESOLUTION = 1500  # nodes per segment of the pinning-integral grid
+_SCAN_POINTS = 100_000  # scan of [0, cE] for the suprema
+
+
+def _pin_integral_grid(p: PotentialSpec, s_tilde: float):
     """Precomputed u-grid and W0 samples for the pinning integral.
 
     Uniform on [s_tilde, 0.9], then geometric decades toward 1 so the blow-up
@@ -337,11 +336,11 @@ def _pin_integral_grid(p: PotentialSpec, s_tilde: float, resolution: int = 1500)
     """
     segs = []
     if s_tilde < 0.9:
-        segs.append(np.linspace(s_tilde, 0.9, resolution + 1))
+        segs.append(np.linspace(s_tilde, 0.9, _PIN_RESOLUTION + 1))
     lo = min(0.1, 1.0 - s_tilde)
     while lo > 1e-14:
         hi = lo / 10.0
-        segs.append(np.linspace(1.0 - lo, 1.0 - hi, resolution // 2 + 1))
+        segs.append(np.linspace(1.0 - lo, 1.0 - hi, _PIN_RESOLUTION // 2 + 1))
         lo = hi
     u = np.unique(np.concatenate(segs))
     return u, p.eval_0(u)
@@ -360,8 +359,7 @@ def _pin_integral(u, w, s_tilde: float, S: float) -> float:
     return float(total)
 
 
-def apriori_constants(p: PotentialSpec, E: float, c: float = 1.0,
-                      scan_points: int = 100_000, resolution: int = 1500) -> AprioriConstants:
+def apriori_constants(p: PotentialSpec, E: float, c: float = 1.0) -> AprioriConstants:
     """Solve the pinning relation for cE and take suprema on [0, cE].
 
     cE is the unique S in (s_tilde, 1) with integral_{s_tilde}^{S} W0(u)(S-u) du = E;
@@ -375,7 +373,7 @@ def apriori_constants(p: PotentialSpec, E: float, c: float = 1.0,
     if c <= 0.0:
         raise ConfigError("wave speed must be positive")
     s_tilde = positivity_threshold(p)
-    u, w = _pin_integral_grid(p, s_tilde, resolution=resolution)
+    u, w = _pin_integral_grid(p, s_tilde)
 
     lo, hi = s_tilde, 0.0
     for k in range(2, 15):
@@ -395,7 +393,7 @@ def apriori_constants(p: PotentialSpec, E: float, c: float = 1.0,
             break
     cE = 0.5 * (lo + hi)
 
-    s = np.linspace(0.0, cE, scan_points)
+    s = np.linspace(0.0, cE, _SCAN_POINTS)
     w0 = p.eval_0(s)
     w1 = p.eval_1(s)
     w2 = p.eval_2(s)

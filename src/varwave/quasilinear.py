@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _S_FLOOR = 1e-12
+_FIXPOINT_MAX = 40  # fixed-point sweeps per window attempt
+_MAX_HALVINGS = 20  # window halvings before NonContractionError
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
 
@@ -307,8 +309,6 @@ class QuasilinearConfig:
     E_budget: Optional[float] = None
     L_budget: Optional[float] = None
     fixpoint_tol: float = 1e-9
-    fixpoint_max: int = 40
-    max_halvings: int = 20
     cfl_limit: float = 0.9
 
     def __post_init__(self):
@@ -328,7 +328,6 @@ class FixpointTrace:
     diff_norms: List[float]
     converged: bool
     halvings: int = 0
-    budget_tripped: bool = False
 
 
 @dataclass
@@ -338,7 +337,6 @@ class QuasilinearResult:
     energy_reports: List[EnergyReport]
     w2_sup: List[float]
     achieved_T: float = 0.0
-    trajectory: Optional[List[PolarState]] = None
 
 
 def _window_diff(grid: Grid1D, traj_a: List[PolarState], traj_b: List[PolarState]) -> float:
@@ -380,7 +378,7 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     for j in range(1, steps + 1):
         guess[j].time = U0.time + j * cfg.dt
     diffs: List[float] = []
-    for _ in range(cfg.fixpoint_max):
+    for _ in range(_FIXPOINT_MAX):
         traj = [U0]
         cur = U0
         for j in range(steps):
@@ -437,9 +435,7 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                 trace = FixpointTrace(U0.time, steps, diffs, True,
                                       halvings=halvings)
                 return traj, steps * cfg.dt, trace
-        if steps == 1 or halvings >= cfg.max_halvings:
-            trace = FixpointTrace(U0.time, steps, diffs, converged,
-                                  halvings=halvings, budget_tripped=tripped)
+        if steps == 1 or halvings >= _MAX_HALVINGS:
             if converged and tripped:
                 raise AprioriViolationError(
                     f"budgets exceeded at t = {U0.time:.6f} even on a single "
@@ -455,7 +451,7 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
             forcing: Optional[Callable] = None,
-            keep_trajectory: bool = False) -> QuasilinearResult:
+            observer: Optional[Callable] = None) -> QuasilinearResult:
     """March the state to t_final through fixed-point windows.
 
     Budgets are resolved once from the initial state and held fixed for the
@@ -464,6 +460,10 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     the largest gradient of any first-order field (a second-derivative proxy
     for the primitives), which the continuation theory watches but never
     caps.
+
+    `observer(state)` is called with the initial state and then with each
+    accepted level, in time order; the solver never changes a PolarState
+    after handing it over.
     """
     grid = state.grid
     if cfg.dt > cfg.cfl_limit * grid.dx / ws.c_max + 1e-15:
@@ -487,16 +487,15 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
     log = EnergyLog(grid, cfg.dt)
     w2_sup: List[float] = []
-    trajectory: List[PolarState] = [] if keep_trajectory else None
 
     def record(st: PolarState):
         log.record(st.time, energy_density_polar(*st.U, p, ws),
                    float(np.max(np.abs(st.U[2:]))))
         w2_sup.append(float(np.max(np.abs(centered_derivative(grid, st.U[2:])))))
+        if observer is not None:
+            observer(st)
 
     record(state)
-    if keep_trajectory:
-        trajectory.append(state.copy())
 
     traces: List[FixpointTrace] = []
     done = 0
@@ -507,14 +506,11 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
         traces.append(trace)
         for st in traj[1:]:
             record(st)
-            if keep_trajectory:
-                trajectory.append(st.copy())
         cur = traj[-1]
         done += trace.steps
 
     return QuasilinearResult(state=cur, traces=traces, energy_reports=log.reports,
-                             w2_sup=w2_sup, achieved_T=done * cfg.dt,
-                             trajectory=trajectory)
+                             w2_sup=w2_sup, achieved_T=done * cfg.dt)
 
 
 POLAR_SNAPSHOT_HEADER = "x,psi,s,phi,v,omega,r"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
     "picard_solve",
     "contraction_window",
 ]
+
+_PICARD_MAX = 60  # Picard iterations per window before NonContractionError
 
 
 def source_term(p: PotentialSpec, z):
@@ -194,7 +196,6 @@ class SemilinearConfig:
     dt: float
     T_window: float
     picard_tol: float = 1e-10
-    picard_max: int = 60
 
     def __post_init__(self):
         if self.c <= 0.0 or self.dt <= 0.0 or self.T_window <= 0.0:
@@ -232,7 +233,6 @@ class SemilinearResult:
     field: ComplexField
     trace: PicardTrace
     energy_reports: List[EnergyReport]
-    trajectory: Optional[List[ComplexField]] = None
 
 
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
@@ -248,7 +248,7 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
     diffs: List[float] = []
-    for _ in range(cfg.picard_max):
+    for _ in range(_PICARD_MAX):
         q = source_term(p, hat_z)
         corr_z, corr_zt = _cone_corrections(grid, q, q_ff, cfg.c, cfg.dt)
         new_z = base_z + corr_z
@@ -266,7 +266,7 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
 
 def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
                  t_final: float, apriori: Optional[AprioriConstants] = None,
-                 keep_trajectory: bool = False) -> SemilinearResult:
+                 observer: Optional[Callable] = None) -> SemilinearResult:
     """Evolve the state to t_final through contraction windows.
 
     Each window is solved as a fixed point of free wave + Duhamel correction;
@@ -276,6 +276,10 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     flow, so tripping it means the configuration lied about its energy).
     Energy reports carry totals each step and centered conservation residuals
     away from the ends.
+
+    `observer(field)` is called with the initial state and then with each
+    accepted level, in time order, as a ComplexField that is never changed
+    afterwards.
     """
     grid = f0.grid
     if abs(cfg.dt * cfg.c / grid.dx - 1.0) > 1e-9:
@@ -292,7 +296,6 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     bound = apriori.cE + 1e-6 if apriori is not None else None
 
     log = EnergyLog(grid, cfg.dt)
-    trajectory: List[ComplexField] = [] if keep_trajectory else None
 
     def record_level(zeta, zeta_t, t):
         zx = np.gradient(zeta, grid.dx, edge_order=2)
@@ -304,11 +307,12 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
             raise AprioriViolationError(
                 f"sup|zeta| = {sup:.8f} exceeded certified bound {bound:.8f} at t = {t:.6f}",
                 time=t, value=sup, bound=bound)
+        if observer is not None:
+            observer(ComplexField(grid, zeta, zeta_t, far_field=f0.far_field,
+                                  time=t, validate=False))
 
     state = f0.copy()
     record_level(state.zeta, state.zeta_t, state.time)
-    if keep_trajectory:
-        trajectory.append(state.copy())
 
     windows: List[List[float]] = []
     iterate_count = 0
@@ -321,18 +325,13 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
         if not ok:
             raise NonContractionError(
                 f"window starting at t = {state.time:.6f} failed to contract "
-                f"within {cfg.picard_max} iterations", diff_norms=diffs)
+                f"within {_PICARD_MAX} iterations", diff_norms=diffs)
         for j in range(1, m + 1):
             t = state.time + j * cfg.dt
             record_level(hat_z[j], hat_zt[j], t)
-            if keep_trajectory:
-                trajectory.append(ComplexField(grid, hat_z[j], hat_zt[j],
-                                               far_field=state.far_field,
-                                               time=t, validate=False))
         state = ComplexField(grid, hat_z[m], hat_zt[m], far_field=state.far_field,
                              time=state.time + m * cfg.dt, validate=False)
         done += m
 
     trace = PicardTrace(iterate_count=iterate_count, diff_norms=windows, converged=True)
-    return SemilinearResult(field=state, trace=trace, energy_reports=log.reports,
-                            trajectory=trajectory)
+    return SemilinearResult(field=state, trace=trace, energy_reports=log.reports)

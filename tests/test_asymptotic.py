@@ -226,9 +226,10 @@ def test_marker_solution_satisfies_strong_form():
     u0 = gaussian(0.4, 0.0, 1.2)
     rho0 = bump_slope(0.3, 0.0, 1.0)
     mk = make_markers((-4.0, 4.0), 3001, u0, rho0, du0=u0.derivative)
-    res = evolve_markers(mk, t_final=0.32, dt=1e-3, keep_trajectory=True)
+    levels = []
+    res = evolve_markers(mk, t_final=0.32, dt=1e-3, observer=levels.append)
     assert not res.broke
-    by_time = {round(s.time / 1e-3): s for s in res.trajectory}
+    by_time = {round(s.time / 1e-3): s for s in levels}
     coeffs = SlowCoefficients(1.0, 1.0, 1.0, 1.0)
 
     sups = []

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from varwave import constant, evolve_markers, gaussian, make_markers
@@ -99,6 +100,76 @@ def test_misaligned_snapshot_time_exits_2(tmp_path, capsys):
     })
     assert main(["run-semilinear", "--config", cfg, "--quiet"]) == 2
     assert "snapshot time" in capsys.readouterr().err
+    # refused before the solver starts: no energy.csv without a manifest
+    assert not (tmp_path / "o" / "energy.csv").exists()
+
+
+def _small_run_doc(solver, out_dir, **outputs):
+    """A 65-node run of two steps (semilinear) or one step (quasilinear)."""
+    doc = {
+        "solver": solver,
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 65},
+        "time": {"t_final": 0.5 if solver == "semilinear" else 0.1},
+        "initial_data": {"family": "gaussian"},
+        "outputs": {"out_dir": out_dir, **outputs},
+    }
+    if solver == "quasilinear":
+        doc["potential"] = {"name": "flat4", "params": {"s0": 0.5}}
+        doc["initial_data"]["psi_amplitude"] = 0.05
+    return doc
+
+
+@pytest.mark.parametrize("solver, snapshot", [
+    ("semilinear", 0.75), ("quasilinear", 0.05), ("quasilinear", 0.2),
+], ids=["semilinear-past_end", "quasilinear-misaligned",
+        "quasilinear-past_end"])
+def test_bad_snapshot_time_exits_2_before_writing(tmp_path, capsys, solver,
+                                                  snapshot):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, _small_run_doc(
+        solver, str(out), snapshot_times=[0.0, snapshot]))
+    assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
+    assert "snapshot time" in capsys.readouterr().err
+    assert not (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("bad_cell", [None, "abc", "nan"],
+                         ids=["missing", "non_numeric", "non_finite"])
+@pytest.mark.parametrize("solver", ["semilinear", "quasilinear"])
+def test_unreadable_initial_file_exits_2(tmp_path, capsys, solver, bad_cell):
+    # a valid 65-node snapshot of the solver's format, one cell made bad
+    path = tmp_path / "init.csv"
+    if bad_cell is not None:
+        cells = (["0.0"] * 4 if solver == "semilinear"
+                 else ["0.785", "0.5", "0.0", "0.0", "0.0", "0.0"])
+        rows = [[repr(float(x))] + cells for x in np.linspace(-8.0, 8.0, 65)]
+        rows[32][2] = bad_cell
+        path.write_text("header\n" + "".join(",".join(r) + "\n"
+                                             for r in rows))
+    doc = _small_run_doc(solver, str(tmp_path / "o"))
+    doc["initial_data"] = {"family": "file", "path": str(path)}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("solver, key, value", [
+    ("hs2", "amplitude", "abc"),
+    ("hs2", "rho_value", [1.0]),
+    ("quasilinear", "psi_base", "x"),
+    ("semilinear", "amplitude", "1.5"),
+    ("semilinear", "family", 3),
+], ids=["hs2-text_amplitude", "hs2-list_rho_value", "quasilinear-text_psi_base",
+        "semilinear-numeric_text", "semilinear-numeric_family"])
+def test_bad_initial_data_value_exits_2(tmp_path, capsys, solver, key, value):
+    doc = {"solver": solver, "initial_data": {key: value}}
+    if solver == "quasilinear":
+        doc["potential"] = {"name": "flat4"}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
+    assert f"initial_data.{key} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

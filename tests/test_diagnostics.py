@@ -256,9 +256,10 @@ def test_semilinear_reports_match_reference_recorder():
         f0.zeta, f0.zeta_t, f0.zeta_x(), p, 1.0)[0]))
     apriori = apriori_constants(p, E0)
     bound = apriori.cE + 1e-6
-    out = picard_solve(f0, p, cfg, 1.0, apriori=apriori, keep_trajectory=True)
+    levels = []
+    out = picard_solve(f0, p, cfg, 1.0, apriori=apriori, observer=levels.append)
     rows = []
-    for f in out.trajectory:
+    for f in levels:
         zx = np.gradient(f.zeta, g.dx, edge_order=2)
         sup = float(np.max(np.abs(f.zeta)))
         rows.append((f.time, energy_density_complex(f.zeta, f.zeta_t, zx, p, 1.0),
@@ -275,9 +276,10 @@ def test_quasilinear_reports_match_reference_recorder():
     st = PolarState.from_primitives(g, psi, np.full(g.n, 0.5), z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
-    out = advance(st, p, ws, cfg, 12 * cfg.dt, keep_trajectory=True)
+    levels = []
+    out = advance(st, p, ws, cfg, 12 * cfg.dt, observer=levels.append)
     rows = [(s.time, energy_density_polar(*s.U, p, ws),
-             float(np.max(np.abs(s.U[2:]))), False) for s in out.trajectory]
+             float(np.max(np.abs(s.U[2:]))), False) for s in levels]
     _assert_same_reports(out.energy_reports, _reference_reports(g, cfg.dt, rows))
 
 

@@ -160,15 +160,6 @@ def test_density_free_gradient_blowup_time():
     assert res.state.time < res.t_star <= 2.0
 
 
-def test_breaking_can_raise_instead_of_flagging():
-    amp = math.sqrt(2.0) * math.exp(0.5)
-    u0 = gaussian(amp, 0.0, 1.0)
-    st = make_markers((-4.5, 4.5), 512, u0, zero(), du0=u0.derivative)
-    with pytest.raises(WavebreakingError) as err:
-        evolve_markers(st, t_final=2.0, dt=1e-3, raise_on_breaking=True)
-    assert err.value.time == pytest.approx(1.0, rel=0.01)
-
-
 def test_uniform_density_floor_prevents_breaking():
     # rho bounded below keeps every Riccati circle clear of the real axis:
     # no collapse, and |alpha| never exceeds sup|w0|
@@ -204,17 +195,6 @@ def test_evolve_entry_checks():
         evolve_markers(st, t_final=1.0, dt=-0.01)
     with pytest.raises(ConfigError, match="whole number"):
         evolve_markers(st, t_final=1.0, dt=0.0003)
-
-
-def test_observer_and_trajectory_cover_every_level():
-    st = make_markers((-2.0, 2.0), 32, gaussian(0.2), constant(0.5))
-    seen = []
-    res = evolve_markers(st, t_final=0.5, dt=0.01, keep_trajectory=True,
-                         observer=lambda s: seen.append(s.time))
-    assert len(seen) == 51
-    assert len(res.trajectory) == 51
-    assert seen[0] == 0.0 and seen[-1] == pytest.approx(0.5)
-    assert res.trajectory[-1].time == pytest.approx(0.5)
 
 
 # --- sample_eulerian ---------------------------------------------------------

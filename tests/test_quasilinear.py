@@ -405,10 +405,11 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     st = _bump_state(g, ws, a_psi=0.05, a_s=0.02)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.25)
     t_final = 16 * cfg.dt
-    res = advance(st, p, ws, cfg, t_final, keep_trajectory=True)
+    levels = []
+    res = advance(st, p, ws, cfg, t_final, observer=levels.append)
     assert res.achieved_T == pytest.approx(t_final)
     assert res.state.time == pytest.approx(t_final)
-    assert len(res.trajectory) == 17
+    assert len(levels) == 17
     assert len(res.energy_reports) == len(res.w2_sup) == 17
     assert all(tr.converged for tr in res.traces)
     E = np.array([r.total_E for r in res.energy_reports])
