@@ -42,13 +42,13 @@ for delta in (1e-1, 1e-2, 1e-3, 1e-4):
 # budget grows.
 print("\nenergy budget ->  cE        kE        window")
 for E in (0.01, 0.05, 0.25, 1.0):
-    a = apriori_constants(p, E, c=1.0)
+    a = apriori_constants(p, E)
     T = contraction_window(p, E, c=1.0)
     print(f"  E = {E:5.2f}   {a.cE:8.5f} {a.kE:10.2f} {T:10.5f}")
 
 # Small-energy asymptotics: cE behaves like (12 E)^(1/4) near zero.
 print("\nsmall-energy check of cE vs (12 E)^(1/4)")
 for E in (1e-4, 1e-6, 1e-8):
-    a = apriori_constants(p, E, c=1.0)
+    a = apriori_constants(p, E)
     print(f"  E = {E:7.0e}: cE = {a.cE:.6e}, "
           f"(12E)^0.25 = {(12.0 * E) ** 0.25:.6e}")

@@ -31,7 +31,7 @@ def initial_field(n, half_span):
 # one moderately resolved run first, watching the solver internals
 g, f0, E0 = initial_field(512, 511.0 / 64.0)   # dx = 1/64
 window = contraction_window(p, E0, c=c)
-bounds = apriori_constants(p, E0, c=c)
+bounds = apriori_constants(p, E0)
 print(f"initial energy      E0 = {E0:.6f}")
 print(f"certified ceiling   cE = {bounds.cE:.6f} (monitor margin 1e-6)")
 print(f"contraction window  T  = {window:.6f} (E' = 2 E0)")

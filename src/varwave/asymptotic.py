@@ -484,8 +484,7 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         dt0 = _CFL * grid.dx / ws.c_max
         n_steps = int(math.ceil(t_fast / dt0))
         qcfg = QuasilinearConfig(dt=t_fast / n_steps, T_local=_T_LOCAL,
-                                 fixpoint_tol=_FIXPOINT_TOL,
-                                 cfl_limit=_CFL + 0.05)
+                                 fixpoint_tol=_FIXPOINT_TOL)
         try:
             st0 = embed(cfg, grid, p=p)
             out = advance(st0, p, ws, qcfg, t_fast)

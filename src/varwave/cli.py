@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import (RunConfig, build_grid, build_potential, build_wave_speed,
-                     load_config)
+                     load_config, read_json)
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
@@ -224,7 +224,7 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
     if not math.isfinite(T_window):
         T_window = t_final
     try:
-        apriori = apriori_constants(p, E0, c=c)
+        apriori = apriori_constants(p, E0)
     except ConfigError:
         apriori = None
 
@@ -387,14 +387,7 @@ def _cmd_fit_order(args) -> int:
     if args.config is None:
         raise ConfigError("fit-order needs --config pointing at a JSON file "
                           'of the form {"pairs": [[h, err], ...]}')
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}")
+    doc = read_json(args.config)
     if not isinstance(doc, dict):
         raise ConfigError("fit-order config must be a JSON object")
     for key in doc:

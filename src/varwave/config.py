@@ -26,6 +26,7 @@ from .potentials import (PotentialSpec, WaveSpeed, flat_point_potential,
 __all__ = [
     "RunConfig",
     "load_config",
+    "read_json",
     "parse_config",
     "dump_config",
     "build_potential",
@@ -225,19 +226,24 @@ def parse_config(doc: Dict) -> RunConfig:
                      time=time, initial_data=init, outputs=outputs)
 
 
-def load_config(path: str) -> RunConfig:
-    """Read, parse, and validate one JSON config file."""
+def read_json(path: str):
+    """The JSON document in one config file; ConfigError if it cannot be
+    read or parsed."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
-    return parse_config(doc)
+
+
+def load_config(path: str) -> RunConfig:
+    """Read, parse, and validate one JSON config file."""
+    return parse_config(read_json(path))
 
 
 def dump_config(cfg: RunConfig) -> str:

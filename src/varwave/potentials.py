@@ -359,19 +359,16 @@ def _pin_integral(u, w, s_tilde: float, S: float) -> float:
     return float(total)
 
 
-def apriori_constants(p: PotentialSpec, E: float, c: float = 1.0) -> AprioriConstants:
+def apriori_constants(p: PotentialSpec, E: float) -> AprioriConstants:
     """Solve the pinning relation for cE and take suprema on [0, cE].
 
     cE is the unique S in (s_tilde, 1) with integral_{s_tilde}^{S} W0(u)(S-u) du = E;
     existence comes from the divergence clause, uniqueness from monotonicity of
-    the integral in S.  The wave speed c does not enter the bound (the pinning
-    argument is speed-uniform); the parameter is kept for interface parity and
-    validated only.
+    the integral in S.  No wave speed enters the bound: the pinning argument
+    is speed-uniform.
     """
     if E <= 0.0:
         raise ConfigError("energy budget must be positive")
-    if c <= 0.0:
-        raise ConfigError("wave speed must be positive")
     s_tilde = positivity_threshold(p)
     u, w = _pin_integral_grid(p, s_tilde)
 

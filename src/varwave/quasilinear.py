@@ -32,7 +32,7 @@ midpoints, two feet) and samples all six fields through each in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -66,6 +66,7 @@ __all__ = [
 _S_FLOOR = 1e-12
 _FIXPOINT_MAX = 40  # fixed-point sweeps per window attempt
 _MAX_HALVINGS = 20  # window halvings before NonContractionError
+_CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
 
@@ -298,18 +299,16 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
 
 @dataclass(frozen=True)
 class QuasilinearConfig:
-    """Step, window, and budget parameters of the fixed-point solver.
+    """Step, window, and tolerance parameters of the fixed-point solver.
 
-    E_budget and L_budget are the enlarged constants the iteration must stay
-    under; None means "twice the initial value", resolved at solve entry.
+    The budgets the iteration must stay under belong to a run, not to the
+    configuration: advance resolves them once from its initial state (see
+    resolve_budgets) and fixpoint_solve takes them as an argument.
     """
 
     dt: float
     T_local: float
-    E_budget: Optional[float] = None
-    L_budget: Optional[float] = None
     fixpoint_tol: float = 1e-9
-    cfl_limit: float = 0.9
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.T_local <= 0.0:
@@ -339,35 +338,31 @@ class QuasilinearResult:
     achieved_T: float = 0.0
 
 
-def _window_diff(grid: Grid1D, traj_a: List[PolarState], traj_b: List[PolarState]) -> float:
-    """Sup over levels of the W^{1,inf} distance between window trajectories."""
-    return max(_w1_sup(grid, a.U - b.U) for a, b in zip(traj_a[1:], traj_b[1:]))
-
-
 def _average_state(a: PolarState, b: PolarState) -> PolarState:
     return PolarState(a.grid, *(0.5 * (a.U + b.U)),
                       time=0.5 * (a.time + b.time), far_field=a.far_field)
 
 
-def _total_energy(st: PolarState, p: PotentialSpec, ws: WaveSpeed) -> float:
-    E = energy_density_polar(*st.U, p, ws)[0]
-    return float(integrate(st.grid, E))
+def _measure(st: PolarState, p: PotentialSpec, ws: WaveSpeed):
+    """What the budget check and the energy log read off one level: the
+    densities (E, F, c2F, EmW), the total energy, the budget norm
+    max(W^{1,inf} norm, sup 1/s), and the gradient sup of phi, v, omega, r."""
+    dens = energy_density_polar(*st.U, p, ws)
+    dU = np.abs(centered_derivative(st.grid, st.U))
+    norm = max(float(np.max(np.abs(st.U))), float(np.max(dU)),
+               float(np.max(1.0 / st.s)))
+    return dens, float(integrate(st.grid, dens[0])), norm, float(np.max(dU[2:]))
 
 
-def resolve_budgets(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                    cfg: QuasilinearConfig) -> Tuple[float, float]:
-    """Fill in the default budgets: twice the initial energy, twice the
-    larger of the initial W^{1,inf} norm and sup(1/s).  A tiny absolute
-    floor on the energy budget keeps exact equilibria (energy zero up to
-    roundoff) from tripping the monitor on noise."""
-    E = cfg.E_budget
-    if E is None:
-        E0 = max(_total_energy(U0, p, ws), 0.0)
-        E = 2.0 * E0 + 1e-12 * max(1.0, E0)
-    L = cfg.L_budget
-    if L is None:
-        L = 2.0 * max(U0.w1_inf(), float(np.max(1.0 / U0.s)))
-    return E, L
+def resolve_budgets(U0: PolarState, p: PotentialSpec,
+                    ws: WaveSpeed) -> Tuple[float, float]:
+    """The budgets (E', L') of a run starting at U0: twice the initial
+    energy, and twice the larger of the initial W^{1,inf} norm and sup(1/s).
+    A tiny absolute floor on the energy budget keeps exact equilibria
+    (energy zero up to roundoff) from tripping the monitor on noise."""
+    _, E0, norm0, _ = _measure(U0, p, ws)
+    E0 = max(E0, 0.0)
+    return 2.0 * E0 + 1e-12 * max(1.0, E0), 2.0 * norm0
 
 
 def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
@@ -386,7 +381,9 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cur = transport_step(cur, p, ws, cfg.dt, frozen_mid=mid,
                                  frozen_end=guess[j + 1], forcing=forcing)
             traj.append(cur)
-        d = _window_diff(U0.grid, traj, guess)
+        # sup over levels of the W^{1,inf} distance to the previous sweep
+        d = _w1_sup(U0.grid, np.array([a.U - b.U for a, b
+                                       in zip(traj[1:], guess[1:])]))
         diffs.append(d)
         guess = traj
         if d < cfg.fixpoint_tol:
@@ -397,8 +394,9 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
 def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                    cfg: QuasilinearConfig,
                    forcing: Optional[Callable] = None,
-                   max_steps: Optional[int] = None
-                   ) -> Tuple[List[PolarState], float, FixpointTrace]:
+                   max_steps: Optional[int] = None,
+                   budgets: Optional[Tuple[float, float]] = None
+                   ) -> Tuple[List[PolarState], float, FixpointTrace, list]:
     """Solve one local window as a whole-trajectory fixed point.
 
     The map takes a guessed trajectory to the semi-Lagrangian solution of
@@ -406,12 +404,16 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     fixed point is the nonlinear solution.  The attempted window is
     cfg.T_local; it halves whenever the iteration fails to contract or a
     converged candidate violates the budgets (energy above E', W^{1,inf}
-    norm or sup(1/s) above L').  Returns (trajectory including the initial
-    level, achieved_T actually covered, iteration trace).
+    norm or sup(1/s) above L').  `budgets` is the pair (E', L'); None
+    resolves it from U0 (resolve_budgets), and initial data already over
+    the budgets raise ConfigError.  Returns (trajectory including the
+    initial level, achieved_T actually covered, iteration trace, measures):
+    for each level after the initial one, measures holds its densities
+    (E, F, c2F, EmW), total energy, budget norm max(W^{1,inf}, sup 1/s) and
+    the gradient sup of phi, v, omega, r.
     """
-    E_prime, L_prime = resolve_budgets(U0, p, ws, cfg)
-    E0 = _total_energy(U0, p, ws)
-    norm0 = max(U0.w1_inf(), float(np.max(1.0 / U0.s)))
+    E_prime, L_prime = resolve_budgets(U0, p, ws) if budgets is None else budgets
+    _, E0, norm0, _ = _measure(U0, p, ws)
     if E0 > E_prime or norm0 > L_prime:
         raise ConfigError(
             f"initial data violates the budgets: energy {E0:.6g} vs E' = "
@@ -423,20 +425,19 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     halvings = 0
     while True:
         traj, diffs, converged = _iterate_window(U0, p, ws, cfg, steps, forcing)
-        tripped = False
         if converged:
+            measures = []
             for st in traj[1:]:
-                if (_total_energy(st, p, ws) > E_prime * (1.0 + 1e-9)
-                        or st.w1_inf() > L_prime
-                        or float(np.max(1.0 / st.s)) > L_prime):
-                    tripped = True
+                measures.append(_measure(st, p, ws))
+                _, E, norm, _ = measures[-1]
+                if E > E_prime * (1.0 + 1e-9) or norm > L_prime:
                     break
-            if not tripped:
+            else:
                 trace = FixpointTrace(U0.time, steps, diffs, True,
                                       halvings=halvings)
-                return traj, steps * cfg.dt, trace
+                return traj, steps * cfg.dt, trace, measures
         if steps == 1 or halvings >= _MAX_HALVINGS:
-            if converged and tripped:
+            if converged:
                 raise AprioriViolationError(
                     f"budgets exceeded at t = {U0.time:.6f} even on a single "
                     f"step (E' = {E_prime:.6g}, L' = {L_prime:.6g})",
@@ -466,10 +467,10 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     after handing it over.
     """
     grid = state.grid
-    if cfg.dt > cfg.cfl_limit * grid.dx / ws.c_max + 1e-15:
+    if cfg.dt > _CFL_LIMIT * grid.dx / ws.c_max + 1e-15:
         raise ConfigError(
-            f"dt = {cfg.dt:.3e} exceeds {cfg.cfl_limit} * dx / c_max "
-            f"= {cfg.cfl_limit * grid.dx / ws.c_max:.3e}")
+            f"dt = {cfg.dt:.3e} exceeds {_CFL_LIMIT} * dx / c_max "
+            f"= {_CFL_LIMIT * grid.dx / ws.c_max:.3e}")
     state.check()
     s_inf = state.far_field[1]
     if abs(float(p.eval_1(np.asarray([s_inf]))[0])) > 1e-8:
@@ -482,30 +483,29 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     if total_steps == 0:
         raise ConfigError("t_final shorter than one step")
 
-    E_prime, L_prime = resolve_budgets(state, p, ws, cfg)
-    cfg = replace(cfg, E_budget=E_prime, L_budget=L_prime)
-
     log = EnergyLog(grid, cfg.dt)
     w2_sup: List[float] = []
 
-    def record(st: PolarState):
-        log.record(st.time, energy_density_polar(*st.U, p, ws),
-                   float(np.max(np.abs(st.U[2:]))))
-        w2_sup.append(float(np.max(np.abs(centered_derivative(grid, st.U[2:])))))
+    def record(st: PolarState, measure):
+        dens, _, _, grad_sup = measure
+        log.record(st.time, dens, float(np.max(np.abs(st.U[2:]))))
+        w2_sup.append(grad_sup)
         if observer is not None:
             observer(st)
 
-    record(state)
+    budgets = resolve_budgets(state, p, ws)
+    record(state, _measure(state, p, ws))
 
     traces: List[FixpointTrace] = []
     done = 0
     cur = state
     while done < total_steps:
-        traj, covered, trace = fixpoint_solve(cur, p, ws, cfg, forcing=forcing,
-                                              max_steps=total_steps - done)
+        traj, covered, trace, measures = fixpoint_solve(
+            cur, p, ws, cfg, forcing=forcing, max_steps=total_steps - done,
+            budgets=budgets)
         traces.append(trace)
-        for st in traj[1:]:
-            record(st)
+        for st, m in zip(traj[1:], measures):
+            record(st, m)
         cur = traj[-1]
         done += trace.steps
 

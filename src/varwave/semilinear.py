@@ -68,19 +68,6 @@ def source_term(p: PotentialSpec, z):
     return ratio * z
 
 
-def _shift(arr: np.ndarray, k: int, fill):
-    """Sample arr at index i+k, constant fill outside."""
-    n = arr.shape[0]
-    out = np.full(n, fill, dtype=arr.dtype)
-    if k >= 0:
-        if k < n:
-            out[: n - k] = arr[k:]
-    else:
-        if -k < n:
-            out[-k:] = arr[: n + k]
-    return out
-
-
 def _aligned_steps(grid: Grid1D, c: float, t: float) -> int:
     shift = c * t / grid.dx
     m = int(round(shift))
@@ -99,28 +86,34 @@ def free_wave(f0: ComplexField, c: float, t: float) -> ComplexField:
     """
     if t < 0.0:
         raise ConfigError("free_wave evolves forward only")
-    m = _aligned_steps(f0.grid, c, t)
+    zeta, zeta_t = _free_levels(f0, c, [_aligned_steps(f0.grid, c, t)])
+    return ComplexField(f0.grid, zeta[0], zeta_t[0], far_field=f0.far_field,
+                        time=f0.time + t, validate=False)
+
+
+def _free_levels(f0: ComplexField, c: float, shifts):
+    """d'Alembert levels of f0 after each of the given whole-cell shifts.
+
+    The data are padded once: zeta by its far field, zeta_t and zeta_x by
+    zero, and the prefix integral of zeta_t by its end values.  Returns the
+    (k, n) stacks of zeta and zeta_t, one row per shift.
+    """
     g = f0.grid
-    if m >= g.n:
+    n, pad = g.n, max(shifts)
+    if pad >= n:
         raise DomainError("characteristics crossed the whole grid: "
-                          f"shift {m} with {g.n} nodes")
-    z0, zt0, ff = f0.zeta, f0.zeta_t, f0.far_field
-
-    # prefix integral of zeta_t0 (zero outside the grid, so clamped ends)
-    pref = np.concatenate(([0.0 + 0.0j],
-                           np.cumsum(0.5 * (zt0[1:] + zt0[:-1]) * g.dx)))
-    zx0 = centered_derivative(g, z0)
-
-    z_plus = _shift(z0, m, ff)
-    z_minus = _shift(z0, -m, ff)
-    pref_plus = _shift(pref, m, pref[-1])
-    pref_minus = _shift(pref, -m, pref[0])
-    zeta = 0.5 * (z_plus + z_minus) + (pref_plus - pref_minus) / (2.0 * c)
-
-    zeta_t = (0.5 * c * (_shift(zx0, m, 0.0) - _shift(zx0, -m, 0.0))
-              + 0.5 * (_shift(zt0, m, 0.0) + _shift(zt0, -m, 0.0)))
-    return ComplexField(g, zeta, zeta_t, far_field=ff, time=f0.time + t,
-                        validate=False)
+                          f"shift {pad} with {n} nodes")
+    z = _padded(f0.zeta, f0.far_field, pad)
+    zt = _padded(f0.zeta_t, 0.0, pad)
+    zx = _padded(centered_derivative(g, f0.zeta), 0.0, pad)
+    pref = _padded_prefix(f0.zeta_t, 0.0, g.dx, pad)
+    zeta = np.empty((len(shifts), n), dtype=complex)
+    zeta_t = np.empty((len(shifts), n), dtype=complex)
+    for row, m in enumerate(shifts):
+        hi, lo = slice(pad + m, pad + m + n), slice(pad - m, pad - m + n)
+        zeta[row] = 0.5 * (z[hi] + z[lo]) + (pref[hi] - pref[lo]) / (2.0 * c)
+        zeta_t[row] = 0.5 * c * (zx[hi] - zx[lo]) + 0.5 * (zt[hi] + zt[lo])
+    return zeta, zeta_t
 
 
 def _padded_prefix(q: np.ndarray, q_ff: complex, dx: float, pad: int):
@@ -209,11 +202,17 @@ class SemilinearConfig:
 
 def contraction_window(p: PotentialSpec, E: float, E_prime: Optional[float] = None,
                        c: float = 1.0) -> float:
-    """Window length certified to contract: (1 - E/E') / (2 sqrt(k_{E'}))."""
+    """Window length certified to contract: (1 - E/E') / (2 sqrt(k_{E'})).
+
+    The certificate does not depend on the wave speed c (the pinning bound
+    behind k_{E'} is speed-uniform); c is checked to be positive only.
+    """
     E_prime = 2.0 * E if E_prime is None else E_prime
     if not E_prime > E:
         raise ConfigError("enlarged budget must exceed the energy")
-    k = apriori_constants(p, E_prime, c).kE
+    if c <= 0.0:
+        raise ConfigError("wave speed must be positive")
+    k = apriori_constants(p, E_prime).kE
     if k <= 0.0:
         return math.inf
     return (1.0 - E / E_prime) / (2.0 * math.sqrt(k))
@@ -238,13 +237,7 @@ class SemilinearResult:
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
                     cfg: SemilinearConfig, m: int):
     """Picard-iterate one window of m steps; returns level arrays and diffs."""
-    n = grid.n
-    base_z = np.empty((m + 1, n), dtype=complex)
-    base_zt = np.empty((m + 1, n), dtype=complex)
-    for j in range(m + 1):
-        fw = free_wave(f0, cfg.c, j * cfg.dt)
-        base_z[j], base_zt[j] = fw.zeta, fw.zeta_t
-
+    base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
     diffs: List[float] = []

@@ -1,6 +1,14 @@
-"""Shared pytest plumbing: prints one line per acceptance criterion."""
+"""Shared pytest plumbing: derandomized hypothesis, and one line per
+acceptance criterion."""
 
 import re
+
+from hypothesis import settings
+
+# property tests draw the same examples on every run (and keep no example
+# database), like the seeded generators of the other randomized tests
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _LABELS = {
     1: "source-free run matches d'Alembert to 1e-12",

@@ -127,7 +127,7 @@ def test_criterion_04_apriori_sup_bound():
     p = ensure_valid(reference_potential())
     for amp in (0.1, 0.2, 0.3):
         g, f0, E0 = _complex_data(513, amp, 1.0, p=p)
-        apriori = apriori_constants(p, E0, c=1.0)
+        apriori = apriori_constants(p, E0)
         Tw = min(contraction_window(p, E0, c=1.0), 1.0)
         res = picard_solve(f0, p,
                            SemilinearConfig(c=1.0, dt=g.dx, T_window=Tw),
@@ -137,7 +137,7 @@ def test_criterion_04_apriori_sup_bound():
         assert not any(r.apriori_violated for r in res.energy_reports)
     # constants certified for a tiny energy budget must trip on real data
     g, f0, _ = _complex_data(513, 0.3, 1.0, p=p)
-    starved = apriori_constants(p, 1e-6, c=1.0)
+    starved = apriori_constants(p, 1e-6)
     with pytest.raises(AprioriViolationError):
         picard_solve(f0, p,
                      SemilinearConfig(c=1.0, dt=g.dx, T_window=0.25),

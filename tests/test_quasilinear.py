@@ -1,6 +1,7 @@
 """Variable-speed first-order solver: sources, characteristics, fixed point."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from scipy.integrate import solve_ivp
 
 from varwave import (ConfigError, DegeneracyError, DomainError, Grid1D,
                      PolarState, QuasilinearConfig, StateEscapeError, advance,
-                     centered_derivative, ensure_valid, fit_order,
-                     fixpoint_solve, flat_point_potential, interpolate,
-                     read_polar_snapshot_csv, reference_potential,
-                     rhs_sources, trace_characteristics, transport_step,
-                     wave_speed, write_polar_snapshot_csv, zero_potential)
+                     centered_derivative, energy_density_polar, ensure_valid,
+                     fit_order, fixpoint_solve, flat_point_potential,
+                     integrate, interpolate, read_polar_snapshot_csv,
+                     reference_potential, rhs_sources, trace_characteristics,
+                     transport_step, wave_speed, write_polar_snapshot_csv,
+                     zero_potential)
+from varwave.diagnostics import EnergyLog
 from varwave.quasilinear import full_rhs, resolve_budgets
 
 
@@ -353,7 +356,7 @@ def test_fixpoint_equilibrium_converges_immediately():
     ws = wave_speed(2.0, 1.0)
     st = _equilibrium_state(g)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.2)
-    traj, covered, trace = fixpoint_solve(st, p, ws, cfg)
+    traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
     assert trace.converged and len(trace.diff_norms) == 1
     assert covered == pytest.approx(trace.steps * cfg.dt)
     assert np.max(np.abs(traj[-1].psi - math.pi / 4.0)) < 1e-14
@@ -366,7 +369,7 @@ def test_fixpoint_iterates_decay_geometrically():
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1, fixpoint_tol=1e-12)
-    traj, covered, trace = fixpoint_solve(st, p, ws, cfg)
+    traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
     assert trace.converged
     d = trace.diff_norms
     assert len(d) >= 3
@@ -380,9 +383,9 @@ def test_fixpoint_rejects_data_over_budget():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1, E_budget=1e-9)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
     with pytest.raises(ConfigError, match="budget"):
-        fixpoint_solve(st, p, ws, cfg)
+        fixpoint_solve(st, p, ws, cfg, budgets=(1e-9, 1e9))
 
 
 def test_resolve_budgets_defaults_double_initial_values():
@@ -390,10 +393,9 @@ def test_resolve_budgets_defaults_double_initial_values():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
-    from varwave.quasilinear import _total_energy
-    E_prime, L_prime = resolve_budgets(st, p, ws, cfg)
-    assert E_prime == pytest.approx(2.0 * _total_energy(st, p, ws), rel=1e-6)
+    E0 = float(integrate(g, energy_density_polar(*st.U, p, ws)[0]))
+    E_prime, L_prime = resolve_budgets(st, p, ws)
+    assert E_prime == pytest.approx(2.0 * E0, rel=1e-6)
     assert L_prime == pytest.approx(
         2.0 * max(st.w1_inf(), float(np.max(1.0 / st.s))), rel=1e-12)
 
@@ -414,6 +416,45 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     assert all(tr.converged for tr in res.traces)
     E = np.array([r.total_E for r in res.energy_reports])
     assert np.max(np.abs(E - E[0])) < 1e-3 * max(E[0], 1.0)
+
+
+def _multi_window_run(observer=None):
+    g = Grid1D(-8.0, 8.0, 129)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    res = advance(st, p, ws, cfg, 12 * cfg.dt, observer=observer)
+    assert len(res.traces) > 1
+    return g, p, ws, cfg, res
+
+
+def test_advance_evaluates_each_level_energy_once(monkeypatch):
+    import varwave.quasilinear as ql
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return energy_density_polar(*args)
+
+    monkeypatch.setattr(ql, "energy_density_polar", counting)
+    _, _, _, _, res = _multi_window_run()
+    # one per level, one per window for its entry check, one for the budgets
+    assert len(calls) <= len(res.energy_reports) + len(res.traces) + 2
+
+
+def test_advance_records_match_per_level_formulas():
+    levels = []
+    g, p, ws, cfg, res = _multi_window_run(levels.append)
+    log = EnergyLog(g, cfg.dt)
+    for st in levels:
+        log.record(st.time, energy_density_polar(*st.U, p, ws),
+                   float(np.max(np.abs(st.U[2:]))))
+    got = np.array([astuple(r) for r in res.energy_reports], dtype=float)
+    want = np.array([astuple(r) for r in log.reports], dtype=float)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert res.w2_sup == [float(np.max(np.abs(centered_derivative(g, st.U[2:]))))
+                          for st in levels]
 
 
 def test_advance_conservation_residuals_refine():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from varwave import (AprioriViolationError, ComplexField, ConfigError,
@@ -11,6 +13,7 @@ from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      contraction_window, duhamel_apply, ensure_valid,
                      flat_point_potential, free_wave, picard_solve,
                      reference_potential, source_term, zero_potential)
+from varwave.semilinear import _free_levels
 
 
 # --- source_term -------------------------------------------------------------
@@ -97,6 +100,74 @@ def test_free_wave_preserves_traveling_profile_second_order():
         f1 = free_wave(f0, c, t)
         errs.append(np.max(np.abs(f1.zeta - h(g.nodes - c * t))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
+
+
+def _reference_shift(arr, k, fill):
+    """Sample arr at index i+k, constant fill outside."""
+    n = arr.shape[0]
+    out = np.full(n, fill, dtype=arr.dtype)
+    if k >= 0:
+        if k < n:
+            out[: n - k] = arr[k:]
+    elif -k < n:
+        out[-k:] = arr[: n + k]
+    return out
+
+
+def _reference_free_wave(f0, c, m):
+    """The d'Alembert step free_wave took before the padded stacks: shift
+    by m cells with constant fill, the velocity prefix clamped at its ends."""
+    g, z0, zt0, ff = f0.grid, f0.zeta, f0.zeta_t, f0.far_field
+    pref = np.concatenate(([0.0 + 0.0j],
+                           np.cumsum(0.5 * (zt0[1:] + zt0[:-1]) * g.dx)))
+    zx0 = np.gradient(z0, g.dx, edge_order=2)
+    sh = _reference_shift
+    zeta = (0.5 * (sh(z0, m, ff) + sh(z0, -m, ff))
+            + (sh(pref, m, pref[-1]) - sh(pref, -m, pref[0])) / (2.0 * c))
+    zeta_t = (0.5 * c * (sh(zx0, m, 0.0) - sh(zx0, -m, 0.0))
+              + 0.5 * (sh(zt0, m, 0.0) + sh(zt0, -m, 0.0)))
+    return zeta, zeta_t
+
+
+_bounded_complex = st.complex_numbers(max_magnitude=0.5, allow_nan=False,
+                                      allow_infinity=False)
+
+
+@st.composite
+def _compact_data_and_shift(draw):
+    """Random complex data with a nonzero far field, perturbed (zeta and
+    zeta_t) only strictly inside the grid, and an aligned shift m < n."""
+    n = draw(st.integers(16, 48))
+    x_min = draw(st.floats(-10.0, 10.0))
+    g = Grid1D(x_min, x_min + draw(st.floats(0.5, 20.0)), n)
+    lo = draw(st.integers(1, n - 2))
+    hi = draw(st.integers(lo, n - 2))
+    ff = draw(_bounded_complex.filter(lambda z: z != 0))
+    bump = np.zeros(n, complex)
+    vel = np.zeros(n, complex)
+    bump[lo:hi + 1] = draw(st.lists(_bounded_complex, min_size=hi - lo + 1,
+                                    max_size=hi - lo + 1))
+    vel[lo:hi + 1] = draw(st.lists(_bounded_complex, min_size=hi - lo + 1,
+                                   max_size=hi - lo + 1))
+    f0 = ComplexField(g, ff + bump, vel, far_field=ff, validate=False)
+    return f0, draw(st.floats(0.1, 10.0)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compact_data_and_shift())
+def test_free_wave_exact_on_aligned_shifts(case):
+    f0, c, m = case
+    dt = f0.grid.dx / c
+    fw = free_wave(f0, c, m * dt)
+    zeta, zeta_t = _reference_free_wave(f0, c, m)
+    assert fw.zeta.tobytes() == zeta.tobytes()
+    assert fw.zeta_t.tobytes() == zeta_t.tobytes()
+    # the window's free levels are the free_wave calls, row for row
+    base_z, base_zt = _free_levels(f0, c, range(m + 1))
+    for j in range(m + 1):
+        fw = free_wave(f0, c, j * dt)
+        assert base_z[j].tobytes() == fw.zeta.tobytes()
+        assert base_zt[j].tobytes() == fw.zeta_t.tobytes()
 
 
 def test_free_wave_requires_aligned_time():
