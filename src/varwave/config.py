@@ -62,6 +62,8 @@ _INITIAL_KEYS = {
                    "rho_family", "rho_amplitude", "rho_center", "rho_width"},
     "validate-potential": {"family"},
 }
+# 256x the largest grid tests and benchmark run (4097); 16 MB per complex level
+_MAX_GRID_N = 2**20 + 1
 # the initial_data keys that hold strings; every other one holds a number
 _INITIAL_STRINGS = {"family", "rho_family", "path"}
 
@@ -180,8 +182,8 @@ def parse_config(doc: Dict) -> RunConfig:
                                 integer=True)
     if grid["x_max"] <= grid["x_min"]:
         raise ConfigError("grid.x_max must exceed grid.x_min")
-    if grid["n"] < 16:
-        raise ConfigError("grid.n must be at least 16")
+    if not 16 <= grid["n"] <= _MAX_GRID_N:
+        raise ConfigError(f"grid.n must lie in [16, {_MAX_GRID_N}]")
 
     time = merged["time"]
     _reject_unknown(time, _SECTION_KEYS["time"], "time")

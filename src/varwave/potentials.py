@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError, DomainError
 
@@ -66,24 +67,20 @@ class PotentialSpec:
 def rational_potential(numerator: Polynomial, zeros=(), flat_point=None, name="") -> PotentialSpec:
     """Potential of the form W0(s) = P(s) / (1-s)^2 with polynomial P.
 
-    Derivatives come from the Leibniz rule; the m-th derivative of (1-s)^(-2)
-    is (m+1)! * (1-s)^(-2-m).
+    The k-th derivative is N_k(s) / (1-s)^(2+k) with N_0 = P and
+    N_{k+1} = (1-s) N_k' + (2+k) N_k, so each eval_k is one polynomial
+    evaluation and one power.
     """
-    ders = [numerator]
-    for _ in range(4):
-        ders.append(ders[-1].deriv())
+    nums = [numerator.convert()]  # coefficients in s itself, whatever the domain
+    for k in range(4):
+        nums.append(Polynomial([1.0, -1.0]) * nums[-1].deriv() + (2 + k) * nums[-1])
 
     def make(order):
-        binom = [math.comb(order, k) for k in range(order + 1)]
+        coef = nums[order].coef
 
         def ev(s):
             s = np.asarray(s, dtype=float)
-            one_minus = 1.0 - s
-            out = np.zeros_like(s)
-            for k in range(order + 1):
-                m = order - k
-                out += binom[k] * ders[k](s) * math.factorial(m + 1) * one_minus ** (-(2 + m))
-            return out
+            return polyval(s, coef) * (1.0 - s) ** (-(2 + order))
 
         return ev
 

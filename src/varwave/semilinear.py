@@ -137,31 +137,30 @@ def _cone_corrections(grid: Grid1D, q_levels: np.ndarray, q_ff: complex,
     q_levels[l] is the source field at time level l (0..m).  Returns arrays
     (m+1, n) with the corrections to zeta and zeta_t; level 0 is zero.
     Trapezoid in time over levels, trapezoid in space over the cone through
-    prefix integrals, linear far-field extension outside the grid.
+    prefix integrals, linear far-field extension outside the grid.  The sums
+    over l run along the characteristics, R_j[i] = R_{j-1}[i+1] + P_j[i] and
+    L_j[i] = L_{j-1}[i-1] + P_j[i] for the prefixes P and the sources Q, less
+    half the l = 0 and l = j terms: O(m n) time, O(n + m) extra memory.
     """
     m = q_levels.shape[0] - 1
-    n = grid.n
-    dx = grid.dx
-    pad = m + 1
-    prefs = np.stack([_padded_prefix(q_levels[l], q_ff, dx, pad) for l in range(m + 1)])
-    qs = np.stack([_padded(q_levels[l], q_ff, pad) for l in range(m + 1)])
-
+    n, dx, pad = grid.n, grid.dx, m
+    mid = slice(pad, pad + n)
+    p0 = _padded_prefix(q_levels[0], q_ff, dx, pad)
+    q0 = _padded(q_levels[0], q_ff, pad)
+    rp, lp, rq, lq = p0.copy(), p0.copy(), q0.copy(), q0.copy()
     corr_z = np.zeros((m + 1, n), dtype=complex)
     corr_zt = np.zeros((m + 1, n), dtype=complex)
-    base = pad  # index of grid node 0 inside padded arrays (prefix has n values)
     for j in range(1, m + 1):
-        acc_z = np.zeros(n, dtype=complex)
-        acc_zt = np.zeros(n, dtype=complex)
-        for l in range(j + 1):
-            w = 0.5 if (l == 0 or l == j) else 1.0
-            k = j - l
-            # inner integral over [x - k dx, x + k dx] from prefix values
-            acc_z += w * (prefs[l, base + k: base + k + n]
-                          - prefs[l, base - k: base - k + n])
-            acc_zt += w * (qs[l, base + k: base + k + n]
-                           + qs[l, base - k: base - k + n])
-        corr_z[j] = -(dt / (2.0 * c)) * acc_z
-        corr_zt[j] = -(dt / 2.0) * acc_zt
+        p = _padded_prefix(q_levels[j], q_ff, dx, pad)
+        q = _padded(q_levels[j], q_ff, pad)
+        # j shifts leave j stale end entries; pad = m keeps them off the grid
+        rp[:-1] = rp[1:] + p[:-1]
+        lp[1:] = lp[:-1] + p[1:]
+        rq[:-1] = rq[1:] + q[:-1]
+        lq[1:] = lq[:-1] + q[1:]
+        hi, lo = slice(pad + j, pad + j + n), slice(pad - j, pad - j + n)
+        corr_z[j] = -dt / (2.0 * c) * (rp[mid] - lp[mid] - 0.5 * (p0[hi] - p0[lo]))
+        corr_zt[j] = -dt / 2.0 * (rq[mid] + lq[mid] - 0.5 * (q0[hi] + q0[lo]) - q[mid])
     return corr_z, corr_zt
 
 

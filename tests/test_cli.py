@@ -65,6 +65,16 @@ def test_bad_config_value_exits_2_with_error_line(tmp_path, capsys):
     assert "wave_speed.K1" in err
 
 
+@pytest.mark.parametrize("n", [1e30, 2**20 + 2], ids=["1e30", "2^20+2"])
+def test_oversized_grid_exits_2_before_writing(tmp_path, capsys, n):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, {"solver": "hs2", "grid": {"n": n},
+                                   "outputs": {"out_dir": str(out)}})
+    assert main(["run-hs2", "--config", cfg, "--quiet"]) == 2
+    assert "grid.n must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"solver": "semilinear",
                                    "grid": {"dx": 0.1}})

@@ -60,6 +60,12 @@ def test_bad_values_name_their_path():
                                          "params": {"s0": 1.5}}))
 
 
+def test_grid_size_upper_bound():
+    assert parse_config(_minimal(grid={"n": 2**20 + 1})).grid["n"] == 2**20 + 1
+    with pytest.raises(ConfigError, match=r"grid\.n"):
+        parse_config(_minimal(grid={"n": 2**20 + 2}))
+
+
 def test_dt_cfl_exclusive():
     parse_config(_minimal(time={"t_final": 1.0, "dt": 0.01}))
     parse_config(_minimal(time={"t_final": 1.0, "cfl": 0.5}))

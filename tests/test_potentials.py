@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from varwave import (ConfigError, apriori_constants, ensure_valid,
                      flat_point_potential, quadratic_potential,
-                     reference_potential, validate_potential, wave_speed,
-                     zero_potential)
+                     rational_potential, reference_potential,
+                     validate_potential, wave_speed, zero_potential)
 
 
 # --- validate_potential ----------------------------------------------------
@@ -70,6 +71,59 @@ def test_flat_point_potential_passes_and_is_flat():
 def test_ensure_valid_returns_accepted_spec():
     p = reference_potential()
     assert ensure_valid(p) is p
+
+
+# --- rational_potential derivatives -----------------------------------------
+
+
+_S = np.linspace(0.0, 0.99, 1001)
+
+
+def _evals(p):
+    return (p.eval_0, p.eval_1, p.eval_2, p.eval_3, p.eval_4)
+
+
+def test_reference_derivatives_match_partial_fractions():
+    # s^2/(1-s)^2 = 1 - 2/(1-s) + 1/(1-s)^2
+    one_minus = 1.0 - _S
+    for k, ev in enumerate(_evals(reference_potential())):
+        exact = (_S ** 2 / one_minus ** 2 if k == 0 else
+                 math.factorial(k + 1) * one_minus ** (-(2 + k))
+                 - 2.0 * math.factorial(k) * one_minus ** (-(1 + k)))
+        assert np.max(np.abs(ev(_S) - exact) / (1.0 + np.abs(exact))) <= 1e-13
+
+
+def _leibniz(numerator, order, s):
+    """d^order/ds^order of P(s)/(1-s)^2 by the Leibniz rule; the j-th
+    derivative of (1-s)^(-2) is (j+1)! (1-s)^(-2-j)."""
+    total = np.zeros_like(s)
+    for k in range(order + 1):
+        j = order - k
+        total += (math.comb(order, k) * numerator.deriv(k)(s)
+                  * math.factorial(j + 1) * (1.0 - s) ** (-(2 + j)))
+    return total
+
+
+def test_flat_point_derivatives_match_leibniz_rule():
+    numerator = Polynomial([0.0, 0.0, 1.0]) * Polynomial([-0.5, 1.0]) ** 4
+    for k, ev in enumerate(_evals(flat_point_potential(0.5))):
+        oracle = _leibniz(numerator, k, _S)
+        assert np.max(np.abs(ev(_S) - oracle) / (1.0 + np.abs(oracle))) <= 1e-12
+
+
+def test_numerator_domain_is_honoured():
+    # a numerator given on domain [0, 1] is a polynomial in 2s - 1
+    numerator = Polynomial([0.0, 0.0, 1.0], domain=[0.0, 1.0])
+    for k, ev in enumerate(_evals(rational_potential(numerator))):
+        oracle = _leibniz(numerator, k, _S)
+        assert np.max(np.abs(ev(_S) - oracle) / (1.0 + np.abs(oracle))) <= 1e-12
+
+
+def test_quadratic_high_derivatives_vanish():
+    # W0 = s^2: the numerator recurrence cancels exactly
+    p = quadratic_potential()
+    assert np.max(np.abs(p.eval_3(_S))) <= 1e-9
+    assert np.max(np.abs(p.eval_4(_S))) <= 1e-9
 
 
 # --- wave_speed ------------------------------------------------------------

@@ -13,7 +13,9 @@ from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      contraction_window, duhamel_apply, ensure_valid,
                      flat_point_potential, free_wave, picard_solve,
                      reference_potential, source_term, zero_potential)
-from varwave.semilinear import _free_levels
+from varwave import semilinear
+from varwave.semilinear import (_cone_corrections, _free_levels, _padded,
+                                _padded_prefix)
 
 
 # --- source_term -------------------------------------------------------------
@@ -224,6 +226,63 @@ def test_duhamel_self_convergence_second_order():
     e_coarse = np.max(np.abs(outs[0] - outs[2][::4]))
     e_mid = np.max(np.abs(outs[1] - outs[2][::2]))
     assert e_coarse / e_mid == pytest.approx(4.0, rel=0.4)
+
+
+def _loop_cone_corrections(grid, q_levels, q_ff, c, dt):
+    """The O(m^2 n) cone sum: every (level j, source level l) pair summed
+    directly, trapezoid weights 1/2 at l = 0 and l = j."""
+    m, n = q_levels.shape[0] - 1, grid.n
+    pad = m + 1
+    prefs = np.stack([_padded_prefix(q, q_ff, grid.dx, pad) for q in q_levels])
+    qs = np.stack([_padded(q, q_ff, pad) for q in q_levels])
+    corr_z = np.zeros((m + 1, n), dtype=complex)
+    corr_zt = np.zeros((m + 1, n), dtype=complex)
+    for j in range(1, m + 1):
+        acc_z = np.zeros(n, dtype=complex)
+        acc_zt = np.zeros(n, dtype=complex)
+        for l in range(j + 1):
+            w = 0.5 if l in (0, j) else 1.0
+            hi = slice(pad + j - l, pad + j - l + n)
+            lo = slice(pad - j + l, pad - j + l + n)
+            acc_z += w * (prefs[l, hi] - prefs[l, lo])
+            acc_zt += w * (qs[l, hi] + qs[l, lo])
+        corr_z[j] = -(dt / (2.0 * c)) * acc_z
+        corr_zt[j] = -(dt / 2.0) * acc_zt
+    return corr_z, corr_zt
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 15, 40])
+@pytest.mark.parametrize("n", [16, 33, 257])
+def test_cone_running_sums_match_double_loop(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    g = Grid1D(-3.0, 5.0, n)
+    c = 1.7
+    q = rng.normal(size=(m + 1, n)) + 1j * rng.normal(size=(m + 1, n))
+    q_ff = 0.3 - 0.7j
+    got = _cone_corrections(g, q, q_ff, c, g.dx / c)
+    want = _loop_cone_corrections(g, q, q_ff, c, g.dx / c)
+    for new, loop in zip(got, want):
+        scale = max(1.0, float(np.max(np.abs(loop))))
+        assert np.max(np.abs(new - loop)) <= 1e-12 * scale
+
+
+def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
+    g = Grid1D(-8.0, 8.0, 257)
+    zeta = 0.1 * np.exp(-g.nodes ** 2)
+    f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
+    p = ensure_valid(reference_potential())
+    cfg = SemilinearConfig.aligned(g, 1.0, T_window=32 * g.dx)
+    new = picard_solve(f0, p, cfg, 64 * g.dx)
+    monkeypatch.setattr(semilinear, "_cone_corrections",
+                        _loop_cone_corrections)
+    old = picard_solve(f0, p, cfg, 64 * g.dx)
+    for a, b in ((new.field.zeta, old.field.zeta),
+                 (new.field.zeta_t, old.field.zeta_t)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert new.trace.iterate_count == old.trace.iterate_count
+    assert len(new.trace.diff_norms) == 2
+    assert ([len(d) for d in new.trace.diff_norms]
+            == [len(d) for d in old.trace.diff_norms])
 
 
 def test_duhamel_rejects_misshapen_history():
