@@ -34,7 +34,7 @@ from .potentials import (AprioriConstants, PotentialSpec, ValidationReport,
 from .profiles import (Profile, bump_slope, constant, gaussian, make_profile,
                        sine_packet)
 from .quasilinear import (FixpointTrace, PolarState, QuasilinearConfig,
-                          QuasilinearResult, advance, fixpoint_solve, full_rhs,
+                          QuasilinearResult, advance, fixpoint_solve,
                           read_polar_snapshot_csv, resolve_budgets,
                           rhs_sources, trace_characteristics, transport_step,
                           write_polar_snapshot_csv)
@@ -70,7 +70,7 @@ __all__ = [
     "make_profile",
     # quasilinear
     "PolarState", "QuasilinearConfig", "QuasilinearResult", "FixpointTrace",
-    "full_rhs", "rhs_sources", "trace_characteristics", "transport_step",
+    "rhs_sources", "trace_characteristics", "transport_step",
     "fixpoint_solve", "advance", "resolve_budgets",
     "write_polar_snapshot_csv", "read_polar_snapshot_csv",
     # markers

@@ -269,9 +269,10 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
                                            np.zeros(grid.n), ws,
                                            far_field=(psi_base, s_base))
 
-    c_max = float(np.max(ws.c(state.psi)))
-    dt = cfg.time.get("dt", cfg.time.get("cfl", 0.8) * grid.dx / c_max)
-    steps = max(1, int(round(t_final / dt)))
+    # round the step count up, so the step taken never exceeds the one asked
+    # for and a cfl within advance's limit stays within it
+    dt = cfg.time.get("dt", cfg.time.get("cfl", 0.8) * grid.dx / ws.c_max)
+    steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / steps
 
     qcfg = QuasilinearConfig(dt=dt, T_local=min(t_final, max(dt, 0.25)))

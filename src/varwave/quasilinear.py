@@ -24,9 +24,10 @@ iteration fails to contract or when a budget monitor (energy, W^{1,inf}
 norm, 1/s) trips, so acceptance of a window is itself the certificate that
 the linearization was taken inside the contraction regime.
 
-4 stencils, stacked state: the six fields live in one (6, n) array, and a
-step builds one interpolation stencil per query set (two characteristic
-midpoints, two feet) and samples all six fields through each in one call.
+Both families in one pass: the six fields live in one (6, n) array, the
+two families' queries form one set of 2n points, and a step builds 2
+stencils (midpoints, feet), each sampling all six fields in one call, and
+makes one rhs_sources call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "QuasilinearConfig",
     "FixpointTrace",
     "QuasilinearResult",
-    "full_rhs",
     "rhs_sources",
     "trace_characteristics",
     "transport_step",
@@ -168,16 +168,6 @@ def rhs_sources(p: PotentialSpec, ws: WaveSpeed, psi, s, phi, v, omega, r):
     return s_phi, s_v, s_omega, s_r
 
 
-def full_rhs(p: PotentialSpec, ws: WaveSpeed, psi, s, phi, v, omega, r):
-    """The complete zeroth-order right side of the first-order system.
-
-    Returns six components: the time derivatives of (psi, s) are simply
-    (phi, v), followed by the four wave-component sources of rhs_sources.
-    """
-    s_phi, s_v, s_omega, s_r = rhs_sources(p, ws, psi, s, phi, v, omega, r)
-    return (np.asarray(phi, float), np.asarray(v, float), s_phi, s_v, s_omega, s_r)
-
-
 def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
                           x, t: float, tau: float, dt: float,
                           branch: int = 1) -> np.ndarray:
@@ -223,71 +213,47 @@ def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
 
 def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float,
                    frozen_mid: Optional[PolarState] = None,
-                   frozen_end: Optional[PolarState] = None,
-                   forcing: Optional[Callable] = None) -> PolarState:
+                   frozen_end: Optional[PolarState] = None) -> PolarState:
     """One semi-Lagrangian step of length dt.
 
     Characteristic feet are traced through the frozen coefficient fields
     (frozen_end at the arrival time for the first half step, frozen_mid at
     the half time for the full step; both default to the departure state,
     which is the plain linearized step).  Sources are evaluated on the frozen
-    midpoint state at the characteristic midpoints.  `forcing(x, t)` may
-    return four arrays added to (S_phi, S_v, S_omega, S_r) for manufactured
-    solutions.  Feet outside the grid read the constant far-field state.
+    midpoint state at the characteristic midpoints.  Feet outside the grid
+    read the constant far-field state.
 
-    4 stencils, stacked state: one interpolation stencil per query set (two
-    characteristic midpoints, two feet), each applied to all six rows of the
-    stacked state in one call.
+    Both families in one pass: 2 stencils, one rhs_sources call.  The query
+    set has 2n points, the n nodes of the +c family followed by those of the
+    -c family, and the two stencils (midpoints on the frozen midpoint state,
+    feet on the departure state) each sample all six rows at once.
     """
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
     far = np.array(state.far)[:, None]
-    x = g.nodes
-    t_half = state.time + 0.5 * dt
+    x = np.tile(g.nodes, 2)
+    # +c family (moving right, foot to the left) first, then the -c family
+    sign = np.repeat([-1.0, 1.0], g.n)
 
-    # feet of the two characteristic families, RK2 through frozen angles;
-    # the frozen midpoint state sampled at the half-way points also feeds
-    # the sources, and its angle row gives the midpoint speeds
-    c_end = ws.c(end.psi)
-    half_m = x - 0.5 * dt * c_end   # family moving right (speed +c)
-    half_p = x + 0.5 * dt * c_end   # family moving left  (speed -c)
-    args_m = stencil(g, half_m).apply(mid.U, fill=far)
-    args_p = stencil(g, half_p).apply(mid.U, fill=far)
-    foot_m = x - dt * ws.c(args_m[0])
-    foot_p = x + dt * ws.c(args_p[0])
+    # feet, RK2 through frozen angles; the frozen midpoint state sampled at
+    # the half-way points also feeds the sources, and its angle row gives
+    # the midpoint speeds
+    half = x + sign * np.tile(0.5 * dt * ws.c(end.psi), 2)
+    args = stencil(g, half).apply(mid.U, fill=far)
+    foot = x + sign * (dt * ws.c(args[0]))
+    dep = stencil(g, foot).apply(state.U, fill=far)
+    src = np.array(rhs_sources(p, ws, *args))
 
-    psi_m, s_m, phi_m, v_m, om_m, r_m = stencil(g, foot_m).apply(state.U, fill=far)
-    psi_p, s_p, phi_p, v_p, om_p, r_p = stencil(g, foot_p).apply(state.U, fill=far)
-
-    sphi_m, sv_m, som_m, sr_m = rhs_sources(p, ws, *args_m)
-    sphi_p, sv_p, som_p, sr_p = rhs_sources(p, ws, *args_p)
-    if forcing is not None:
-        fphi_m, fv_m, fom_m, fr_m = forcing(half_m, t_half)
-        fphi_p, fv_p, fom_p, fr_p = forcing(half_p, t_half)
-        sphi_m, sv_m, som_m, sr_m = (sphi_m + fphi_m, sv_m + fv_m,
-                                     som_m + fom_m, sr_m + fr_m)
-        sphi_p, sv_p, som_p, sr_p = (sphi_p + fphi_p, sv_p + fv_p,
-                                     som_p + fom_p, sr_p + fr_p)
-
-    # Riemann updates: (phi+omega, v+r) ride the left-moving family,
-    # (phi-omega, v-r) the right-moving one
-    R1 = (phi_p + om_p) + dt * (sphi_p + som_p)
-    R2 = (phi_m - om_m) + dt * (sphi_m - som_m)
-    R3 = (v_p + r_p) + dt * (sv_p + sr_p)
-    R4 = (v_m - r_m) + dt * (sv_m - sr_m)
-    phi_new = 0.5 * (R1 + R2)
-    omega_new = 0.5 * (R1 - R2)
-    v_new = 0.5 * (R3 + R4)
-    r_new = 0.5 * (R3 - R4)
+    # Riemann updates: (phi - omega, v - r) ride the right-moving family,
+    # (phi + omega, v + r) the left-moving one
+    R = (dep[2:4] + sign * dep[4:6]) + dt * (src[0:2] + sign * src[2:4])
+    right, left = R[:, :g.n], R[:, g.n:]
 
     # pointwise ODEs for the primitives, midpoint rule on frozen data
-    phi_half = 0.5 * (state.phi + end.phi) if frozen_end is not None else state.phi
-    v_half = 0.5 * (state.v + end.v) if frozen_end is not None else state.v
-    psi_new = state.psi + dt * phi_half
-    s_new = state.s + dt * v_half
-
-    out = PolarState(g, psi_new, s_new, phi_new, v_new, omega_new, r_new,
+    # (without frozen_end, 0.5 * (a + a) == a exactly)
+    prim = state.U[:2] + dt * (0.5 * (state.U[2:4] + end.U[2:4]))
+    out = PolarState(g, *prim, *(0.5 * (left + right)), *(0.5 * (left - right)),
                      time=state.time + dt, far_field=state.far_field)
     if np.min(out.s) <= _S_FLOOR:
         raise DegeneracyError(
@@ -366,8 +332,7 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec,
 
 
 def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                    cfg: QuasilinearConfig, steps: int,
-                    forcing: Optional[Callable]):
+                    cfg: QuasilinearConfig, steps: int):
     """One fixed-point attempt at a window of `steps` steps."""
     guess = [U0] + [U0.copy() for _ in range(steps)]
     for j in range(1, steps + 1):
@@ -379,7 +344,7 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
         for j in range(steps):
             mid = _average_state(guess[j], guess[j + 1])
             cur = transport_step(cur, p, ws, cfg.dt, frozen_mid=mid,
-                                 frozen_end=guess[j + 1], forcing=forcing)
+                                 frozen_end=guess[j + 1])
             traj.append(cur)
         # sup over levels of the W^{1,inf} distance to the previous sweep
         d = _w1_sup(U0.grid, np.array([a.U - b.U for a, b
@@ -393,7 +358,6 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
 def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                    cfg: QuasilinearConfig,
-                   forcing: Optional[Callable] = None,
                    max_steps: Optional[int] = None,
                    budgets: Optional[Tuple[float, float]] = None
                    ) -> Tuple[List[PolarState], float, FixpointTrace, list]:
@@ -424,7 +388,7 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
     halvings = 0
     while True:
-        traj, diffs, converged = _iterate_window(U0, p, ws, cfg, steps, forcing)
+        traj, diffs, converged = _iterate_window(U0, p, ws, cfg, steps)
         if converged:
             measures = []
             for st in traj[1:]:
@@ -451,7 +415,6 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
-            forcing: Optional[Callable] = None,
             observer: Optional[Callable] = None) -> QuasilinearResult:
     """March the state to t_final through fixed-point windows.
 
@@ -501,8 +464,7 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     cur = state
     while done < total_steps:
         traj, covered, trace, measures = fixpoint_solve(
-            cur, p, ws, cfg, forcing=forcing, max_steps=total_steps - done,
-            budgets=budgets)
+            cur, p, ws, cfg, max_steps=total_steps - done, budgets=budgets)
         traces.append(trace)
         for st, m in zip(traj[1:], measures):
             record(st, m)

@@ -261,6 +261,30 @@ def test_quasilinear_run_writes_artifacts(tmp_path):
     assert energy[0].startswith("t,")
 
 
+
+def test_quasilinear_default_step_is_within_the_cfl_limit(tmp_path, capsys):
+    # a bump that does not reach the largest speed sqrt(max(K1, K3)): the
+    # default step must still satisfy advance's dt <= 0.9 dx / c_max
+    out = tmp_path / "runq"
+    cfg = _write_config(tmp_path, {
+        "solver": "quasilinear",
+        "potential": {"name": "flat4", "params": {"s0": 0.5}},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 257},
+        "wave_speed": {"K1": 4.0, "K3": 1.0},
+        "time": {"t_final": 0.2},
+        "initial_data": {"family": "gaussian", "psi_amplitude": 0.2,
+                         "width": 1.0},
+        "outputs": {"energy_every": 1},
+    })
+    rc = main(["run-quasilinear", "--config", cfg, "--out", str(out),
+               "--quiet"])
+    assert rc == 0, capsys.readouterr().err
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    t = [float(row.split(",")[0]) for row in rows]
+    dx, c_max = 16.0 / 256, 2.0
+    assert t[1] - t[0] <= 0.8 * dx / c_max
+    assert t[-1] == pytest.approx(0.2)
+
 # --- marker runs -------------------------------------------------------------
 
 

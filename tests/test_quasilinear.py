@@ -16,7 +16,7 @@ from varwave import (ConfigError, DegeneracyError, DomainError, Grid1D,
                      transport_step, wave_speed, write_polar_snapshot_csv,
                      zero_potential)
 from varwave.diagnostics import EnergyLog
-from varwave.quasilinear import full_rhs, resolve_budgets
+from varwave.quasilinear import resolve_budgets
 
 
 # --- rhs_sources -------------------------------------------------------------
@@ -30,8 +30,6 @@ def test_sources_vanish_at_flat_equilibrium():
     out = rhs_sources(p, ws, np.full(n, 0.7), np.full(n, 0.5), z, z, z, z)
     for arr in out:
         assert np.max(np.abs(arr)) == 0.0
-    full = full_rhs(p, ws, np.full(n, 0.7), np.full(n, 0.5), z, z, z, z)
-    assert all(np.max(np.abs(a)) == 0.0 for a in full)
 
 
 def test_sources_isotropic_case_drops_speed_coupling():
@@ -225,25 +223,6 @@ def test_transport_pure_left_moving_packet():
     assert np.max(np.abs(out.s - 0.5)) == 0.0
 
 
-def test_transport_constant_forcing_single_step_exact():
-    g = Grid1D(-8.0, 8.0, 257)
-    p = flat_point_potential(0.5)
-    ws = wave_speed(2.0, 1.0)
-    st = _equilibrium_state(g)
-    dt = 0.01
-    f = 0.37
-
-    def forcing(x, t):
-        arr = np.full(np.shape(x), f)
-        zero = np.zeros(np.shape(x))
-        return arr, zero, zero, zero
-
-    out = transport_step(st, p, ws, dt, forcing=forcing)
-    assert np.max(np.abs(out.phi - f * dt)) < 1e-15
-    assert np.max(np.abs(out.omega)) < 1e-15
-    assert np.max(np.abs(out.psi - math.pi / 4.0)) == 0.0
-
-
 def test_transport_degeneracy_and_escape_guards():
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
@@ -260,14 +239,13 @@ def test_transport_degeneracy_and_escape_guards():
 
 
 def _reference_transport_step(state, p, ws, dt, frozen_mid=None,
-                              frozen_end=None, forcing=None):
+                              frozen_end=None):
     """The per-field step: one interpolate call per field and query set."""
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
     far = state.far
     x = g.nodes
-    t_half = state.time + 0.5 * dt
     each = lambda fields, q: tuple(interpolate(g, f, q, fill=fv)
                                    for f, fv in zip(fields, far))
 
@@ -285,13 +263,6 @@ def _reference_transport_step(state, p, ws, dt, frozen_mid=None,
     mid_fields = (mid.psi, mid.s, mid.phi, mid.v, mid.omega, mid.r)
     sphi_m, sv_m, som_m, sr_m = rhs_sources(p, ws, *each(mid_fields, half_m))
     sphi_p, sv_p, som_p, sr_p = rhs_sources(p, ws, *each(mid_fields, half_p))
-    if forcing is not None:
-        fphi_m, fv_m, fom_m, fr_m = forcing(half_m, t_half)
-        fphi_p, fv_p, fom_p, fr_p = forcing(half_p, t_half)
-        sphi_m, sv_m, som_m, sr_m = (sphi_m + fphi_m, sv_m + fv_m,
-                                     som_m + fom_m, sr_m + fr_m)
-        sphi_p, sv_p, som_p, sr_p = (sphi_p + fphi_p, sv_p + fv_p,
-                                     som_p + fom_p, sr_p + fr_p)
 
     R1 = (phi_p + om_p) + dt * (sphi_p + som_p)
     R2 = (phi_m - om_m) + dt * (sphi_m - som_m)
@@ -303,12 +274,17 @@ def _reference_transport_step(state, p, ws, dt, frozen_mid=None,
             0.5 * (R1 + R2), 0.5 * (R3 + R4), 0.5 * (R1 - R2), 0.5 * (R3 - R4))
 
 
-def _wavy_forcing(x, t):
-    return (0.2 * np.sin(x + t), 0.1 * np.cos(x), 0.05 * np.sin(2.0 * x),
-            -0.03 * np.cos(x - t))
+def _edge_bump_state(g, ws, a_right, a_left, far_field):
+    """Data up to both edges, with a far field apart from both edge values."""
+    bump = (a_right * np.exp(-(g.nodes - 7.5) ** 2)
+            + a_left * np.exp(-(g.nodes + 7.5) ** 2))
+    return PolarState.from_primitives(g, 0.6 + bump, 0.5 + 0.5 * bump,
+                                      bump, -bump, ws, time=0.3,
+                                      far_field=far_field)
 
 
-@pytest.mark.parametrize("case", ["plain", "frozen", "far_field", "forcing"])
+@pytest.mark.parametrize("case", ["plain", "frozen", "far_field",
+                                  "frozen_both_edges"])
 def test_transport_step_matches_per_field_reference(case):
     g = Grid1D(-8.0, 8.0, 257)
     p = reference_potential() if case == "plain" else flat_point_potential(0.5)
@@ -325,13 +301,23 @@ def test_transport_step_matches_per_field_reference(case):
     elif case == "far_field":
         # data up to the edges and a far field apart from the edge values:
         # feet of the boundary nodes leave the grid and read the far field
-        bump = 0.1 * np.exp(-(g.nodes - 7.5) ** 2)
-        st = PolarState.from_primitives(g, 0.6 + bump, 0.5 + 0.5 * bump,
-                                        bump, -bump, ws, time=0.3,
-                                        far_field=(0.65, 0.52))
+        st = _edge_bump_state(g, ws, 0.1, 0.0, far_field=(0.65, 0.52))
         assert np.any(g.nodes + dt * ws.c(st.psi) > g.x_max)
-    elif case == "forcing":
-        kw = dict(forcing=_wavy_forcing)
+    elif case == "frozen_both_edges":
+        # frozen states as well as the departure state carry data at both
+        # edges; the +c family's feet leave on the left and the -c family's
+        # on the right in the same step, so both halves of the stacked
+        # query read the far field, which is the departure state's and not
+        # the one the frozen states carry
+        st = _edge_bump_state(g, ws, 0.1, -0.08, far_field=(0.65, 0.52))
+        kw = dict(frozen_mid=_edge_bump_state(g, ws, 0.12, -0.1, (0.6, 0.5)),
+                  frozen_end=_edge_bump_state(g, ws, 0.09, -0.06, (0.6, 0.5)))
+        c = ws.c(st.psi)
+        assert np.any(g.nodes - dt * c < g.x_min - 0.5 * g.dx)
+        assert np.any(g.nodes + dt * c > g.x_max + 0.5 * g.dx)
+        for edge in (0, -1):
+            assert abs(st.psi[edge] - 0.65) > 0.01
+            assert abs(st.s[edge] - 0.52) > 0.01
     out = transport_step(st, p, ws, dt, **kw)
     ref = _reference_transport_step(st, p, ws, dt, **kw)
     for name, want in zip(("psi", "s", "phi", "v", "omega", "r"), ref):
@@ -427,6 +413,28 @@ def _multi_window_run(observer=None):
     res = advance(st, p, ws, cfg, 12 * cfg.dt, observer=observer)
     assert len(res.traces) > 1
     return g, p, ws, cfg, res
+
+
+def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
+    # both characteristic families go through one stacked query set
+    import varwave.quasilinear as ql
+    calls = {"step": 0, "stencil": 0, "sources": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(ql, "transport_step",
+                        counting("step", ql.transport_step))
+    monkeypatch.setattr(ql, "stencil", counting("stencil", ql.stencil))
+    monkeypatch.setattr(ql, "rhs_sources",
+                        counting("sources", ql.rhs_sources))
+    _multi_window_run()
+    assert calls["step"] > 0
+    assert calls["stencil"] == 2 * calls["step"]
+    assert calls["sources"] == calls["step"]
 
 
 def test_advance_evaluates_each_level_energy_once(monkeypatch):
