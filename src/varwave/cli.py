@@ -20,6 +20,7 @@ versions, so a rerun of the same config produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -294,25 +295,34 @@ def _cmd_run_hs2(cfg: RunConfig, args) -> int:
     markers = make_markers((grid_cfg["x_min"], grid_cfg["x_max"]),
                            grid_cfg["n"], u0, rho0, du0=u0.derivative)
     t_final = cfg.time["t_final"]
+    # round the step count up, so the step taken never exceeds the one asked
+    # for and evolve_markers' dt * sup|alpha| gate judges at most that step
     dt = cfg.time.get("dt", 1e-3)
-    steps = max(1, int(round(t_final / dt)))
+    steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / steps
 
-    out = _resolve_out_dir(cfg, args)
     every = cfg.outputs["energy_every"]
     frames = itertools.count()
 
-    with open(os.path.join(out, "trajectory.csv"), "w") as fh:
-        fh.write(HS_TRAJECTORY_HEADER + "\n")
+    with contextlib.ExitStack() as files:
+        fh = None
 
         def observer(st):
+            nonlocal fh
             if next(frames) % every and abs(st.time - t_final) > 1e-12:
                 return
+            if fh is None:
+                # opened on the first frame, which evolve_markers hands over
+                # only after its entry checks, so a refused run writes nothing
+                fh = files.enter_context(open(os.path.join(
+                    _resolve_out_dir(cfg, args), "trajectory.csv"), "w"))
+                fh.write(HS_TRAJECTORY_HEADER + "\n")
             write_csv_rows(fh, (st.time, st.xi, st.x, st.u, st.alpha,
                                 st.rho, st.J))
 
         result = evolve_markers(markers, t_final, dt, observer=observer)
 
+    out = _resolve_out_dir(cfg, args)
     blow = {
         "broke": result.broke,
         "t_star": result.t_star,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +63,12 @@ class PotentialSpec:
         if np.any(s < 0.0) or np.any(s >= 1.0):
             raise DomainError("potential evaluated outside [0, 1)")
         return (self.eval_0, self.eval_1, self.eval_2, self.eval_3, self.eval_4)[order](s)
+
+    @cached_property
+    def origin_derivatives(self):
+        """W0''(0) and W0'''(0), evaluated once per potential."""
+        zero = np.zeros(1)
+        return self.eval_2(zero)[0], self.eval_3(zero)[0]
 
 
 def rational_potential(numerator: Polynomial, zeros=(), flat_point=None, name="") -> PotentialSpec:

@@ -19,10 +19,11 @@ E_t = (c^2 F)_x holds along solutions, which the diagnostics verify.)
 The scheme is semi-Lagrangian: each Riemann variable is pulled back along
 its characteristic (midpoint rule for the foot) and the sources are applied
 at the characteristic midpoint, with coefficient fields frozen from the
-previous iterate of a whole-window fixed point.  Windows halve when the
-iteration fails to contract or when a budget monitor (energy, W^{1,inf}
-norm, 1/s) trips, so acceptance of a window is itself the certificate that
-the linearization was taken inside the contraction regime.
+previous iterate of a fixed point solved step by step inside a window.
+Windows halve when a step's iteration fails to contract or when a budget
+monitor (energy, W^{1,inf} norm, 1/s) trips, so acceptance of a window is
+itself the certificate that the linearization was taken inside the
+contraction regime.
 
 Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 _S_FLOOR = 1e-12
-_FIXPOINT_MAX = 40  # fixed-point sweeps per window attempt
+_FIXPOINT_MAX = 40  # fixed-point passes per step before the attempt fails
 _MAX_HALVINGS = 20  # window halvings before NonContractionError
 _CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
@@ -159,8 +160,9 @@ def rhs_sources(p: PotentialSpec, ws: WaveSpeed, psi, s, phi, v, omega, r):
     s = np.asarray(s, dtype=float)
     if np.min(s) <= _S_FLOOR:
         raise DegeneracyError(f"order parameter fell to {np.min(s):.3e}")
-    c = ws.c(psi)
-    cp_over_c = ws.c_prime(psi) / c
+    # c'/c = (K1 - K3) sin cos / c^2, from one sin and one cos
+    sn, cs = np.sin(psi), np.cos(psi)
+    cp_over_c = (ws.K1 - ws.K3) * sn * cs / (ws.K1 * sn * sn + ws.K3 * cs * cs)
     s_phi = -(2.0 / s) * (phi * v - omega * r) - cp_over_c * r * r / (s * s)
     s_v = s * (phi * phi - omega * omega) + cp_over_c * omega * r - p.eval_1(s)
     s_omega = cp_over_c * phi * omega
@@ -290,7 +292,7 @@ class QuasilinearConfig:
 class FixpointTrace:
     window_start: float
     steps: int
-    diff_norms: List[float]
+    diff_norms: List[List[float]]  # per step: the successive differences
     converged: bool
     halvings: int = 0
 
@@ -333,27 +335,27 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec,
 
 def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                     cfg: QuasilinearConfig, steps: int):
-    """One fixed-point attempt at a window of `steps` steps."""
-    guess = [U0] + [U0.copy() for _ in range(steps)]
-    for j in range(1, steps + 1):
-        guess[j].time = U0.time + j * cfg.dt
-    diffs: List[float] = []
-    for _ in range(_FIXPOINT_MAX):
-        traj = [U0]
-        cur = U0
-        for j in range(steps):
-            mid = _average_state(guess[j], guess[j + 1])
-            cur = transport_step(cur, p, ws, cfg.dt, frozen_mid=mid,
-                                 frozen_end=guess[j + 1])
-            traj.append(cur)
-        # sup over levels of the W^{1,inf} distance to the previous sweep
-        d = _w1_sup(U0.grid, np.array([a.U - b.U for a, b
-                                       in zip(traj[1:], guess[1:])]))
-        diffs.append(d)
-        guess = traj
-        if d < cfg.fixpoint_tol:
-            return guess, diffs, True
-    return guess, diffs, False
+    """One attempt at a window of `steps` steps, its fixed point solved per
+    step: level j+1 iterates y <- T(x_j, frozen_mid=avg(x_j, y),
+    frozen_end=y) from y = x_j (the plain step) until the W^{1,inf} change
+    is below cfg.fixpoint_tol.  A step still moving after _FIXPOINT_MAX
+    passes fails the attempt."""
+    traj, diffs = [U0], []
+    for _ in range(steps):
+        x = y = traj[-1]
+        diffs.append([])
+        for _ in range(_FIXPOINT_MAX):
+            y_new = transport_step(x, p, ws, cfg.dt,
+                                   frozen_mid=_average_state(x, y),
+                                   frozen_end=y)
+            diffs[-1].append(_w1_sup(U0.grid, y_new.U - y.U))
+            y = y_new
+            if diffs[-1][-1] < cfg.fixpoint_tol:
+                break
+        else:
+            return traj, diffs, False
+        traj.append(y)
+    return traj, diffs, True
 
 
 def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
@@ -361,20 +363,20 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                    max_steps: Optional[int] = None,
                    budgets: Optional[Tuple[float, float]] = None
                    ) -> Tuple[List[PolarState], float, FixpointTrace, list]:
-    """Solve one local window as a whole-trajectory fixed point.
+    """Solve one local window, its fixed point solved step by step.
 
-    The map takes a guessed trajectory to the semi-Lagrangian solution of
-    the linear system with coefficients and sources frozen on the guess; its
-    fixed point is the nonlinear solution.  The attempted window is
-    cfg.T_local; it halves whenever the iteration fails to contract or a
-    converged candidate violates the budgets (energy above E', W^{1,inf}
-    norm or sup(1/s) above L').  `budgets` is the pair (E', L'); None
-    resolves it from U0 (resolve_budgets), and initial data already over
-    the budgets raise ConfigError.  Returns (trajectory including the
-    initial level, achieved_T actually covered, iteration trace, measures):
-    for each level after the initial one, measures holds its densities
-    (E, F, c2F, EmW), total energy, budget norm max(W^{1,inf}, sup 1/s) and
-    the gradient sup of phi, v, omega, r.
+    Each step's map takes a guessed next level to the semi-Lagrangian step
+    of the linear system with coefficients and sources frozen on the
+    average of the current level and the guess; its fixed point is the
+    nonlinear step.  The attempted window is cfg.T_local; it halves whenever
+    a step fails to contract or a converged candidate violates the budgets
+    (energy above E', W^{1,inf} norm or sup(1/s) above L').  `budgets` is
+    the pair (E', L'); None resolves it from U0 (resolve_budgets), and
+    initial data already over the budgets raise ConfigError.  Returns
+    (trajectory including the initial level, achieved_T actually covered,
+    iteration trace, measures): for each level after the initial one,
+    measures holds its densities (E, F, c2F, EmW), total energy, budget
+    norm max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
     """
     E_prime, L_prime = resolve_budgets(U0, p, ws) if budgets is None else budgets
     _, E0, norm0, _ = _measure(U0, p, ws)

@@ -62,8 +62,7 @@ def source_term(p: PotentialSpec, z):
     small = s < 1e-7
     s_safe = np.where(small, 1.0, s)
     ratio = p.eval_1(np.where(small, 0.0, s)) / s_safe
-    w2_0 = p.eval_2(np.zeros(1))[0]
-    w3_0 = p.eval_3(np.zeros(1))[0]
+    w2_0, w3_0 = p.origin_derivatives
     ratio = np.where(small, w2_0 + 0.5 * w3_0 * s, ratio)
     return ratio * z
 

@@ -174,24 +174,30 @@ def test_unreadable_initial_file_exits_2(tmp_path, capsys, solver, bad_cell):
 ], ids=["hs2-text_amplitude", "hs2-list_rho_value", "quasilinear-text_psi_base",
         "semilinear-numeric_text", "semilinear-numeric_family"])
 def test_bad_initial_data_value_exits_2(tmp_path, capsys, solver, key, value):
-    doc = {"solver": solver, "initial_data": {key: value}}
+    out = tmp_path / "o"
+    doc = {"solver": solver, "initial_data": {key: value},
+           "outputs": {"out_dir": str(out)}}
     if solver == "quasilinear":
         doc["potential"] = {"name": "flat4"}
     cfg = _write_config(tmp_path, doc)
     assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
     assert f"initial_data.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 @pytest.mark.parametrize("solver", ["hs2", "quasilinear"])
 def test_non_finite_config_number_exits_2(tmp_path, capsys, solver, token):
     path = tmp_path / "cfg.json"
-    path.write_text('{"solver": "%s", "time": {"t_final": %s}}\n'
-                    % (solver, token))
+    out = tmp_path / "o"
+    path.write_text('{"solver": "%s", "time": {"t_final": %s}, '
+                    '"outputs": {"out_dir": %s}}\n'
+                    % (solver, token, json.dumps(str(out))))
     assert main(["run-" + solver, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "time.t_final must be a finite number" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
@@ -318,6 +324,37 @@ def test_hs2_breaking_run_exits_5_with_blowup_report(tmp_path, capsys):
     assert manifest["achieved_T"] < 1.5
     assert manifest["artifacts"] == ["blowup.json", "manifest.json",
                                      "trajectory.csv"]
+
+
+def _hs2_short_breaking_doc(out_dir, dt, t_final):
+    doc = _hs2_breaking_doc(out_dir)
+    doc["grid"]["n"] = 257
+    doc["time"] = {"t_final": t_final, "dt": dt}
+    doc["outputs"]["energy_every"] = 1
+    return doc
+
+
+def test_hs2_step_never_exceeds_requested_dt(tmp_path, capsys):
+    # sup|alpha| is about 2, so dt = 0.049 passes the dt * sup|alpha| <= 0.1
+    # gate; t_final / dt = 2.4 rounded to the nearest count would run two
+    # steps of 0.0588 and trip it
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, _hs2_short_breaking_doc(str(out), 0.049,
+                                                          0.1176))
+    assert main(["run-hs2", "--config", cfg, "--quiet"]) == 0
+    t = np.unique(np.loadtxt(out / "trajectory.csv", delimiter=",",
+                             skiprows=1, usecols=0))
+    assert len(t) == 4 and np.max(np.diff(t)) <= 0.049
+    assert t[-1] == pytest.approx(0.1176)
+
+
+def test_hs2_refused_step_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, _hs2_short_breaking_doc(str(out), 0.06,
+                                                          0.12))
+    assert main(["run-hs2", "--config", cfg, "--quiet"]) == 2
+    assert "too large for initial slopes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hs2_survival_run_exits_0(tmp_path, capsys):

@@ -55,6 +55,38 @@ def test_sources_guard_degenerate_order_parameter():
         rhs_sources(p, ws, z, np.array([0.5, 0.5, 1e-13, 0.5]), z, z, z, z)
 
 
+def _reference_rhs_sources(p, ws, psi, s, phi, v, omega, r):
+    """The sources with c'/c taken as ws.c_prime(psi) / ws.c(psi)."""
+    cp_over_c = ws.c_prime(psi) / ws.c(psi)
+    return (-(2.0 / s) * (phi * v - omega * r) - cp_over_c * r * r / (s * s),
+            s * (phi * phi - omega * omega) + cp_over_c * omega * r
+            - p.eval_1(s),
+            cp_over_c * phi * omega,
+            cp_over_c * phi * r)
+
+
+@pytest.mark.parametrize("K1, K3", [(2.0, 1.0), (1.0, 4.0), (3.0, 3.0)])
+def test_sources_match_speed_derivative_form(K1, K3):
+    p = flat_point_potential(0.5)
+    ws = wave_speed(K1, K3)
+    psi = np.linspace(0.0, 2.0 * math.pi, 4001)
+    one = np.ones_like(psi)
+    # with phi = omega = r = 1 the omega and r sources are c'/c itself
+    got = rhs_sources(p, ws, psi, 0.5 * one, one, 0.0 * one, one, one)
+    want = _reference_rhs_sources(p, ws, psi, 0.5 * one, one, 0.0 * one, one,
+                                  one)
+    for a, b in zip(got[2:], want[2:]):
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
+    # general fields: every source within 1e-14 of its largest magnitude
+    rng = np.random.default_rng(11)
+    phi, v, omega, r = rng.normal(size=(4, psi.size)) * 0.3
+    s = 0.3 + 0.4 * rng.random(psi.size)
+    got = rhs_sources(p, ws, psi, s, phi, v, omega, r)
+    want = _reference_rhs_sources(p, ws, psi, s, phi, v, omega, r)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
 def _manufactured(g):
     """Smooth overlapping fields with analytic gradients for the constraints."""
     x = g.nodes
@@ -343,7 +375,9 @@ def test_fixpoint_equilibrium_converges_immediately():
     st = _equilibrium_state(g)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.2)
     traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
-    assert trace.converged and len(trace.diff_norms) == 1
+    # every step converges on its first pass
+    assert trace.converged and trace.steps > 1
+    assert [len(d) for d in trace.diff_norms] == [1] * trace.steps
     assert covered == pytest.approx(trace.steps * cfg.dt)
     assert np.max(np.abs(traj[-1].psi - math.pi / 4.0)) < 1e-14
     assert np.max(np.abs(traj[-1].s - 0.5)) < 1e-14
@@ -357,11 +391,69 @@ def test_fixpoint_iterates_decay_geometrically():
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1, fixpoint_tol=1e-12)
     traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
     assert trace.converged
-    d = trace.diff_norms
-    assert len(d) >= 3
-    for a, b in zip(d[1:-1], d[2:]):
-        if a > 1e-11:
-            assert b / a <= 0.9
+    assert len(trace.diff_norms) == trace.steps
+    assert max(len(d) for d in trace.diff_norms) >= 3
+    # within each step the iteration contracts
+    for d in trace.diff_norms:
+        for a, b in zip(d[:-1], d[1:]):
+            if a > 1e-11:
+                assert b / a <= 0.9
+
+
+def _reference_window_sweep(U0, p, ws, cfg, steps):
+    """The whole-window sweep the per-step fixed point replaced: each sweep
+    reruns the window with coefficients frozen on the previous sweep's
+    trajectory, from a constant guess, until the sup over levels of the
+    W^{1,inf} change falls below cfg.fixpoint_tol."""
+    import varwave.quasilinear as ql
+    guess = [U0] + [U0.copy() for _ in range(steps)]
+    for j in range(1, steps + 1):
+        guess[j].time = U0.time + j * cfg.dt
+    diffs = []
+    for _ in range(ql._FIXPOINT_MAX):
+        traj = [U0]
+        cur = U0
+        for j in range(steps):
+            mid = ql._average_state(guess[j], guess[j + 1])
+            cur = ql.transport_step(cur, p, ws, cfg.dt, frozen_mid=mid,
+                                    frozen_end=guess[j + 1])
+            traj.append(cur)
+        d = ql._w1_sup(U0.grid, np.array([a.U - b.U for a, b
+                                          in zip(traj[1:], guess[1:])]))
+        diffs.append(d)
+        guess = traj
+        if d < cfg.fixpoint_tol:
+            return guess, diffs, True
+    return guess, diffs, False
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_per_step_fixed_point_matches_window_sweep(monkeypatch, n):
+    # both solve the same fixed point; only the stopping rule differs
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, n)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.5, fixpoint_tol=1e-10)
+    calls = {"step": 0}
+    step = ql.transport_step
+
+    def counting(*args, **kw):
+        calls["step"] += 1
+        return step(*args, **kw)
+
+    monkeypatch.setattr(ql, "transport_step", counting)
+    new = advance(st, p, ws, cfg, 32 * cfg.dt)
+    per_step_calls, calls["step"] = calls["step"], 0
+    monkeypatch.setattr(ql, "_iterate_window", _reference_window_sweep)
+    old = advance(st, p, ws, cfg, 32 * cfg.dt)
+    # several multi-step windows, accepted alike by both
+    assert [t.steps for t in new.traces] == [t.steps for t in old.traces]
+    assert len(new.traces) > 1 and new.traces[0].steps > 1
+    assert all(len(t.diff_norms) == t.steps for t in new.traces)
+    assert ql._w1_sup(g, new.state.U - old.state.U) < 100.0 * cfg.fixpoint_tol
+    assert per_step_calls < calls["step"]
 
 
 def test_fixpoint_rejects_data_over_budget():

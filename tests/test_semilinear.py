@@ -50,6 +50,28 @@ def test_source_smooth_through_zero():
     assert abs((vals[2] - vals[1]) - 6.0 * (s[2] - s[1])) < 1e-12
 
 
+def test_source_evaluates_origin_derivatives_once_per_potential():
+    import dataclasses
+    calls = []
+
+    def counting(ev):
+        def wrapped(s):
+            calls.append(np.size(s))
+            return ev(s)
+        return wrapped
+
+    ref = reference_potential()
+    p = dataclasses.replace(ref, eval_2=counting(ref.eval_2),
+                            eval_3=counting(ref.eval_3))
+    z = np.array([0.0, 1e-9, 0.2 - 0.1j])
+    for _ in range(5):
+        got = source_term(p, z)
+    assert calls == [1, 1]
+    assert np.array_equal(got, source_term(ref, z))
+    # W0''(0) = 2 and W0'''(0) = 12 for the reference potential
+    assert p.origin_derivatives == (2.0, 12.0)
+
+
 def test_source_escape_guard():
     from varwave import StateEscapeError
     p = reference_potential()
