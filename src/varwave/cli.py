@@ -36,8 +36,8 @@ from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
 from .diagnostics import energy_density_complex, fit_order, write_energy_csv
-from .fields import (ComplexField, integrate, read_snapshot_csv,
-                     write_csv_rows, write_snapshot_csv)
+from .fields import (ComplexField, centered_derivative, integrate,
+                     read_snapshot_csv, write_csv_rows, write_snapshot_csv)
 from .potentials import apriori_constants, ensure_valid, validate_potential
 from .profiles import constant, make_profile, zero
 from .semilinear import SemilinearConfig, contraction_window, picard_solve
@@ -215,7 +215,7 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
                           f"dt = dx/c = {dt!r} this solver is exact on")
     t_final = cfg.time["t_final"]
 
-    zx = np.gradient(f0.zeta, grid.dx, edge_order=2)
+    zx = centered_derivative(grid, f0.zeta)
     E0 = float(integrate(grid, energy_density_complex(
         f0.zeta, f0.zeta_t, zx, p, c)[0]))
     try:

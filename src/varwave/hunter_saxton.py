@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import ConfigError, DomainError, WavebreakingError
 
@@ -240,8 +239,11 @@ def sample_eulerian(st: MarkerState, x_query) -> Tuple[np.ndarray, np.ndarray]:
     x_query is an array of positions or a Grid1D.  u is monotone-safe
     (piecewise cubic Hermite through the markers); rho is the derivative of
     the cumulative rho mass, which keeps the integral of rho across any
-    marker range exact even where markers bunch up.
+    marker range exact even where markers bunch up.  scipy.interpolate is
+    imported here, on the first call, so importing varwave stays cheap.
     """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     x = st.x
     if np.any(np.diff(x) <= 0.0):
         raise DomainError("marker positions are not increasing: too close to "

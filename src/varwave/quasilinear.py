@@ -27,8 +27,8 @@ contraction regime.
 
 Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
-stencils (midpoints, feet), each sampling all six fields in one call, and
-makes one rhs_sources call.
+stencils, the midpoints sampling all six fields in one call and the feet
+the four Riemann fields in one call, and makes one rhs_sources call.
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
 
     Both families in one pass: 2 stencils, one rhs_sources call.  The query
     set has 2n points, the n nodes of the +c family followed by those of the
-    -c family, and the two stencils (midpoints on the frozen midpoint state,
-    feet on the departure state) each sample all six rows at once.
+    -c family.  The midpoint stencil samples all six rows of the frozen
+    midpoint state at once, the foot stencil the four rows (phi, v, omega, r)
+    of the departure state that the Riemann updates read.
     """
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
@@ -244,12 +245,12 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     half = x + sign * np.tile(0.5 * dt * ws.c(end.psi), 2)
     args = stencil(g, half).apply(mid.U, fill=far)
     foot = x + sign * (dt * ws.c(args[0]))
-    dep = stencil(g, foot).apply(state.U, fill=far)
+    dep = stencil(g, foot).apply(state.U[2:], fill=far[2:])
     src = np.array(rhs_sources(p, ws, *args))
 
     # Riemann updates: (phi - omega, v - r) ride the right-moving family,
-    # (phi + omega, v + r) the left-moving one
-    R = (dep[2:4] + sign * dep[4:6]) + dt * (src[0:2] + sign * src[2:4])
+    # (phi + omega, v + r) the left-moving one; dep holds (phi, v, omega, r)
+    R = (dep[0:2] + sign * dep[2:4]) + dt * (src[0:2] + sign * src[2:4])
     right, left = R[:, :g.n], R[:, g.n:]
 
     # pointwise ODEs for the primitives, midpoint rule on frozen data

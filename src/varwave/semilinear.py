@@ -239,6 +239,9 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
     diffs: List[float] = []
+    # level 0 carries no correction: once the first iterate has pinned its
+    # ends it is the same array in every iterate, so later distances skip it
+    lo = 0
     for _ in range(_PICARD_MAX):
         q = source_term(p, hat_z)
         corr_z, corr_zt = _cone_corrections(grid, q, q_ff, cfg.c, cfg.dt)
@@ -247,7 +250,9 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
         # boundary pinned to the (equilibrium) far field
         new_z[:, 0] = new_z[:, -1] = f0.far_field
         new_zt[:, 0] = new_zt[:, -1] = 0.0
-        d = float(np.max(state_distance(grid, new_z, new_zt, hat_z, hat_zt, p)))
+        d = float(np.max(state_distance(grid, new_z[lo:], new_zt[lo:],
+                                        hat_z[lo:], hat_zt[lo:], p)))
+        lo = 1
         diffs.append(d)
         hat_z, hat_zt = new_z, new_zt
         if d < cfg.picard_tol:
@@ -289,7 +294,7 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     log = EnergyLog(grid, cfg.dt)
 
     def record_level(zeta, zeta_t, t):
-        zx = np.gradient(zeta, grid.dx, edge_order=2)
+        zx = centered_derivative(grid, zeta)
         sup = float(np.max(np.abs(zeta)))
         violated = bound is not None and sup > bound
         log.record(t, energy_density_complex(zeta, zeta_t, zx, p, cfg.c),

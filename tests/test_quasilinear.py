@@ -508,9 +508,17 @@ def _multi_window_run(observer=None):
 
 
 def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
-    # both characteristic families go through one stacked query set
+    # both characteristic families go through one stacked query set; the
+    # midpoints sample all six rows, the feet the four the Riemann updates read
     import varwave.quasilinear as ql
+    from varwave.fields import Stencil
     calls = {"step": 0, "stencil": 0, "sources": 0}
+    rows = []
+    apply = Stencil.apply
+
+    def recording(self, samples, fill=None):
+        rows.append(np.shape(samples)[0])
+        return apply(self, samples, fill=fill)
 
     def counting(key, fn):
         def wrapped(*args, **kw):
@@ -523,10 +531,12 @@ def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
     monkeypatch.setattr(ql, "stencil", counting("stencil", ql.stencil))
     monkeypatch.setattr(ql, "rhs_sources",
                         counting("sources", ql.rhs_sources))
+    monkeypatch.setattr(Stencil, "apply", recording)
     _multi_window_run()
     assert calls["step"] > 0
     assert calls["stencil"] == 2 * calls["step"]
     assert calls["sources"] == calls["step"]
+    assert rows == [6, 4] * calls["step"]
 
 
 def test_advance_evaluates_each_level_energy_once(monkeypatch):

@@ -307,6 +307,50 @@ def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
             == [len(d) for d in old.trace.diff_norms])
 
 
+def _all_levels_window_iterate(grid, f0, p, cfg, m):
+    """The Picard window with the distance taken over every level 0..m."""
+    base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
+    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+    hat_z, hat_zt = base_z.copy(), base_zt.copy()
+    diffs = []
+    for _ in range(semilinear._PICARD_MAX):
+        corr_z, corr_zt = _cone_corrections(grid, source_term(p, hat_z), q_ff,
+                                            cfg.c, cfg.dt)
+        new_z, new_zt = base_z + corr_z, base_zt + corr_zt
+        new_z[:, 0] = new_z[:, -1] = f0.far_field
+        new_zt[:, 0] = new_zt[:, -1] = 0.0
+        diffs.append(float(np.max(semilinear.state_distance(
+            grid, new_z, new_zt, hat_z, hat_zt, p))))
+        hat_z, hat_zt = new_z, new_zt
+        if diffs[-1] < cfg.picard_tol:
+            return hat_z, hat_zt, diffs, True
+    return hat_z, hat_zt, diffs, False
+
+
+@pytest.mark.parametrize("amp, width, window_steps, steps", [
+    (2e-10, 9.0, 0.5, 8),  # one-step windows, edge 9e-11 off the far field
+    (0.1, 1.0, 8, 24),     # three 8-step windows, edge 1.6e-29
+], ids=["one_step_windows", "three_8_step_windows"])
+def test_picard_distance_without_fixed_level_matches_all_levels(
+        monkeypatch, amp, width, window_steps, steps):
+    # in the first case the first iterate's boundary pin moves level 0 by
+    # more than the Duhamel correction moves level 1, so leaving level 0 out
+    # of that first distance would change diff_norms
+    g = Grid1D(-8.0, 8.0, 129)
+    zeta = amp * np.exp(-(g.nodes / width) ** 2)
+    f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
+    p = ensure_valid(reference_potential())
+    cfg = SemilinearConfig.aligned(g, 1.0, T_window=window_steps * g.dx)
+    new = picard_solve(f0, p, cfg, steps * g.dx)
+    monkeypatch.setattr(semilinear, "_window_iterate",
+                        _all_levels_window_iterate)
+    old = picard_solve(f0, p, cfg, steps * g.dx)
+    assert len(new.trace.diff_norms) == (steps if window_steps < 1 else 3)
+    assert new.trace.diff_norms == old.trace.diff_norms
+    assert np.array_equal(new.field.zeta, old.field.zeta)
+    assert np.array_equal(new.field.zeta_t, old.field.zeta_t)
+
+
 def test_duhamel_rejects_misshapen_history():
     g = Grid1D(-8.0, 8.0, 257)
     with pytest.raises(ConfigError):
