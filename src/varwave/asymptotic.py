@@ -37,8 +37,10 @@ import numpy as np
 
 from .diagnostics import fit_order
 from .errors import ConfigError, VarwaveError
+# interpolate is not called here (extract builds one stencil); the name
+# stays bound because perfbench/tracing.py wraps this module attribute
 from .fields import (Grid1D, centered_derivative, interpolate, l2_norm,
-                     trapezoid_weights)
+                     stencil, trapezoid_weights)
 from .hunter_saxton import evolve_markers, make_markers, sample_eulerian
 from .potentials import PotentialSpec, WaveSpeed
 from .quasilinear import PolarState, QuasilinearConfig, advance
@@ -249,8 +251,7 @@ def extract(cfg: AsymptoticConfig, state: PolarState, y_query) -> ExtractedSlow:
         raise ConfigError("cannot extract slow fields at epsilon = 0")
     y = np.atleast_1d(np.asarray(y_query, dtype=float))
     x = y + cfg.c0 * state.time
-    psi_q = interpolate(state.grid, state.psi, x)
-    r_q = interpolate(state.grid, state.r, x)
+    psi_q, r_q = stencil(state.grid, x).apply(state.U[[0, 5]])
     u = (psi_q - cfg.psi0) / cfg.epsilon
     rho = r_q / (cfg.ws.c(psi_q) * cfg.epsilon)
     return ExtractedSlow(y=y, u=u, rho=rho, tau=slow_time(cfg, state.time),

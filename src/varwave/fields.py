@@ -75,18 +75,21 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Four-point Lagrange stencil of one set of query points on a grid.
+    """Four-point Lagrange stencil of one set of m query points on a grid.
 
     Built once by `stencil` and applied to any number of sample arrays on
     that grid: `apply` interpolates along the last axis, so one call samples
-    a (k, n) stack of fields at the same queries.
+    a (k, n) stack of fields at the same queries.  Everything a query needs
+    is an index array made at build time: its four stencil nodes, the
+    queries that sit on a node and that node, and the queries outside the
+    grid.
     """
 
-    base: np.ndarray     # first of the four stencil nodes, per query
-    weights: tuple       # the four Lagrange weights, per query
+    index: np.ndarray    # (4, m) the four stencil nodes of each query
+    weights: np.ndarray  # (4, m) their Lagrange weights
     snap: np.ndarray     # queries on a node (to 1e-9 cells) ...
     snap_node: np.ndarray  # ... and the node each of them sits on
-    inside: np.ndarray   # queries inside the grid
+    outside: np.ndarray  # queries outside the grid (NaN included)
     scalar: bool
 
     def apply(self, samples, fill=None):
@@ -97,17 +100,25 @@ class Stencil:
         array gives each row of a stack its own far-field constant.
         """
         samples = np.asarray(samples)
-        outside = not np.all(self.inside)
-        if fill is None and outside:
+        if fill is None and self.outside.size:
             raise DomainError("interpolation query outside the grid")
-        w0, w1, w2, w3 = self.weights
-        at = lambda k: np.take(samples, self.base + k, axis=-1)
-        out = w0 * at(0) + w1 * at(1) + w2 * at(2) + w3 * at(3)
+        # (..., 4, m) samples times weights, summed in node order
+        terms = samples.take(self.index, axis=-1).astype(
+            np.result_type(samples, self.weights), copy=False)
+        terms *= self.weights
+        out = terms[..., 0, :] + terms[..., 1, :]
+        out += terms[..., 2, :]
+        out += terms[..., 3, :]
         # snap exact nodes so interpolation at a node returns the sample bitwise
-        if self.snap_node.size:
-            out[..., self.snap] = np.take(samples, self.snap_node, axis=-1)
-        if outside:
-            out = np.where(self.inside, out, fill)
+        if self.snap.size:
+            out[..., self.snap] = samples.take(self.snap_node, axis=-1)
+        if self.outside.size:
+            fill = np.asarray(fill)
+            out = out.astype(np.result_type(out, fill), copy=False)
+            # a fill with one value per query gives its outside columns
+            per_query = fill.ndim and fill.shape[-1] == out.shape[-1]
+            out[..., self.outside] = (fill[..., self.outside] if per_query
+                                      else fill)
         return out[..., 0] if self.scalar else out
 
 
@@ -115,19 +126,36 @@ def stencil(grid: Grid1D, x) -> Stencil:
     """Interpolation stencil of the query points x (see `interpolate`)."""
     x = np.asarray(x, dtype=float)
     xq = np.atleast_1d(x)
-    inside = grid.inside(xq)
+    outside = np.flatnonzero(~grid.inside(xq))
 
-    pos = (xq - grid.x_min) / grid.dx
-    pos = np.clip(pos, 0.0, grid.n - 1.0)
-    jbase = np.clip(np.floor(pos).astype(int) - 1, 0, grid.n - 4)
+    # fmax/fmin clamp like clip but send NaN to the floor, so no NaN reaches
+    # the integer cast; NaN and +-inf queries are outside and get the fill
+    pos = np.fmin(np.fmax((xq - grid.x_min) / grid.dx, 0.0), grid.n - 1.0)
+    # pos >= 0, so the cast truncates to the floor
+    jbase = np.minimum(np.maximum(pos.astype(np.intp) - 1, 0), grid.n - 4)
     t = pos - (jbase + 1)  # offset from the second stencil node, in cells
 
-    tm, t0, t1, t2 = t + 1.0, t, t - 1.0, t - 2.0
-    weights = (-t0 * t1 * t2 / 6.0, tm * t1 * t2 / 2.0,
-               -tm * t0 * t2 / 2.0, tm * t0 * t1 / 6.0)
-    near = np.abs(pos - np.round(pos)) < 1e-9
-    return Stencil(jbase, weights, near, np.round(pos[near]).astype(int),
-                   inside, x.ndim == 0)
+    # the Lagrange weights -t (t-1)(t-2)/6, (t+1)(t-1)(t-2)/2,
+    # -(t+1) t (t-2)/2, (t+1) t (t-1)/6, multiplied left to right; the signs
+    # sit on the divisors, since (-a) b = -(a b) and a / -d = -(a / d) exactly
+    tm, t1, t2 = t + 1.0, t - 1.0, t - 2.0
+    weights = np.empty((4, t.size))
+    a = t * t1
+    a *= t2
+    np.divide(a, -6.0, out=weights[0])
+    np.multiply(tm, t1, out=a)
+    a *= t2
+    np.divide(a, 2.0, out=weights[1])
+    tm_t = tm * t
+    np.multiply(tm_t, t2, out=a)
+    np.divide(a, -2.0, out=weights[2])
+    np.multiply(tm_t, t1, out=a)
+    np.divide(a, 6.0, out=weights[3])
+
+    node = np.round(pos)
+    snap = np.flatnonzero(np.abs(pos - node) < 1e-9)
+    return Stencil(jbase + np.arange(4)[:, None], weights, snap,
+                   node[snap].astype(np.intp), outside, x.ndim == 0)
 
 
 def interpolate(grid: Grid1D, samples: np.ndarray, x, fill=None):

@@ -294,6 +294,14 @@ class WaveSpeed:
         psi = np.asarray(psi, dtype=float)
         return np.sqrt(self.K1 * np.sin(psi) ** 2 + self.K3 * np.cos(psi) ** 2)
 
+    def speed_and_ratio(self, psi):
+        """c(psi) and c'(psi)/c(psi) = (K1 - K3) sin cos / c^2, from one sin
+        and one cos; c is bitwise the value `c` returns."""
+        psi = np.asarray(psi, dtype=float)
+        sn, cs = np.sin(psi), np.cos(psi)
+        c2 = self.K1 * sn ** 2 + self.K3 * cs ** 2
+        return np.sqrt(c2), (self.K1 - self.K3) * sn * cs / c2
+
     def c_prime(self, psi):
         psi = np.asarray(psi, dtype=float)
         return (self.K1 - self.K3) * np.sin(psi) * np.cos(psi) / self.c(psi)

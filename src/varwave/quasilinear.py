@@ -33,6 +33,7 @@ the four Riemann fields in one call, and makes one rhs_sources call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -97,6 +98,15 @@ class PolarState:
         self.far_field = (far_field if far_field is not None
                           else (float(self.psi[0]), float(self.s[0])))
 
+    @classmethod
+    def _adopt(cls, grid: Grid1D, U: np.ndarray, time: float,
+               far_field: Tuple[float, float]) -> "PolarState":
+        """Wrap a fresh (6, n) array without copying it; the caller hands
+        U over and keeps no other reference to it."""
+        st = cls.__new__(cls)
+        st.grid, st.U, st.time, st.far_field = grid, U, time, far_field
+        return st
+
     def check(self):
         """Enforce positivity, the order-parameter range, and pinned edges."""
         if not np.all(np.isfinite(self.s)) or np.min(self.s) <= 0.0:
@@ -146,28 +156,40 @@ class PolarState:
 
 
 def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
+    """max(sup|U|, sup|centered_derivative(grid, U)|) along the last axis,
+    without building the derivative: dividing by the positive 2 dx after
+    the max gives the same number, and the ends use np.gradient's
+    second-order coefficients."""
+    dx = grid.dx
+    ends = ((-1.5 / dx) * U[..., 0] + (2.0 / dx) * U[..., 1]
+            + (-0.5 / dx) * U[..., 2],
+            (0.5 / dx) * U[..., -3] + (-2.0 / dx) * U[..., -2]
+            + (1.5 / dx) * U[..., -1])
     return max(float(np.max(np.abs(U))),
-               float(np.max(np.abs(centered_derivative(grid, U)))))
+               float(np.max(np.abs(U[..., 2:] - U[..., :-2]))) / (2.0 * dx),
+               float(np.max(np.abs(ends))))
 
 
-def rhs_sources(p: PotentialSpec, ws: WaveSpeed, psi, s, phi, v, omega, r):
-    """Zeroth-order source terms (S_phi, S_v, S_omega, S_r).
+def rhs_sources(p: PotentialSpec, cp_over_c, s, phi, v, omega, r):
+    """Zeroth-order source terms, the rows (S_phi, S_v, S_omega, S_r) of one
+    (4, m) array.
 
-    These are everything on the right of the transport operators.  Raises
+    These are everything on the right of the transport operators; cp_over_c
+    is c'/c at the angle (WaveSpeed.speed_and_ratio).  Raises
     DegeneracyError when s touches the floor where the 1/s and 1/s^2
     factors blow up.
     """
     s = np.asarray(s, dtype=float)
     if np.min(s) <= _S_FLOOR:
         raise DegeneracyError(f"order parameter fell to {np.min(s):.3e}")
-    # c'/c = (K1 - K3) sin cos / c^2, from one sin and one cos
-    sn, cs = np.sin(psi), np.cos(psi)
-    cp_over_c = (ws.K1 - ws.K3) * sn * cs / (ws.K1 * sn * sn + ws.K3 * cs * cs)
-    s_phi = -(2.0 / s) * (phi * v - omega * r) - cp_over_c * r * r / (s * s)
-    s_v = s * (phi * phi - omega * omega) + cp_over_c * omega * r - p.eval_1(s)
-    s_omega = cp_over_c * phi * omega
-    s_r = cp_over_c * phi * r
-    return s_phi, s_v, s_omega, s_r
+    out = np.empty((4,) + s.shape)
+    out[0] = -(2.0 / s) * (phi * v - omega * r) - cp_over_c * r * r / (s * s)
+    out[1] = (s * (phi * phi - omega * omega) + cp_over_c * omega * r
+              - p.eval_1(s))
+    cp_phi = cp_over_c * phi
+    np.multiply(cp_phi, omega, out=out[2])
+    np.multiply(cp_phi, r, out=out[3])
+    return out
 
 
 def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
@@ -213,6 +235,16 @@ def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
     return cur if np.ndim(x) else float(cur[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _family_queries(grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
+    """The 2n query nodes of both families and their signs, read-only: the
+    +c family (moving right, foot to the left) first, then the -c family."""
+    x = np.tile(grid.nodes, 2)
+    sign = np.repeat([-1.0, 1.0], grid.n)
+    x.flags.writeable = sign.flags.writeable = False
+    return x, sign
+
+
 def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float,
                    frozen_mid: Optional[PolarState] = None,
                    frozen_end: Optional[PolarState] = None) -> PolarState:
@@ -235,29 +267,34 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
     far = np.array(state.far)[:, None]
-    x = np.tile(g.nodes, 2)
-    # +c family (moving right, foot to the left) first, then the -c family
-    sign = np.repeat([-1.0, 1.0], g.n)
+    x, sign = _family_queries(g)
 
     # feet, RK2 through frozen angles; the frozen midpoint state sampled at
-    # the half-way points also feeds the sources, and its angle row gives
-    # the midpoint speeds
-    half = x + sign * np.tile(0.5 * dt * ws.c(end.psi), 2)
+    # the half-way points also feeds the sources, and one sin and one cos
+    # of its angle row give the midpoint speeds and the sources' c'/c
+    half = (x.reshape(2, g.n) + sign.reshape(2, g.n)
+            * (0.5 * dt * ws.c(end.psi))).reshape(-1)
     args = stencil(g, half).apply(mid.U, fill=far)
-    foot = x + sign * (dt * ws.c(args[0]))
+    c_mid, cp_over_c = ws.speed_and_ratio(args[0])
+    foot = x + sign * (dt * c_mid)
     dep = stencil(g, foot).apply(state.U[2:], fill=far[2:])
-    src = np.array(rhs_sources(p, ws, *args))
+    src = rhs_sources(p, cp_over_c, *args[1:])
 
     # Riemann updates: (phi - omega, v - r) ride the right-moving family,
     # (phi + omega, v + r) the left-moving one; dep holds (phi, v, omega, r)
     R = (dep[0:2] + sign * dep[2:4]) + dt * (src[0:2] + sign * src[2:4])
     right, left = R[:, :g.n], R[:, g.n:]
 
+    # the new level, written row block by row block into one fresh array:
     # pointwise ODEs for the primitives, midpoint rule on frozen data
-    # (without frozen_end, 0.5 * (a + a) == a exactly)
-    prim = state.U[:2] + dt * (0.5 * (state.U[2:4] + end.U[2:4]))
-    out = PolarState(g, *prim, *(0.5 * (left + right)), *(0.5 * (left - right)),
-                     time=state.time + dt, far_field=state.far_field)
+    # (without frozen_end, 0.5 * (a + a) == a exactly), then the Riemann
+    # variables split back into (phi, v) and (omega, r)
+    U = np.empty_like(state.U)
+    np.add(state.U[:2], dt * (0.5 * (state.U[2:4] + end.U[2:4])), out=U[:2])
+    np.add(left, right, out=U[2:4])
+    np.subtract(left, right, out=U[4:])
+    U[2:] *= 0.5
+    out = PolarState._adopt(g, U, state.time + dt, state.far_field)
     if np.min(out.s) <= _S_FLOOR:
         raise DegeneracyError(
             f"order parameter fell to {np.min(out.s):.3e} at t = {out.time:.6f}")
@@ -308,8 +345,9 @@ class QuasilinearResult:
 
 
 def _average_state(a: PolarState, b: PolarState) -> PolarState:
-    return PolarState(a.grid, *(0.5 * (a.U + b.U)),
-                      time=0.5 * (a.time + b.time), far_field=a.far_field)
+    U = a.U + b.U
+    U *= 0.5
+    return PolarState._adopt(a.grid, U, 0.5 * (a.time + b.time), a.far_field)
 
 
 def _measure(st: PolarState, p: PotentialSpec, ws: WaveSpeed):

@@ -1,6 +1,7 @@
 """Grid primitives: interpolation, quadrature, norms, snapshot files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,12 +78,58 @@ def test_interpolate_scalar_query_returns_scalar():
     assert np.ndim(out) == 0
 
 
+def test_non_finite_queries_are_outside_without_a_warning():
+    g = Grid1D(0.0, 1.0, 17)
+    q = np.array([np.nan, np.inf, -np.inf, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert interpolate(g, g.nodes, q, fill=-7.0).tolist() == [
+            -7.0, -7.0, -7.0, 0.5]
+        for x in q[:3]:
+            with pytest.raises(DomainError):
+                interpolate(g, g.nodes, x)
+            assert interpolate(g, g.nodes, x, fill=-7.0) == -7.0
+
+
+def _reference_stencil(grid, x):
+    """`stencil` and `Stencil.apply` as written before the index-array
+    rewrite (np.clip, one take per node, np.where over the whole result),
+    kept as its bitwise oracle; returns apply(samples, fill=None)."""
+    x = np.asarray(x, dtype=float)
+    xq = np.atleast_1d(x)
+    inside = grid.inside(xq)
+    pos = np.clip((xq - grid.x_min) / grid.dx, 0.0, grid.n - 1.0)
+    with np.errstate(invalid="ignore"):  # NaN queries: an undefined cast
+        jbase = np.clip(np.floor(pos).astype(int) - 1, 0, grid.n - 4)
+    t = pos - (jbase + 1)
+    tm, t0, t1, t2 = t + 1.0, t, t - 1.0, t - 2.0
+    w0, w1, w2, w3 = (-t0 * t1 * t2 / 6.0, tm * t1 * t2 / 2.0,
+                      -tm * t0 * t2 / 2.0, tm * t0 * t1 / 6.0)
+    near = np.abs(pos - np.round(pos)) < 1e-9
+    snap_node = np.round(pos[near]).astype(int)
+
+    def apply(samples, fill=None):
+        samples = np.asarray(samples)
+        outside = not np.all(inside)
+        if fill is None and outside:
+            raise DomainError("interpolation query outside the grid")
+        at = lambda k: np.take(samples, jbase + k, axis=-1)
+        out = w0 * at(0) + w1 * at(1) + w2 * at(2) + w3 * at(3)
+        if snap_node.size:
+            out[..., near] = np.take(samples, snap_node, axis=-1)
+        if outside:
+            out = np.where(inside, out, fill)
+        return out[..., 0] if x.ndim == 0 else out
+    return apply
+
+
 @st.composite
 def _stack_and_queries(draw):
     """A grid, a (k, n) stack of samples, per-row fills, and query points
-    mixing near-node points, interior points and points outside the grid;
-    the last item maps each near-node query to its node (-1 elsewhere)."""
-    n = draw(st.integers(16, 48))
+    mixing near-node points, interior points, points outside the grid, NaN
+    and +-inf, the grid ends and points 5e-13 cells past them; the last
+    item maps each near-node query to its node (-1 elsewhere)."""
+    n = draw(st.one_of(st.just(16), st.integers(16, 48)))
     k = draw(st.integers(1, 6))
     g = Grid1D(-1.0, 2.0, n)
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -97,6 +144,15 @@ def _stack_and_queries(draw):
                  rng.uniform(g.x_min - 0.5, g.x_max + 0.5, size=m))
     if draw(st.booleans()):
         q = np.clip(q, g.x_min, g.x_max)
+    tol = 5e-13 * g.dx
+    special = [(np.nan, -1), (np.inf, -1), (-np.inf, -1), (g.x_min, 0),
+               (g.x_max, n - 1), (g.x_min - tol, 0), (g.x_max + tol, n - 1)]
+    picks = draw(st.lists(st.sampled_from(special), max_size=4))
+    if picks:
+        q = np.concatenate([q, [x for x, _ in picks]])
+        node = np.concatenate([node, [j for _, j in picks]])
+        order = rng.permutation(q.size)
+        q, node = q[order], node[order]
     return g, samples, fill, q, node
 
 
@@ -130,6 +186,30 @@ def test_stacked_stencil_matches_rowwise_interpolate(case):
     assert np.array_equal(out, rows(q[0], fill[:, 0]))
     assert np.array_equal(centered_derivative(g, samples),
                           np.array([centered_derivative(g, f) for f in samples]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stack_and_queries())
+def test_stencil_matches_reference_bitwise(case):
+    g, samples, fill, q, _ = case
+    want = _reference_stencil(g, q)
+    sten = stencil(g, q)
+    assert np.array_equal(sten.apply(samples, fill=fill), want(samples, fill))
+    assert np.array_equal(sten.apply(samples[0], fill=fill[0, 0]),
+                          want(samples[0], fill[0, 0]))
+    per_query = np.linspace(-1.0, 1.0, q.size)
+    assert np.array_equal(sten.apply(samples, fill=per_query),
+                          want(samples, per_query))
+    if g.contains(q):
+        assert np.array_equal(sten.apply(samples), want(samples))
+    else:
+        with pytest.raises(DomainError):
+            sten.apply(samples)
+    # scalar queries, one value per row
+    for x in q:
+        got = stencil(g, x).apply(samples, fill=fill)
+        assert got.shape == (len(samples),)
+        assert np.array_equal(got, _reference_stencil(g, x)(samples, fill))
 
 
 # --- integrate ---------------------------------------------------------------

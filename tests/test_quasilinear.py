@@ -22,12 +22,17 @@ from varwave.quasilinear import resolve_budgets
 # --- rhs_sources -------------------------------------------------------------
 
 
+def _sources(p, ws, psi, s, phi, v, omega, r):
+    """rhs_sources at the angle psi, its c'/c from WaveSpeed."""
+    return rhs_sources(p, ws.speed_and_ratio(psi)[1], s, phi, v, omega, r)
+
+
 def test_sources_vanish_at_flat_equilibrium():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     n = 32
     z = np.zeros(n)
-    out = rhs_sources(p, ws, np.full(n, 0.7), np.full(n, 0.5), z, z, z, z)
+    out = _sources(p, ws, np.full(n, 0.7), np.full(n, 0.5), z, z, z, z)
     for arr in out:
         assert np.max(np.abs(arr)) == 0.0
 
@@ -40,7 +45,7 @@ def test_sources_isotropic_case_drops_speed_coupling():
     n = 64
     psi, phi, v, omega, r = rng.normal(size=(5, n)) * 0.1
     s = 0.4 + 0.05 * rng.random(n)
-    s_phi, s_v, s_omega, s_r = rhs_sources(p, ws, psi, s, phi, v, omega, r)
+    s_phi, s_v, s_omega, s_r = _sources(p, ws, psi, s, phi, v, omega, r)
     assert np.allclose(s_omega, 0.0, atol=1e-16)
     assert np.allclose(s_r, 0.0, atol=1e-16)
     assert np.allclose(s_phi, -(2.0 / s) * (phi * v - omega * r), rtol=1e-12)
@@ -52,7 +57,7 @@ def test_sources_guard_degenerate_order_parameter():
     ws = wave_speed(1.0, 1.0)
     z = np.zeros(4)
     with pytest.raises(DegeneracyError):
-        rhs_sources(p, ws, z, np.array([0.5, 0.5, 1e-13, 0.5]), z, z, z, z)
+        _sources(p, ws, z, np.array([0.5, 0.5, 1e-13, 0.5]), z, z, z, z)
 
 
 def _reference_rhs_sources(p, ws, psi, s, phi, v, omega, r):
@@ -72,7 +77,7 @@ def test_sources_match_speed_derivative_form(K1, K3):
     psi = np.linspace(0.0, 2.0 * math.pi, 4001)
     one = np.ones_like(psi)
     # with phi = omega = r = 1 the omega and r sources are c'/c itself
-    got = rhs_sources(p, ws, psi, 0.5 * one, one, 0.0 * one, one, one)
+    got = _sources(p, ws, psi, 0.5 * one, one, 0.0 * one, one, one)
     want = _reference_rhs_sources(p, ws, psi, 0.5 * one, one, 0.0 * one, one,
                                   one)
     for a, b in zip(got[2:], want[2:]):
@@ -81,7 +86,7 @@ def test_sources_match_speed_derivative_form(K1, K3):
     rng = np.random.default_rng(11)
     phi, v, omega, r = rng.normal(size=(4, psi.size)) * 0.3
     s = 0.3 + 0.4 * rng.random(psi.size)
-    got = rhs_sources(p, ws, psi, s, phi, v, omega, r)
+    got = _sources(p, ws, psi, s, phi, v, omega, r)
     want = _reference_rhs_sources(p, ws, psi, s, phi, v, omega, r)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
@@ -110,7 +115,7 @@ def _energy_law_residual(g, p, ws, corrupt_phi_source=False):
     c = ws.c(psi)
     omega = c * psi_x
     r = c * s_x
-    s_phi, s_v, s_omega, s_r = rhs_sources(p, ws, psi, s, phi, v, omega, r)
+    s_phi, s_v, s_omega, s_r = _sources(p, ws, psi, s, phi, v, omega, r)
     if corrupt_phi_source:
         s_phi = s_phi + 2.0 * (ws.c_prime(psi) / c) * r * r / (s * s)
     cd = lambda f: centered_derivative(g, f)
@@ -293,8 +298,8 @@ def _reference_transport_step(state, p, ws, dt, frozen_mid=None,
     psi_m, s_m, phi_m, v_m, om_m, r_m = each(dep, foot_m)
     psi_p, s_p, phi_p, v_p, om_p, r_p = each(dep, foot_p)
     mid_fields = (mid.psi, mid.s, mid.phi, mid.v, mid.omega, mid.r)
-    sphi_m, sv_m, som_m, sr_m = rhs_sources(p, ws, *each(mid_fields, half_m))
-    sphi_p, sv_p, som_p, sr_p = rhs_sources(p, ws, *each(mid_fields, half_p))
+    sphi_m, sv_m, som_m, sr_m = _sources(p, ws, *each(mid_fields, half_m))
+    sphi_p, sv_p, som_p, sr_p = _sources(p, ws, *each(mid_fields, half_p))
 
     R1 = (phi_p + om_p) + dt * (sphi_p + som_p)
     R2 = (phi_m - om_m) + dt * (sphi_m - som_m)
@@ -316,18 +321,21 @@ def _edge_bump_state(g, ws, a_right, a_left, far_field):
 
 
 @pytest.mark.parametrize("case", ["plain", "frozen", "far_field",
-                                  "frozen_both_edges"])
+                                  "frozen_both_edges", "non_dyadic_speed"])
 def test_transport_step_matches_per_field_reference(case):
     g = Grid1D(-8.0, 8.0, 257)
     p = reference_potential() if case == "plain" else flat_point_potential(0.5)
-    ws = wave_speed(2.0, 1.0)
+    # elastic constants that are not powers of two: c^2 and c'/c are no
+    # longer exact rescalings of sin^2 and cos^2
+    ws = (wave_speed(1.7, 0.9) if case == "non_dyadic_speed"
+          else wave_speed(2.0, 1.0))
     dt = 0.8 * g.dx / ws.c_max
     st = _bump_state(g, ws, psi0=0.6, s0=0.5)
     st.phi = 0.05 * np.sin(g.nodes)
     st.v = 0.02 * np.cos(g.nodes)
     st.time = 0.3
     kw = {}
-    if case == "frozen":
+    if case in ("frozen", "non_dyadic_speed"):
         kw = dict(frozen_mid=_bump_state(g, ws, a_psi=0.12, a_s=0.04),
                   frozen_end=_bump_state(g, ws, a_psi=0.08, a_s=0.06))
     elif case == "far_field":
@@ -464,6 +472,25 @@ def test_fixpoint_rejects_data_over_budget():
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
     with pytest.raises(ConfigError, match="budget"):
         fixpoint_solve(st, p, ws, cfg, budgets=(1e-9, 1e9))
+
+
+@pytest.mark.parametrize("n", [16, 17, 257])
+def test_w1_sup_matches_materialized_derivative(n):
+    # the continuation norm without building the derivative: the same float
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, n)
+    rng = np.random.default_rng(n)
+    stacks = [rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+              for shape in [(n,), (6, n), (3, 6, n)] for _ in range(20)]
+    # steep ends only, so the one-sided edge formulas hold the max
+    for edge in (0, 1, -2, -1):
+        U = 1e-3 * rng.normal(size=(6, n))
+        U[2, edge] = 1.0
+        stacks.append(U)
+    for U in stacks:
+        want = max(float(np.max(np.abs(U))),
+                   float(np.max(np.abs(centered_derivative(g, U)))))
+        assert ql._w1_sup(g, U) == want
 
 
 def test_resolve_budgets_defaults_double_initial_values():
