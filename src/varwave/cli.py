@@ -276,7 +276,7 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
     steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / steps
 
-    qcfg = QuasilinearConfig(dt=dt, T_local=min(t_final, max(dt, 0.25)))
+    qcfg = QuasilinearConfig(dt=dt, T_local=0.25)
     observer, snapshots = _snapshot_keeper(cfg, dt, steps)
     result = advance(state, p, ws, qcfg, t_final, observer=observer)
     _write_solver_run(cfg, args, result, snapshots, write_polar_snapshot_csv,
@@ -428,15 +428,6 @@ _RUNNERS = {
     "run-asymptotic": _cmd_run_asymptotic,
 }
 
-_SOLVER_FOR = {
-    "validate-potential": "validate-potential",
-    "run-semilinear": "semilinear",
-    "run-quasilinear": "quasilinear",
-    "run-hs2": "hs2",
-    "run-asymptotic": "asymptotic",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varwave",
@@ -466,7 +457,7 @@ def main(argv=None) -> int:
         if args.config is None:
             raise ConfigError(f"{args.command} needs --config PATH")
         cfg = load_config(args.config)
-        expected = _SOLVER_FOR[args.command]
+        expected = args.command.removeprefix("run-")
         if cfg.solver != expected:
             raise ConfigError(f"config names solver {cfg.solver!r} but the "
                               f"subcommand expects {expected!r}")

@@ -20,10 +20,10 @@ The scheme is semi-Lagrangian: each Riemann variable is pulled back along
 its characteristic (midpoint rule for the foot) and the sources are applied
 at the characteristic midpoint, with coefficient fields frozen from the
 previous iterate of a fixed point solved step by step inside a window.
-Windows halve when a step's iteration fails to contract or when a budget
-monitor (energy, W^{1,inf} norm, 1/s) trips, so acceptance of a window is
-itself the certificate that the linearization was taken inside the
-contraction regime.
+A window ends before its first step whose iteration fails to contract or
+whose level trips a budget monitor (energy, W^{1,inf} norm, 1/s), so every
+accepted level certifies that its linearization was taken inside the
+contraction regime; a window whose first step fails ends the run.
 
 Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 _S_FLOOR = 1e-12
-_FIXPOINT_MAX = 40  # fixed-point passes per step before the attempt fails
-_MAX_HALVINGS = 20  # window halvings before NonContractionError
+_FIXPOINT_MAX = 40  # fixed-point passes per step before the step fails
 _CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
@@ -332,7 +331,7 @@ class FixpointTrace:
     steps: int
     diff_norms: List[List[float]]  # per step: the successive differences
     converged: bool
-    halvings: int = 0
+    halvings: int = 0  # windows end before a failing step; always 0
 
 
 @dataclass
@@ -374,11 +373,12 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec,
 
 def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                     cfg: QuasilinearConfig, steps: int):
-    """One attempt at a window of `steps` steps, its fixed point solved per
+    """A window of up to `steps` steps, its fixed point solved per
     step: level j+1 iterates y <- T(x_j, frozen_mid=avg(x_j, y),
     frozen_end=y) from y = x_j (the plain step) until the W^{1,inf} change
     is below cfg.fixpoint_tol.  A step still moving after _FIXPOINT_MAX
-    passes fails the attempt."""
+    passes ends the window: traj then holds the levels before it, diffs
+    that step's passes too, and converged is False."""
     traj, diffs = [U0], []
     for _ in range(steps):
         x = y = traj[-1]
@@ -397,6 +397,13 @@ def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     return traj, diffs, True
 
 
+def _over_budgets(E: float, norm: float,
+                  budgets: Tuple[float, float]) -> bool:
+    """Whether a level is over (E', L'); the energy has 1e-9 relative slack."""
+    E_prime, L_prime = budgets
+    return E > E_prime * (1.0 + 1e-9) or norm > L_prime
+
+
 def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                    cfg: QuasilinearConfig,
                    max_steps: Optional[int] = None,
@@ -407,9 +414,13 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     Each step's map takes a guessed next level to the semi-Lagrangian step
     of the linear system with coefficients and sources frozen on the
     average of the current level and the guess; its fixed point is the
-    nonlinear step.  The attempted window is cfg.T_local; it halves whenever
-    a step fails to contract or a converged candidate violates the budgets
-    (energy above E', W^{1,inf} norm or sup(1/s) above L').  `budgets` is
+    nonlinear step.  The window attempts cfg.T_local (at most max_steps
+    steps) once and ends before its first failing step: one that does not
+    contract within _FIXPOINT_MAX passes, or whose level violates the
+    budgets (energy above E', W^{1,inf} norm or sup(1/s) above L'); a step
+    depends only on the level before it, so no shorter attempt could pass
+    it.  A failing first step raises NonContractionError or
+    AprioriViolationError from U0.  `budgets` is
     the pair (E', L'); None resolves it from U0 (resolve_budgets), and
     initial data already over the budgets raise ConfigError.  Returns
     (trajectory including the initial level, achieved_T actually covered,
@@ -417,41 +428,34 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     measures holds its densities (E, F, c2F, EmW), total energy, budget
     norm max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
     """
-    E_prime, L_prime = resolve_budgets(U0, p, ws) if budgets is None else budgets
+    budgets = resolve_budgets(U0, p, ws) if budgets is None else budgets
     _, E0, norm0, _ = _measure(U0, p, ws)
-    if E0 > E_prime or norm0 > L_prime:
+    if _over_budgets(E0, norm0, budgets):
         raise ConfigError(
             f"initial data violates the budgets: energy {E0:.6g} vs E' = "
-            f"{E_prime:.6g}, norm {norm0:.6g} vs L' = {L_prime:.6g}")
+            f"{budgets[0]:.6g}, norm {norm0:.6g} vs L' = {budgets[1]:.6g}")
     steps = max(1, int(math.floor(cfg.T_local / cfg.dt + 1e-9)))
     if max_steps is not None:
         steps = min(steps, max_steps)
 
-    halvings = 0
-    while True:
-        traj, diffs, converged = _iterate_window(U0, p, ws, cfg, steps)
-        if converged:
-            measures = []
-            for st in traj[1:]:
-                measures.append(_measure(st, p, ws))
-                _, E, norm, _ = measures[-1]
-                if E > E_prime * (1.0 + 1e-9) or norm > L_prime:
-                    break
-            else:
-                trace = FixpointTrace(U0.time, steps, diffs, True,
-                                      halvings=halvings)
-                return traj, steps * cfg.dt, trace, measures
-        if steps == 1 or halvings >= _MAX_HALVINGS:
-            if converged:
-                raise AprioriViolationError(
-                    f"budgets exceeded at t = {U0.time:.6f} even on a single "
-                    f"step (E' = {E_prime:.6g}, L' = {L_prime:.6g})",
-                    time=U0.time)
-            raise NonContractionError(
-                f"window at t = {U0.time:.6f} failed to contract after "
-                f"{halvings} halvings", diff_norms=diffs)
-        steps = max(1, steps // 2)
-        halvings += 1
+    traj, diffs, _ = _iterate_window(U0, p, ws, cfg, steps)
+    measures = []
+    for st in traj[1:]:
+        measure = _measure(st, p, ws)
+        if _over_budgets(measure[1], measure[2], budgets):
+            break
+        measures.append(measure)
+    taken = len(measures)
+    if taken == 0 and len(traj) > 1:
+        raise AprioriViolationError(
+            f"budgets exceeded on the step from t = {U0.time:.6f} "
+            f"(E' = {budgets[0]:.6g}, L' = {budgets[1]:.6g})", time=U0.time)
+    if taken == 0:
+        raise NonContractionError(
+            f"step from t = {U0.time:.6f} failed to contract in "
+            f"{_FIXPOINT_MAX} passes", diff_norms=diffs)
+    trace = FixpointTrace(U0.time, taken, diffs[:taken], True)
+    return traj[:taken + 1], taken * cfg.dt, trace, measures
 
 
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,

@@ -82,10 +82,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "grid.dx" in capsys.readouterr().err
 
 
-def test_solver_subcommand_mismatch_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"solver": "hs2"})
-    assert main(["run-semilinear", "--config", cfg]) == 2
-    assert "subcommand expects" in capsys.readouterr().err
+@pytest.mark.parametrize("command, expected", [
+    ("validate-potential", "validate-potential"),
+    ("run-semilinear", "semilinear"), ("run-quasilinear", "quasilinear"),
+    ("run-hs2", "hs2"), ("run-asymptotic", "asymptotic")])
+def test_solver_subcommand_mismatch_exits_2(tmp_path, capsys, command,
+                                            expected):
+    other = "semilinear" if expected == "hs2" else "hs2"
+    cfg = _write_config(tmp_path, {"solver": other})
+    assert main([command, "--config", cfg]) == 2
+    assert f"subcommand expects {expected!r}" in capsys.readouterr().err
 
 
 def test_missing_config_argument_exits_2(capsys):

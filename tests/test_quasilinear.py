@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from varwave import (ConfigError, DegeneracyError, DomainError, Grid1D,
-                     PolarState, QuasilinearConfig, StateEscapeError, advance,
+from varwave import (AprioriViolationError, ConfigError, DegeneracyError,
+                     DomainError, Grid1D, NonContractionError, PolarState,
+                     QuasilinearConfig, StateEscapeError, advance,
                      centered_derivative, energy_density_polar, ensure_valid,
                      fit_order, fixpoint_solve, flat_point_potential,
                      integrate, interpolate, read_polar_snapshot_csv,
@@ -472,6 +473,97 @@ def test_fixpoint_rejects_data_over_budget():
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
     with pytest.raises(ConfigError, match="budget"):
         fixpoint_solve(st, p, ws, cfg, budgets=(1e-9, 1e9))
+
+
+def test_window_entry_uses_the_level_budget_check():
+    # energy within the level check's 1e-9 slack of E': a level the solver
+    # would accept, so it must also start a window
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    _, E0, norm0, _ = ql._measure(st, p, ws)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    budgets = (E0 * (1.0 - 5e-10), 10.0 * norm0)
+    _, covered, trace, _ = fixpoint_solve(st, p, ws, cfg, max_steps=1,
+                                          budgets=budgets)
+    assert trace.steps == 1 and covered == cfg.dt
+
+
+def _failing_run(monkeypatch):
+    """A steep bump on a fine grid, with transport_step counted."""
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, 513)
+    bump = np.exp(-(g.nodes / 0.5) ** 2)
+    ws = wave_speed(2.0, 1.0)
+    z = np.zeros(g.n)
+    st = PolarState.from_primitives(g, math.pi / 4.0 + 0.5 * bump,
+                                    0.5 + 0.1 * bump, z, z, ws,
+                                    far_field=(math.pi / 4.0, 0.5))
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.5, fixpoint_tol=1e-12)
+    calls = {"step": 0}
+    step = ql.transport_step
+
+    def counting(*args, **kw):
+        calls["step"] += 1
+        return step(*args, **kw)
+
+    monkeypatch.setattr(ql, "transport_step", counting)
+    return st, flat_point_potential(0.5), ws, cfg, calls
+
+
+def _assert_levels_of_a_plain_run(levels, st, p, ws, cfg):
+    # each step depends only on the level before it: the levels observed
+    # before the failure are those of an undisturbed run
+    want = []
+    advance(st, p, ws, cfg, (len(levels) - 1) * cfg.dt, observer=want.append)
+    assert [lv.time for lv in levels] == [lv.time for lv in want]
+    assert all(np.array_equal(a.U, b.U) for a, b in zip(levels, want))
+
+
+def test_advance_stops_before_the_step_that_fails_to_contract(monkeypatch):
+    import varwave.quasilinear as ql
+    st, p, ws, cfg, calls = _failing_run(monkeypatch)
+    monkeypatch.setattr(ql, "_FIXPOINT_MAX", 7)
+    levels = []
+    with pytest.raises(NonContractionError) as err:
+        advance(st, p, ws, cfg, 60 * cfg.dt, observer=levels.append)
+    assert len(levels) == 4
+    assert levels[-1].time == pytest.approx(0.053033, abs=1e-6)
+    assert str(err.value).count("t = 0.053033") == 1
+    # one failing step, its seven passes
+    assert len(err.value.diff_norms) == 1 and len(err.value.diff_norms[0]) == 7
+    assert err.value.diff_norms[0][-1] >= cfg.fixpoint_tol
+    assert calls["step"] <= 35
+    monkeypatch.setattr(ql, "_FIXPOINT_MAX", 40)
+    _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
+
+
+def test_advance_stops_before_the_level_over_budget(monkeypatch):
+    import varwave.quasilinear as ql
+    st, p, ws, cfg, calls = _failing_run(monkeypatch)
+    measure = ql._measure
+
+    def drifting(lv, p, ws):
+        dens, E, norm, grad_sup = measure(lv, p, ws)
+        return dens, E, norm + 100.0 * lv.time, grad_sup
+
+    def budgets(U0, p, ws):
+        E_prime, L_prime = resolve_budgets(U0, p, ws)
+        return E_prime, L_prime + 2050.0 * cfg.dt
+
+    monkeypatch.setattr(ql, "_measure", drifting)
+    monkeypatch.setattr(ql, "resolve_budgets", budgets)
+    levels = []
+    with pytest.raises(AprioriViolationError) as err:
+        advance(st, p, ws, cfg, 60 * cfg.dt, observer=levels.append)
+    assert len(levels) == 25
+    assert err.value.time == levels[-1].time
+    assert err.value.time == pytest.approx(0.424264, abs=1e-6)
+    assert calls["step"] < 1443
+    monkeypatch.setattr(ql, "_measure", measure)
+    _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
 
 
 @pytest.mark.parametrize("n", [16, 17, 257])
