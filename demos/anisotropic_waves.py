@@ -43,8 +43,8 @@ for n in (257, 513, 1025):
     c_max = float(np.max(ws.c(st.psi)))
     steps = int(round(T / (0.8 * g.dx / c_max)))
     history = []
-    res = advance(st, p, ws, QuasilinearConfig(dt=T / steps, T_local=0.25),
-                  T, observer=history.append)
+    res = advance(st, p, ws, QuasilinearConfig(dt=T / steps), T,
+                  observer=history.append)
     rE = max(r.residual_E for r in res.energy_reports
              if not math.isnan(r.residual_E))
     rF = max(r.residual_F for r in res.energy_reports

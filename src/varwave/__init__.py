@@ -11,7 +11,7 @@ and a potential-validation gate.
 from .asymptotic import (AsymptoticConfig, ELResidualReport, ExtractedSlow,
                          RescalingMap, SlowCoefficients, action_gradient,
                          action_value, convergence_study, discrete_el_residual,
-                         embed, extract, fast_time, rescaling_from_coefficients,
+                         embed, extract, rescaling_from_coefficients,
                          rescaling_map, slow_time, standardize, strong_residual)
 from .diagnostics import (ENERGY_HEADER, EnergyReport, conservation_residuals,
                           energy_density_complex, energy_density_polar,
@@ -19,9 +19,9 @@ from .diagnostics import (ENERGY_HEADER, EnergyReport, conservation_residuals,
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
-from .fields import (ComplexField, Grid1D, StateNorms, centered_derivative,
-                     integrate, interpolate, norms, read_snapshot_csv,
-                     state_distance, write_snapshot_csv)
+from .fields import (ComplexField, Grid1D, centered_derivative, integrate,
+                     interpolate, read_snapshot_csv, state_distance,
+                     write_snapshot_csv)
 from .hunter_saxton import (HSResult, MarkerState, breaking_time_riccati,
                             evolve_markers, make_markers, marker_rhs,
                             sample_eulerian)
@@ -51,8 +51,8 @@ __all__ = [
     "NonContractionError", "WavebreakingError", "StateEscapeError",
     "AprioriViolationError",
     # fields
-    "Grid1D", "ComplexField", "StateNorms", "interpolate", "integrate",
-    "centered_derivative", "norms", "state_distance", "write_snapshot_csv",
+    "Grid1D", "ComplexField", "interpolate", "integrate",
+    "centered_derivative", "state_distance", "write_snapshot_csv",
     "read_snapshot_csv",
     # potentials
     "PotentialSpec", "ValidationReport", "WaveSpeed", "AprioriConstants",
@@ -78,7 +78,7 @@ __all__ = [
     "sample_eulerian", "breaking_time_riccati",
     # asymptotic
     "AsymptoticConfig", "SlowCoefficients", "RescalingMap", "ExtractedSlow",
-    "ELResidualReport", "embed", "extract", "fast_time", "slow_time",
+    "ELResidualReport", "embed", "extract", "slow_time",
     "rescaling_map", "rescaling_from_coefficients", "standardize",
     "action_value", "action_gradient", "strong_residual",
     "discrete_el_residual", "convergence_study",

@@ -53,7 +53,6 @@ __all__ = [
     "ELResidualReport",
     "embed",
     "extract",
-    "fast_time",
     "slow_time",
     "rescaling_map",
     "rescaling_from_coefficients",
@@ -130,13 +129,6 @@ class AsymptoticConfig:
     @property
     def coefficients(self) -> SlowCoefficients:
         return SlowCoefficients.from_background(self.ws, self.psi0, self.s0)
-
-
-def fast_time(cfg: AsymptoticConfig, tau: float) -> float:
-    """Physical time reaching slow time tau (raw clock tau = epsilon t)."""
-    if cfg.epsilon == 0.0:
-        raise ConfigError("epsilon = 0 has no fast-time image")
-    return tau / cfg.epsilon
 
 
 def slow_time(cfg: AsymptoticConfig, t: float) -> float:
@@ -407,8 +399,8 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 # ---------------------------------------------------------------------------
 # epsilon sweep against the marker reference
 
-# every full-dynamics run of the sweep: CFL number, local window, tolerance
-_CFL, _T_LOCAL, _FIXPOINT_TOL = 0.8, 0.2, 1e-8
+# every full-dynamics run of the sweep: CFL number and fixed-point tolerance
+_CFL, _FIXPOINT_TOL = 0.8, 1e-8
 
 
 def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
@@ -484,7 +476,7 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
         dt0 = _CFL * grid.dx / ws.c_max
         n_steps = int(math.ceil(t_fast / dt0))
-        qcfg = QuasilinearConfig(dt=t_fast / n_steps, T_local=_T_LOCAL,
+        qcfg = QuasilinearConfig(dt=t_fast / n_steps,
                                  fixpoint_tol=_FIXPOINT_TOL)
         try:
             st0 = embed(cfg, grid, p=p)

@@ -276,7 +276,7 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
     steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt = t_final / steps
 
-    qcfg = QuasilinearConfig(dt=dt, T_local=0.25)
+    qcfg = QuasilinearConfig(dt=dt)
     observer, snapshots = _snapshot_keeper(cfg, dt, steps)
     result = advance(state, p, ws, qcfg, t_final, observer=observer)
     _write_solver_run(cfg, args, result, snapshots, write_polar_snapshot_csv,

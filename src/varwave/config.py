@@ -194,6 +194,8 @@ def parse_config(doc: Dict) -> RunConfig:
     if "dt" in time:
         time["dt"] = _require_number(time["dt"], "time.dt", positive=True)
     if "cfl" in time:
+        if solver != "quasilinear":
+            raise ConfigError("time.cfl applies to quasilinear runs only")
         cfl = _require_number(time["cfl"], "time.cfl", positive=True)
         if cfl > 0.9:
             raise ConfigError("time.cfl must not exceed 0.9")

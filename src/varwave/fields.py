@@ -1,16 +1,16 @@
-"""Uniform 1-d grids, sampled fields, interpolation, quadrature, norms.
+"""Uniform 1-d grids, sampled fields, interpolation, quadrature, distances.
 
 Everything downstream (both wave solvers, the marker resampler, the
 diagnostics) flows through these primitives, so their contracts are narrow
 and heavily tested: cubic interpolation is exact on cubics and at nodes,
 quadrature is the piecewise-linear integral (trapezoid plus partial end
-cells), and the norm bundle mirrors the solution-space metric used by the
-fixed-point solvers.
+cells), and state_distance is the solution-space metric of the semilinear
+fixed-point solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,14 +20,12 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "Grid1D",
     "ComplexField",
-    "StateNorms",
     "Stencil",
     "stencil",
     "interpolate",
     "integrate",
     "trapezoid_weights",
     "l2_norm",
-    "norms",
     "state_distance",
     "centered_derivative",
     "write_csv_rows",
@@ -59,10 +57,6 @@ class Grid1D:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
-
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
 
     def inside(self, x) -> np.ndarray:
         """Mask of the points in the grid, ends widened by 1e-12 cells."""
@@ -255,23 +249,9 @@ class ComplexField:
             if abs(self.zeta_t[edge]) > 1e-10:
                 raise ConfigError("boundary time derivative is not zero")
 
-    def zeta_x(self) -> np.ndarray:
-        return centered_derivative(self.grid, self.zeta)
-
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.zeta.copy(), self.zeta_t.copy(),
                             self.far_field, self.time, validate=False)
-
-
-@dataclass(frozen=True)
-class StateNorms:
-    """Norm components of the solution-space metric for one state."""
-
-    sup_zeta: float
-    h1_dist: float
-    sup_zeta_t: float
-    l2_zeta_t: float
-    w0_mass: float
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -285,22 +265,6 @@ def l2_norm(a, h: float):
     """Trapezoid L^2 norm along the last axis of nodal samples spaced h apart."""
     a = np.asarray(a)
     return np.sqrt(np.sum(np.abs(a) ** 2 * trapezoid_weights(a.shape[-1], h), axis=-1))
-
-
-def norms(f: ComplexField, p=None) -> StateNorms:
-    """Norm bundle of a state: sup and H^1 distance to the far field, sup/L2
-    of the velocity, and the L^1 mass of W0(|zeta|) when a potential is given."""
-    h = f.grid.dx
-    w0_mass = 0.0
-    if p is not None:
-        w0_mass = float(np.sum(p.eval_0(np.abs(f.zeta)) * trapezoid_weights(f.grid.n, h)))
-    return StateNorms(
-        sup_zeta=float(np.max(np.abs(f.zeta))),
-        h1_dist=float(l2_norm(f.zeta - f.far_field, h) + l2_norm(f.zeta_x(), h)),
-        sup_zeta_t=float(np.max(np.abs(f.zeta_t))),
-        l2_zeta_t=float(l2_norm(f.zeta_t, h)),
-        w0_mass=w0_mass,
-    )
 
 
 def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p=None):

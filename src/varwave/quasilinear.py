@@ -19,11 +19,12 @@ E_t = (c^2 F)_x holds along solutions, which the diagnostics verify.)
 The scheme is semi-Lagrangian: each Riemann variable is pulled back along
 its characteristic (midpoint rule for the foot) and the sources are applied
 at the characteristic midpoint, with coefficient fields frozen from the
-previous iterate of a fixed point solved step by step inside a window.
-A window ends before its first step whose iteration fails to contract or
-whose level trips a budget monitor (energy, W^{1,inf} norm, 1/s), so every
-accepted level certifies that its linearization was taken inside the
-contraction regime; a window whose first step fails ends the run.
+previous iterate of a fixed point solved one step at a time.  Each level is
+checked against the budget monitors (energy, W^{1,inf} norm, 1/s) as soon
+as it is solved, so every accepted level certifies that its linearization
+was taken inside the contraction regime; a window is only a batch of at
+most _WINDOW_STEPS accepted levels, ended by the first step that fails,
+and a window whose first step fails ends the run.
 
 Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
@@ -67,6 +68,7 @@ __all__ = [
 
 _S_FLOOR = 1e-12
 _FIXPOINT_MAX = 40  # fixed-point passes per step before the step fails
+_WINDOW_STEPS = 7  # levels per window, the batch advance hands on
 _CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
@@ -148,10 +150,6 @@ class PolarState:
     def copy(self) -> "PolarState":
         return PolarState(self.grid, *self.U, time=self.time,
                           far_field=self.far_field)
-
-    def w1_inf(self) -> float:
-        """max over fields of sup|f| and sup|f_x| (the continuation norm)."""
-        return _w1_sup(self.grid, self.U)
 
 
 def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
@@ -304,25 +302,27 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
 
 @dataclass(frozen=True)
 class QuasilinearConfig:
-    """Step, window, and tolerance parameters of the fixed-point solver.
+    """Step and tolerance of the fixed-point solver.
 
-    The budgets the iteration must stay under belong to a run, not to the
-    configuration: advance resolves them once from its initial state (see
-    resolve_budgets) and fixpoint_solve takes them as an argument.
+    Each level is checked as soon as it is solved, so no window length
+    appears here: a window is a batch of at most _WINDOW_STEPS levels and
+    changes no output.  The budgets the iteration must stay under belong to
+    a run, not to the configuration: advance resolves them once from its
+    initial state (see resolve_budgets) and fixpoint_solve takes them as an
+    argument.
     """
 
     dt: float
-    T_local: float
     fixpoint_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.T_local <= 0.0:
-            raise ConfigError("dt and T_local must be positive")
+        if self.dt <= 0.0:
+            raise ConfigError("dt must be positive")
 
     @classmethod
     def cfl(cls, grid: Grid1D, ws: WaveSpeed, cfl: float = 0.8,
-            T_local: float = 0.5, **kw) -> "QuasilinearConfig":
-        return cls(dt=cfl * grid.dx / ws.c_max, T_local=T_local, **kw)
+            **kw) -> "QuasilinearConfig":
+        return cls(dt=cfl * grid.dx / ws.c_max, **kw)
 
 
 @dataclass
@@ -330,7 +330,6 @@ class FixpointTrace:
     window_start: float
     steps: int
     diff_norms: List[List[float]]  # per step: the successive differences
-    converged: bool
     halvings: int = 0  # windows end before a failing step; always 0
 
 
@@ -371,30 +370,21 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec,
     return 2.0 * E0 + 1e-12 * max(1.0, E0), 2.0 * norm0
 
 
-def _iterate_window(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                    cfg: QuasilinearConfig, steps: int):
-    """A window of up to `steps` steps, its fixed point solved per
-    step: level j+1 iterates y <- T(x_j, frozen_mid=avg(x_j, y),
-    frozen_end=y) from y = x_j (the plain step) until the W^{1,inf} change
-    is below cfg.fixpoint_tol.  A step still moving after _FIXPOINT_MAX
-    passes ends the window: traj then holds the levels before it, diffs
-    that step's passes too, and converged is False."""
-    traj, diffs = [U0], []
-    for _ in range(steps):
-        x = y = traj[-1]
-        diffs.append([])
-        for _ in range(_FIXPOINT_MAX):
-            y_new = transport_step(x, p, ws, cfg.dt,
-                                   frozen_mid=_average_state(x, y),
-                                   frozen_end=y)
-            diffs[-1].append(_w1_sup(U0.grid, y_new.U - y.U))
-            y = y_new
-            if diffs[-1][-1] < cfg.fixpoint_tol:
-                break
-        else:
-            return traj, diffs, False
-        traj.append(y)
-    return traj, diffs, True
+def _solve_step(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
+                cfg: QuasilinearConfig):
+    """One step's fixed point: y <- T(x, frozen_mid=avg(x, y),
+    frozen_end=y) from y = x (the plain step) until the W^{1,inf} change is
+    below cfg.fixpoint_tol.  Returns (level, the passes' changes); level is
+    None when the step is still moving after _FIXPOINT_MAX passes."""
+    y, diffs = x, []
+    for _ in range(_FIXPOINT_MAX):
+        y_new = transport_step(x, p, ws, cfg.dt,
+                               frozen_mid=_average_state(x, y), frozen_end=y)
+        diffs.append(_w1_sup(x.grid, y_new.U - y.U))
+        y = y_new
+        if diffs[-1] < cfg.fixpoint_tol:
+            return y, diffs
+    return None, diffs
 
 
 def _over_budgets(E: float, norm: float,
@@ -409,24 +399,25 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
                    max_steps: Optional[int] = None,
                    budgets: Optional[Tuple[float, float]] = None
                    ) -> Tuple[List[PolarState], float, FixpointTrace, list]:
-    """Solve one local window, its fixed point solved step by step.
+    """Solve one window of at most _WINDOW_STEPS (and max_steps) steps.
 
     Each step's map takes a guessed next level to the semi-Lagrangian step
     of the linear system with coefficients and sources frozen on the
     average of the current level and the guess; its fixed point is the
-    nonlinear step.  The window attempts cfg.T_local (at most max_steps
-    steps) once and ends before its first failing step: one that does not
-    contract within _FIXPOINT_MAX passes, or whose level violates the
-    budgets (energy above E', W^{1,inf} norm or sup(1/s) above L'); a step
-    depends only on the level before it, so no shorter attempt could pass
-    it.  A failing first step raises NonContractionError or
-    AprioriViolationError from U0.  `budgets` is
-    the pair (E', L'); None resolves it from U0 (resolve_budgets), and
-    initial data already over the budgets raise ConfigError.  Returns
-    (trajectory including the initial level, achieved_T actually covered,
-    iteration trace, measures): for each level after the initial one,
-    measures holds its densities (E, F, c2F, EmW), total energy, budget
-    norm max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
+    nonlinear step.  Each level is checked as soon as it is solved, and the
+    window ends at the first step that fails: one that does not contract
+    within _FIXPOINT_MAX passes, or whose level violates the budgets
+    (energy above E', W^{1,inf} norm or sup(1/s) above L').  No step after
+    it is computed, and since a step depends only on the level before it,
+    the window length changes no level and no error.  A failing first step
+    raises NonContractionError or AprioriViolationError from U0.
+    `budgets` is the pair (E', L'); None resolves it from U0
+    (resolve_budgets), and initial data already over the budgets raise
+    ConfigError.  Returns (trajectory including the initial level,
+    achieved_T actually covered, iteration trace, measures): for each level
+    after the initial one, measures holds its densities (E, F, c2F, EmW),
+    total energy, budget norm max(W^{1,inf}, sup 1/s) and the gradient sup
+    of phi, v, omega, r.
     """
     budgets = resolve_budgets(U0, p, ws) if budgets is None else budgets
     _, E0, norm0, _ = _measure(U0, p, ws)
@@ -434,34 +425,39 @@ def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
         raise ConfigError(
             f"initial data violates the budgets: energy {E0:.6g} vs E' = "
             f"{budgets[0]:.6g}, norm {norm0:.6g} vs L' = {budgets[1]:.6g}")
-    steps = max(1, int(math.floor(cfg.T_local / cfg.dt + 1e-9)))
+    steps = _WINDOW_STEPS
     if max_steps is not None:
         steps = min(steps, max_steps)
-
-    traj, diffs, _ = _iterate_window(U0, p, ws, cfg, steps)
-    measures = []
-    for st in traj[1:]:
-        measure = _measure(st, p, ws)
-        if _over_budgets(measure[1], measure[2], budgets):
+    traj, diffs, measures = [U0], [], []
+    for _ in range(steps):
+        level, passes = _solve_step(traj[-1], p, ws, cfg)
+        if level is None:
+            if not measures:
+                raise NonContractionError(
+                    f"step from t = {U0.time:.6f} failed to contract in "
+                    f"{_FIXPOINT_MAX} passes", diff_norms=[passes])
             break
+        measure = _measure(level, p, ws)
+        if _over_budgets(measure[1], measure[2], budgets):
+            if not measures:
+                raise AprioriViolationError(
+                    f"budgets exceeded on the step from t = {U0.time:.6f} "
+                    f"(E' = {budgets[0]:.6g}, L' = {budgets[1]:.6g})",
+                    time=U0.time)
+            break
+        traj.append(level)
+        diffs.append(passes)
         measures.append(measure)
     taken = len(measures)
-    if taken == 0 and len(traj) > 1:
-        raise AprioriViolationError(
-            f"budgets exceeded on the step from t = {U0.time:.6f} "
-            f"(E' = {budgets[0]:.6g}, L' = {budgets[1]:.6g})", time=U0.time)
-    if taken == 0:
-        raise NonContractionError(
-            f"step from t = {U0.time:.6f} failed to contract in "
-            f"{_FIXPOINT_MAX} passes", diff_norms=diffs)
-    trace = FixpointTrace(U0.time, taken, diffs[:taken], True)
-    return traj[:taken + 1], taken * cfg.dt, trace, measures
+    return traj, taken * cfg.dt, FixpointTrace(U0.time, taken, diffs), measures
 
 
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
             observer: Optional[Callable] = None) -> QuasilinearResult:
-    """March the state to t_final through fixed-point windows.
+    """March the state to t_final through fixed-point windows (see
+    fixpoint_solve: each level is checked as soon as it is solved, and a
+    window is a batch of levels handed to the log and the observer).
 
     Budgets are resolved once from the initial state and held fixed for the
     whole run.  Energy and flux totals are recorded every step with centered

@@ -12,7 +12,7 @@ argument, made discrete:
   * Picard iteration of whole time windows, window length chosen inside the
     contraction regime dictated by the certified constants.
 
-Iterates converge geometrically in the same metric the state norms report;
+Iterates converge geometrically in the metric of fields.state_distance;
 the iteration trace is part of the public result so contraction is checkable
 from the outside.
 """

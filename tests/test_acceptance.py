@@ -172,7 +172,7 @@ def test_criterion_05_polar_complex_cross_oracle():
                                         np.zeros(g.n), ws,
                                         far_field=(math.pi / 4, 0.5))
         qres = advance(st, p, ws,
-                       QuasilinearConfig(dt=g.dx / 2, T_local=0.25), T)
+                       QuasilinearConfig(dt=g.dx / 2), T)
         diff = np.abs(qres.state.s * np.exp(1j * qres.state.psi)
                       - sres.field.zeta)
         pairs.append((g.dx, float(np.sqrt(integrate(g, diff ** 2)))))
@@ -202,7 +202,7 @@ def test_criterion_06_conservation_residuals_refine():
         c_max = float(np.max(ws.c(psi)))
         steps = max(1, int(round(T / (0.8 * g.dx / c_max))))
         res = advance(st, p, ws,
-                      QuasilinearConfig(dt=T / steps, T_local=0.25), T)
+                      QuasilinearConfig(dt=T / steps), T)
         pairs_E.append((g.dx, max(r.residual_E for r in res.energy_reports
                                   if not math.isnan(r.residual_E))))
         pairs_F.append((g.dx, max(r.residual_F for r in res.energy_reports

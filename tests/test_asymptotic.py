@@ -7,7 +7,7 @@ import pytest
 
 from varwave import (AsymptoticConfig, ConfigError, Grid1D, SlowCoefficients,
                      bump_slope, convergence_study, discrete_el_residual,
-                     embed, evolve_markers, extract, fast_time,
+                     embed, evolve_markers, extract,
                      flat_point_potential, gaussian, integrate, make_markers,
                      fit_order, reference_potential, rescaling_from_coefficients,
                      rescaling_map, sample_eulerian, slow_time, standardize,
@@ -40,9 +40,6 @@ def test_config_rejects_degenerate_backgrounds():
 def test_clocks_are_inverse_scalings():
     cfg = _background(0.25)
     assert slow_time(cfg, 8.0) == pytest.approx(2.0)
-    assert fast_time(cfg, 2.0) == pytest.approx(8.0)
-    with pytest.raises(ConfigError):
-        fast_time(_background(0.0), 1.0)
 
 
 # --- rescaling ---------------------------------------------------------------

@@ -94,6 +94,19 @@ def test_solver_subcommand_mismatch_exits_2(tmp_path, capsys, command,
     assert f"subcommand expects {expected!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, solver", [
+    ("run-semilinear", "semilinear"), ("run-hs2", "hs2")])
+def test_cfl_outside_quasilinear_exits_2_before_writing(tmp_path, capsys,
+                                                        command, solver):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, {"solver": solver,
+                                   "time": {"t_final": 0.1, "cfl": 0.3},
+                                   "outputs": {"out_dir": str(out)}})
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert "time.cfl" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_argument_exits_2(capsys):
     assert main(["run-hs2"]) == 2
     assert "--config" in capsys.readouterr().err

@@ -67,12 +67,21 @@ def test_grid_size_upper_bound():
 
 
 def test_dt_cfl_exclusive():
-    parse_config(_minimal(time={"t_final": 1.0, "dt": 0.01}))
-    parse_config(_minimal(time={"t_final": 1.0, "cfl": 0.5}))
+    q = "quasilinear"
+    parse_config(_minimal(q, time={"t_final": 1.0, "dt": 0.01}))
+    parse_config(_minimal(q, time={"t_final": 1.0, "cfl": 0.5}))
     with pytest.raises(ConfigError, match="dt or cfl"):
-        parse_config(_minimal(time={"t_final": 1.0, "dt": 0.01, "cfl": 0.5}))
+        parse_config(_minimal(q, time={"t_final": 1.0, "dt": 0.01,
+                                       "cfl": 0.5}))
     with pytest.raises(ConfigError, match="cfl"):
-        parse_config(_minimal(time={"t_final": 1.0, "cfl": 0.95}))
+        parse_config(_minimal(q, time={"t_final": 1.0, "cfl": 0.95}))
+
+
+@pytest.mark.parametrize("solver", [s for s in SOLVERS if s != "quasilinear"])
+def test_cfl_rejected_outside_quasilinear_runs(solver):
+    # only run-quasilinear reads time.cfl; the other solvers would ignore it
+    with pytest.raises(ConfigError, match=r"time\.cfl"):
+        parse_config(_minimal(solver, time={"t_final": 1.0, "cfl": 0.3}))
 
 
 def test_initial_data_vocabulary_is_per_solver():

@@ -253,7 +253,7 @@ def test_semilinear_reports_match_reference_recorder():
     f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
     cfg = SemilinearConfig.aligned(g, 1.0, T_window=0.5)
     E0 = float(integrate(g, energy_density_complex(
-        f0.zeta, f0.zeta_t, f0.zeta_x(), p, 1.0)[0]))
+        f0.zeta, f0.zeta_t, centered_derivative(g, f0.zeta), p, 1.0)[0]))
     apriori = apriori_constants(p, E0)
     bound = apriori.cE + 1e-6
     levels = []
@@ -275,7 +275,7 @@ def test_quasilinear_reports_match_reference_recorder():
     z = np.zeros(g.n)
     st = PolarState.from_primitives(g, psi, np.full(g.n, 0.5), z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     levels = []
     out = advance(st, p, ws, cfg, 12 * cfg.dt, observer=levels.append)
     rows = [(s.time, energy_density_polar(*s.U, p, ws),

@@ -1,4 +1,4 @@
-"""Grid primitives: interpolation, quadrature, norms, snapshot files."""
+"""Grid primitives: interpolation, quadrature, distances, snapshot files."""
 
 import math
 import warnings
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varwave import (ComplexField, ConfigError, DomainError, Grid1D,
-                     centered_derivative, integrate, interpolate, norms,
+                     centered_derivative, integrate, interpolate,
                      read_polar_snapshot_csv, read_snapshot_csv,
                      reference_potential, state_distance, write_snapshot_csv)
 from varwave.fields import stencil, trapezoid_weights
@@ -21,7 +21,6 @@ from varwave.fields import stencil, trapezoid_weights
 def test_grid_basic_geometry():
     g = Grid1D(-2.0, 2.0, 17)
     assert g.dx == pytest.approx(0.25)
-    assert g.length == pytest.approx(4.0)
     assert g.nodes[0] == -2.0 and g.nodes[-1] == 2.0
     assert g.contains(0.3) and not g.contains(2.5)
 
@@ -294,41 +293,6 @@ def test_field_copy_is_independent():
     assert f.zeta[5] != f2.zeta[5]
 
 
-# --- norms -------------------------------------------------------------------
-
-
-def test_norms_equilibrium_state():
-    g = Grid1D(-8.0, 8.0, 128)
-    f = ComplexField(g, np.full(g.n, 0.4 + 0.0j), np.zeros(g.n), far_field=0.4)
-    nn = norms(f, reference_potential())
-    assert nn.sup_zeta == pytest.approx(0.4)
-    assert nn.h1_dist == pytest.approx(0.0, abs=1e-13)
-    assert nn.sup_zeta_t == 0.0 and nn.l2_zeta_t == 0.0
-    # W0(0.4) integrated over a length-16 interval
-    w0_exact = 16.0 * 0.4 ** 2 / 0.6 ** 2
-    assert nn.w0_mass == pytest.approx(w0_exact, rel=1e-12)
-
-
-def test_norms_scale_linearly_in_bump_amplitude():
-    g = Grid1D(-8.0, 8.0, 513)
-    n1 = norms(ComplexField(g, _bump(g, 0.1).astype(complex), np.zeros(g.n)))
-    n2 = norms(ComplexField(g, _bump(g, 0.2).astype(complex), np.zeros(g.n)))
-    assert n2.sup_zeta == pytest.approx(2.0 * n1.sup_zeta, rel=1e-12)
-    assert n2.h1_dist == pytest.approx(2.0 * n1.h1_dist, rel=1e-10)
-
-
-def test_norms_velocity_against_gaussian_integral():
-    # l2 of a e^{-(x/w)^2} is a sqrt(w sqrt(pi/2)) on a wide interval
-    g = Grid1D(-10.0, 10.0, 2001)
-    a, w = 0.3, 0.7
-    zt = a * np.exp(-(g.nodes / w) ** 2)
-    f = ComplexField(g, np.zeros(g.n, dtype=complex), zt.astype(complex))
-    exact = a * math.sqrt(w * math.sqrt(math.pi / 2.0))
-    nn = norms(f)
-    assert nn.sup_zeta_t == pytest.approx(a)
-    assert nn.l2_zeta_t == pytest.approx(exact, rel=1e-6)
-
-
 def test_state_distance_separates_and_vanishes():
     g = Grid1D(-8.0, 8.0, 128)
     f1 = ComplexField(g, _bump(g, 0.1).astype(complex), np.zeros(g.n))
@@ -437,8 +401,9 @@ def test_snapshot_round_trip(tmp_path):
     f2 = read_snapshot_csv(path)
     assert f2.grid.n == g.n
     assert f2.grid.x_min == pytest.approx(g.x_min)
-    assert np.max(np.abs(f2.zeta - f.zeta)) < 1e-15
-    assert np.max(np.abs(f2.zeta_t - f.zeta_t)) < 1e-15
+    # 17 significant digits read back exactly
+    assert np.array_equal(f2.zeta, f.zeta)
+    assert np.array_equal(f2.zeta_t, f.zeta_t)
 
 
 def test_snapshot_rejects_malformed_file(tmp_path):

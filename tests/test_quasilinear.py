@@ -382,10 +382,10 @@ def test_fixpoint_equilibrium_converges_immediately():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _equilibrium_state(g)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.2)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
     # every step converges on its first pass
-    assert trace.converged and trace.steps > 1
+    assert trace.steps > 1
     assert [len(d) for d in trace.diff_norms] == [1] * trace.steps
     assert covered == pytest.approx(trace.steps * cfg.dt)
     assert np.max(np.abs(traj[-1].psi - math.pi / 4.0)) < 1e-14
@@ -397,9 +397,8 @@ def test_fixpoint_iterates_decay_geometrically():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1, fixpoint_tol=1e-12)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-12)
     traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
-    assert trace.converged
     assert len(trace.diff_norms) == trace.steps
     assert max(len(d) for d in trace.diff_norms) >= 3
     # within each step the iteration contracts
@@ -444,7 +443,7 @@ def test_per_step_fixed_point_matches_window_sweep(monkeypatch, n):
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.5, fixpoint_tol=1e-10)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-10)
     calls = {"step": 0}
     step = ql.transport_step
 
@@ -455,13 +454,19 @@ def test_per_step_fixed_point_matches_window_sweep(monkeypatch, n):
     monkeypatch.setattr(ql, "transport_step", counting)
     new = advance(st, p, ws, cfg, 32 * cfg.dt)
     per_step_calls, calls["step"] = calls["step"], 0
-    monkeypatch.setattr(ql, "_iterate_window", _reference_window_sweep)
-    old = advance(st, p, ws, cfg, 32 * cfg.dt)
+    # the reference over the same windows, each swept whole
+    old, old_steps, left = st, [], 32
+    while left:
+        traj, _, converged = _reference_window_sweep(
+            old, p, ws, cfg, min(ql._WINDOW_STEPS, left))
+        assert converged
+        old, left = traj[-1], left - (len(traj) - 1)
+        old_steps.append(len(traj) - 1)
     # several multi-step windows, accepted alike by both
-    assert [t.steps for t in new.traces] == [t.steps for t in old.traces]
+    assert [t.steps for t in new.traces] == old_steps
     assert len(new.traces) > 1 and new.traces[0].steps > 1
     assert all(len(t.diff_norms) == t.steps for t in new.traces)
-    assert ql._w1_sup(g, new.state.U - old.state.U) < 100.0 * cfg.fixpoint_tol
+    assert ql._w1_sup(g, new.state.U - old.U) < 100.0 * cfg.fixpoint_tol
     assert per_step_calls < calls["step"]
 
 
@@ -470,7 +475,7 @@ def test_fixpoint_rejects_data_over_budget():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     with pytest.raises(ConfigError, match="budget"):
         fixpoint_solve(st, p, ws, cfg, budgets=(1e-9, 1e9))
 
@@ -484,7 +489,7 @@ def test_window_entry_uses_the_level_budget_check():
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     _, E0, norm0, _ = ql._measure(st, p, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     budgets = (E0 * (1.0 - 5e-10), 10.0 * norm0)
     _, covered, trace, _ = fixpoint_solve(st, p, ws, cfg, max_steps=1,
                                           budgets=budgets)
@@ -501,7 +506,7 @@ def _failing_run(monkeypatch):
     st = PolarState.from_primitives(g, math.pi / 4.0 + 0.5 * bump,
                                     0.5 + 0.1 * bump, z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.5, fixpoint_tol=1e-12)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-12)
     calls = {"step": 0}
     step = ql.transport_step
 
@@ -566,6 +571,75 @@ def test_advance_stops_before_the_level_over_budget(monkeypatch):
     _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
 
 
+_WINDOW_LENGTHS = [1, 3, 7, 40]
+
+
+def _bump_run(observer=None):
+    """20 steps of the bump on a grid of 257 nodes."""
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    return advance(_bump_state(g, ws), p, ws, cfg, 20 * cfg.dt,
+                   observer=observer)
+
+
+@pytest.mark.parametrize("window", _WINDOW_LENGTHS)
+def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
+                                                           window):
+    # level 5 is over budget and solving level 7 would raise: the run must
+    # report level 5 and solve nothing after it, whatever the window length
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, 257)
+    dt = QuasilinearConfig.cfl(g, wave_speed(2.0, 1.0), 0.8).dt
+    measure, step = ql._measure, ql.transport_step
+    calls = {"step": 0, "level": 0}
+
+    def tripping(lv, p, ws):
+        dens, E, norm, grad_sup = measure(lv, p, ws)
+        return dens, E, (1e9 if lv.time > 4.5 * dt else norm), grad_sup
+
+    def degenerating(*args, **kw):
+        out = step(*args, **kw)
+        calls["step"] += 1
+        calls["level"] = max(calls["level"], round(out.time / dt))
+        if calls["level"] >= 7:
+            raise DegeneracyError("order parameter fell at level 7")
+        return out
+
+    monkeypatch.setattr(ql, "_WINDOW_STEPS", window)
+    monkeypatch.setattr(ql, "_measure", tripping)
+    monkeypatch.setattr(ql, "transport_step", degenerating)
+    levels = []
+    with pytest.raises(AprioriViolationError) as err:
+        _bump_run(levels.append)
+    assert err.value.time == levels[-1].time
+    assert err.value.time == pytest.approx(0.141421, abs=1e-6)
+    assert len(levels) == 5
+    # levels 1-5; level 5 is solved again when it opens the next window,
+    # unless the window before it ended on level 4
+    assert calls["level"] == 5 and calls["step"] <= 30
+
+
+def test_window_length_changes_no_output(monkeypatch):
+    import varwave.quasilinear as ql
+    runs = []
+    for window in _WINDOW_LENGTHS:
+        monkeypatch.setattr(ql, "_WINDOW_STEPS", window)
+        levels = []
+        res = _bump_run(levels.append)
+        assert len(levels) == 21
+        assert [t.steps for t in res.traces][0] == min(window, 20)
+        runs.append((levels, res))
+    levels0, res0 = runs[0]
+    want = np.array([astuple(r) for r in res0.energy_reports], dtype=float)
+    for levels, res in runs[1:]:
+        assert all(np.array_equal(a.U, b.U) for a, b in zip(levels, levels0))
+        got = np.array([astuple(r) for r in res.energy_reports], dtype=float)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert res.w2_sup == res0.w2_sup
+
+
 @pytest.mark.parametrize("n", [16, 17, 257])
 def test_w1_sup_matches_materialized_derivative(n):
     # the continuation norm without building the derivative: the same float
@@ -586,6 +660,7 @@ def test_w1_sup_matches_materialized_derivative(n):
 
 
 def test_resolve_budgets_defaults_double_initial_values():
+    import varwave.quasilinear as ql
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
@@ -593,8 +668,9 @@ def test_resolve_budgets_defaults_double_initial_values():
     E0 = float(integrate(g, energy_density_polar(*st.U, p, ws)[0]))
     E_prime, L_prime = resolve_budgets(st, p, ws)
     assert E_prime == pytest.approx(2.0 * E0, rel=1e-6)
+    w1 = ql._w1_sup(g, st.U)
     assert L_prime == pytest.approx(
-        2.0 * max(st.w1_inf(), float(np.max(1.0 / st.s))), rel=1e-12)
+        2.0 * max(w1, float(np.max(1.0 / st.s))), rel=1e-12)
 
 
 def test_advance_preserves_equilibrium_and_reaches_t_final():
@@ -602,7 +678,7 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws, a_psi=0.05, a_s=0.02)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.25)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     t_final = 16 * cfg.dt
     levels = []
     res = advance(st, p, ws, cfg, t_final, observer=levels.append)
@@ -610,7 +686,6 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     assert res.state.time == pytest.approx(t_final)
     assert len(levels) == 17
     assert len(res.energy_reports) == len(res.w2_sup) == 17
-    assert all(tr.converged for tr in res.traces)
     E = np.array([r.total_E for r in res.energy_reports])
     assert np.max(np.abs(E - E[0])) < 1e-3 * max(E[0], 1.0)
 
@@ -620,7 +695,7 @@ def _multi_window_run(observer=None):
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     res = advance(st, p, ws, cfg, 12 * cfg.dt, observer=observer)
     assert len(res.traces) > 1
     return g, p, ws, cfg, res
@@ -693,7 +768,7 @@ def test_advance_conservation_residuals_refine():
     for n in (129, 257, 513):
         g = Grid1D(-8.0, 8.0, n)
         st = _bump_state(g, ws)
-        cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.5)
+        cfg = QuasilinearConfig.cfl(g, ws, 0.8)
         steps = max(4, int(round(0.2 / cfg.dt)))
         res = advance(st, p, ws, cfg, steps * cfg.dt)
         rE = [rep.residual_E for rep in res.energy_reports
@@ -709,8 +784,8 @@ def test_advance_entry_validation():
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     with pytest.raises(ConfigError, match="dx"):
-        advance(st, p, ws, QuasilinearConfig(dt=g.dx, T_local=0.2), 0.2)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.2)
+        advance(st, p, ws, QuasilinearConfig(dt=g.dx), 0.2)
+    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     with pytest.raises(ConfigError, match="whole number"):
         advance(st, p, ws, cfg, 10.37 * cfg.dt)
     # reference potential has no interior equilibrium: s = 0.5 cannot be a

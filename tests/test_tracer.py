@@ -65,7 +65,7 @@ def test_notes_match_the_results_of_traced_runs():
         st = PolarState.from_primitives(
             g, math.pi / 4.0 + 0.1 * bump, 0.5 + 0.05 * bump, z, z, ws,
             far_field=(math.pi / 4.0, 0.5))
-        qcfg = QuasilinearConfig.cfl(g, ws, 0.8, T_local=0.1)
+        qcfg = QuasilinearConfig.cfl(g, ws, 0.8)
         qres = cli.advance(st, flat_point_potential(0.5), ws, qcfg,
                            12 * qcfg.dt)
         f0 = ComplexField(g, (0.1 * bump).astype(complex),
