@@ -2,7 +2,7 @@
 
 With unequal elastic constants the wave speed depends on the director
 angle, so the system stays genuinely quasilinear.  The script runs the
-windowed characteristic solver on a smooth pulse, reports the two local
+step-by-step characteristic solver on a smooth pulse, reports the two local
 conservation-law residuals under refinement, and traces a pair of
 characteristic feet through the evolving speed field.
 """

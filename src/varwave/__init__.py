@@ -34,10 +34,9 @@ from .potentials import (AprioriConstants, PotentialSpec, ValidationReport,
 from .profiles import (Profile, bump_slope, constant, gaussian, make_profile,
                        sine_packet)
 from .quasilinear import (FixpointTrace, PolarState, QuasilinearConfig,
-                          QuasilinearResult, advance, fixpoint_solve,
-                          read_polar_snapshot_csv, resolve_budgets,
-                          rhs_sources, trace_characteristics, transport_step,
-                          write_polar_snapshot_csv)
+                          QuasilinearResult, advance, read_polar_snapshot_csv,
+                          resolve_budgets, rhs_sources, trace_characteristics,
+                          transport_step, write_polar_snapshot_csv)
 from .semilinear import (PicardTrace, SemilinearConfig, SemilinearResult,
                          contraction_window, duhamel_apply, free_wave,
                          picard_solve, source_term)
@@ -70,8 +69,8 @@ __all__ = [
     "make_profile",
     # quasilinear
     "PolarState", "QuasilinearConfig", "QuasilinearResult", "FixpointTrace",
-    "rhs_sources", "trace_characteristics", "transport_step",
-    "fixpoint_solve", "advance", "resolve_budgets",
+    "rhs_sources", "trace_characteristics", "transport_step", "advance",
+    "resolve_budgets",
     "write_polar_snapshot_csv", "read_polar_snapshot_csv",
     # markers
     "MarkerState", "HSResult", "make_markers", "marker_rhs", "evolve_markers",

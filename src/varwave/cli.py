@@ -8,8 +8,8 @@ names the failure class:
     1  validate-potential: the potential was rejected
     2  configuration problem (bad file, bad key, inconsistent numbers)
     3  state degeneracy (order parameter hit 0 or 1)
-    4  iteration failure (window would not contract, or a certified
-       bound was violated mid-run)
+    4  iteration failure (a window or step would not contract, or a
+       certified bound was violated mid-run)
     5  wave breaking (marker Jacobian collapsed)
     6  domain escape (characteristic or sample left the grid)
 
@@ -218,16 +218,30 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
     zx = centered_derivative(grid, f0.zeta)
     E0 = float(integrate(grid, energy_density_complex(
         f0.zeta, f0.zeta_t, zx, p, c)[0]))
+
+    # a certificate the run cannot meet is reported, never silently dropped
+    def warn(msg):
+        if not args.quiet:
+            print(f"warning: {msg}", file=sys.stderr)
+
     try:
-        T_window = min(contraction_window(p, E0, c=c), t_final)
-    except ConfigError:
-        T_window = t_final
+        T_window = contraction_window(p, E0, c=c)
+        why = "the certified window is unbounded"
+    except ConfigError as exc:
+        T_window, why = math.inf, str(exc)
     if not math.isfinite(T_window):
+        warn(f"no finite contraction window ({why}); the run is one window "
+             f"of length t_final = {t_final:g}")
         T_window = t_final
+    elif T_window / dt + 1e-9 < 1.0:
+        warn(f"certified window {T_window:.6g} is shorter than one step "
+             f"dt = {dt:.6g}; the run takes one-step windows")
+    T_window = min(T_window, t_final)
     try:
         apriori = apriori_constants(p, E0)
-    except ConfigError:
+    except ConfigError as exc:
         apriori = None
+        warn(f"no a priori bound ({exc}); the sup|zeta| monitor is off")
 
     scfg = SemilinearConfig(c=c, dt=dt, T_window=T_window)
     observer, snapshots = _snapshot_keeper(cfg, dt, int(round(t_final / dt)))

@@ -22,7 +22,12 @@ class DegeneracyError(VarwaveError):
 
 
 class NonContractionError(VarwaveError):
-    """Fixed-point iteration failed to contract within the allowed iterations."""
+    """Fixed-point iteration failed to contract within the allowed iterations.
+
+    diff_norms is a flat list: the successive differences of the failing
+    semilinear window's Picard iterates, or of the failing quasilinear
+    step's fixed-point passes.
+    """
 
     def __init__(self, msg, diff_norms=None):
         super().__init__(msg)

@@ -19,12 +19,11 @@ E_t = (c^2 F)_x holds along solutions, which the diagnostics verify.)
 The scheme is semi-Lagrangian: each Riemann variable is pulled back along
 its characteristic (midpoint rule for the foot) and the sources are applied
 at the characteristic midpoint, with coefficient fields frozen from the
-previous iterate of a fixed point solved one step at a time.  Each level is
-checked against the budget monitors (energy, W^{1,inf} norm, 1/s) as soon
-as it is solved, so every accepted level certifies that its linearization
-was taken inside the contraction regime; a window is only a batch of at
-most _WINDOW_STEPS accepted levels, ended by the first step that fails,
-and a window whose first step fails ends the run.
+previous iterate of a fixed point solved one step at a time.  The run
+marches one step at a time: each level is checked against the budget
+monitors (energy, W^{1,inf} norm, 1/s) as soon as it is solved, so every
+accepted level certifies that its linearization was taken inside the
+contraction regime, and the first step that fails ends the run.
 
 Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
@@ -37,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +58,6 @@ __all__ = [
     "rhs_sources",
     "trace_characteristics",
     "transport_step",
-    "fixpoint_solve",
     "advance",
     "resolve_budgets",
     "write_polar_snapshot_csv",
@@ -68,7 +66,6 @@ __all__ = [
 
 _S_FLOOR = 1e-12
 _FIXPOINT_MAX = 40  # fixed-point passes per step before the step fails
-_WINDOW_STEPS = 7  # levels per window, the batch advance hands on
 _CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
@@ -304,12 +301,9 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
 class QuasilinearConfig:
     """Step and tolerance of the fixed-point solver.
 
-    Each level is checked as soon as it is solved, so no window length
-    appears here: a window is a batch of at most _WINDOW_STEPS levels and
-    changes no output.  The budgets the iteration must stay under belong to
-    a run, not to the configuration: advance resolves them once from its
-    initial state (see resolve_budgets) and fixpoint_solve takes them as an
-    argument.
+    The budgets the iteration must stay under belong to a run, not to the
+    configuration: advance resolves them once from its initial state (see
+    resolve_budgets) and checks every level against them.
     """
 
     dt: float
@@ -327,10 +321,14 @@ class QuasilinearConfig:
 
 @dataclass
 class FixpointTrace:
-    window_start: float
-    steps: int
-    diff_norms: List[List[float]]  # per step: the successive differences
-    halvings: int = 0  # windows end before a failing step; always 0
+    """One step's fixed point: the time of the level it starts from and the
+    W^{1,inf} change of each pass."""
+
+    time: float
+    diff_norms: List[float]
+    # one step per trace, never halved; kept for the benchmark tracer
+    steps: ClassVar[int] = 1
+    halvings: ClassVar[int] = 0
 
 
 @dataclass
@@ -370,12 +368,22 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec,
     return 2.0 * E0 + 1e-12 * max(1.0, E0), 2.0 * norm0
 
 
-def _solve_step(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                cfg: QuasilinearConfig):
-    """One step's fixed point: y <- T(x, frozen_mid=avg(x, y),
-    frozen_end=y) from y = x (the plain step) until the W^{1,inf} change is
-    below cfg.fixpoint_tol.  Returns (level, the passes' changes); level is
-    None when the step is still moving after _FIXPOINT_MAX passes."""
+def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
+                   cfg: QuasilinearConfig, budgets: Tuple[float, float]
+                   ) -> Tuple[PolarState, tuple, FixpointTrace]:
+    """Solve the step from level x and check the level it reaches.
+
+    The step's map takes a guessed next level y to the semi-Lagrangian step
+    of the linear system with coefficients and sources frozen on avg(x, y)
+    and y; its fixed point is the nonlinear step.  The iteration starts from
+    y = x (the plain step) and stops once the W^{1,inf} change is below
+    cfg.fixpoint_tol.  A step still moving after _FIXPOINT_MAX passes raises
+    NonContractionError (diff_norms: its passes), and a level over the
+    budgets (E', L') raises AprioriViolationError (time: x.time); the energy
+    has 1e-9 relative slack.  Returns (level, measure, trace), where measure
+    holds the level's densities (E, F, c2F, EmW), total energy, budget norm
+    max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
+    """
     y, diffs = x, []
     for _ in range(_FIXPOINT_MAX):
         y_new = transport_step(x, p, ws, cfg.dt,
@@ -383,88 +391,33 @@ def _solve_step(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
         diffs.append(_w1_sup(x.grid, y_new.U - y.U))
         y = y_new
         if diffs[-1] < cfg.fixpoint_tol:
-            return y, diffs
-    return None, diffs
-
-
-def _over_budgets(E: float, norm: float,
-                  budgets: Tuple[float, float]) -> bool:
-    """Whether a level is over (E', L'); the energy has 1e-9 relative slack."""
+            break
+    else:
+        raise NonContractionError(
+            f"step from t = {x.time:.6f} failed to contract in "
+            f"{_FIXPOINT_MAX} passes", diff_norms=diffs)
+    measure = _measure(y, p, ws)
     E_prime, L_prime = budgets
-    return E > E_prime * (1.0 + 1e-9) or norm > L_prime
-
-
-def fixpoint_solve(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                   cfg: QuasilinearConfig,
-                   max_steps: Optional[int] = None,
-                   budgets: Optional[Tuple[float, float]] = None
-                   ) -> Tuple[List[PolarState], float, FixpointTrace, list]:
-    """Solve one window of at most _WINDOW_STEPS (and max_steps) steps.
-
-    Each step's map takes a guessed next level to the semi-Lagrangian step
-    of the linear system with coefficients and sources frozen on the
-    average of the current level and the guess; its fixed point is the
-    nonlinear step.  Each level is checked as soon as it is solved, and the
-    window ends at the first step that fails: one that does not contract
-    within _FIXPOINT_MAX passes, or whose level violates the budgets
-    (energy above E', W^{1,inf} norm or sup(1/s) above L').  No step after
-    it is computed, and since a step depends only on the level before it,
-    the window length changes no level and no error.  A failing first step
-    raises NonContractionError or AprioriViolationError from U0.
-    `budgets` is the pair (E', L'); None resolves it from U0
-    (resolve_budgets), and initial data already over the budgets raise
-    ConfigError.  Returns (trajectory including the initial level,
-    achieved_T actually covered, iteration trace, measures): for each level
-    after the initial one, measures holds its densities (E, F, c2F, EmW),
-    total energy, budget norm max(W^{1,inf}, sup 1/s) and the gradient sup
-    of phi, v, omega, r.
-    """
-    budgets = resolve_budgets(U0, p, ws) if budgets is None else budgets
-    _, E0, norm0, _ = _measure(U0, p, ws)
-    if _over_budgets(E0, norm0, budgets):
-        raise ConfigError(
-            f"initial data violates the budgets: energy {E0:.6g} vs E' = "
-            f"{budgets[0]:.6g}, norm {norm0:.6g} vs L' = {budgets[1]:.6g}")
-    steps = _WINDOW_STEPS
-    if max_steps is not None:
-        steps = min(steps, max_steps)
-    traj, diffs, measures = [U0], [], []
-    for _ in range(steps):
-        level, passes = _solve_step(traj[-1], p, ws, cfg)
-        if level is None:
-            if not measures:
-                raise NonContractionError(
-                    f"step from t = {U0.time:.6f} failed to contract in "
-                    f"{_FIXPOINT_MAX} passes", diff_norms=[passes])
-            break
-        measure = _measure(level, p, ws)
-        if _over_budgets(measure[1], measure[2], budgets):
-            if not measures:
-                raise AprioriViolationError(
-                    f"budgets exceeded on the step from t = {U0.time:.6f} "
-                    f"(E' = {budgets[0]:.6g}, L' = {budgets[1]:.6g})",
-                    time=U0.time)
-            break
-        traj.append(level)
-        diffs.append(passes)
-        measures.append(measure)
-    taken = len(measures)
-    return traj, taken * cfg.dt, FixpointTrace(U0.time, taken, diffs), measures
+    if measure[1] > E_prime * (1.0 + 1e-9) or measure[2] > L_prime:
+        raise AprioriViolationError(
+            f"budgets exceeded on the step from t = {x.time:.6f} "
+            f"(E' = {E_prime:.6g}, L' = {L_prime:.6g})", time=x.time)
+    return y, measure, FixpointTrace(x.time, diffs)
 
 
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
             observer: Optional[Callable] = None) -> QuasilinearResult:
-    """March the state to t_final through fixed-point windows (see
-    fixpoint_solve: each level is checked as soon as it is solved, and a
-    window is a batch of levels handed to the log and the observer).
+    """March the state to t_final one step at a time (see fixpoint_solve:
+    each level is checked as soon as it is solved, and the first step that
+    fails raises from the level before it).
 
-    Budgets are resolved once from the initial state and held fixed for the
-    whole run.  Energy and flux totals are recorded every step with centered
-    conservation residuals filled in away from the run's ends; w2_sup tracks
-    the largest gradient of any first-order field (a second-derivative proxy
-    for the primitives), which the continuation theory watches but never
-    caps.
+    Budgets are resolved once from the initial state, which always
+    satisfies them, and held fixed for the whole run.  Energy and flux
+    totals are recorded every step with centered conservation residuals
+    filled in away from the run's ends; w2_sup tracks the largest gradient
+    of any first-order field (a second-derivative proxy for the
+    primitives), which the continuation theory watches but never caps.
 
     `observer(state)` is called with the initial state and then with each
     accepted level, in time order; the solver never changes a PolarState
@@ -501,19 +454,14 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     record(state, _measure(state, p, ws))
 
     traces: List[FixpointTrace] = []
-    done = 0
     cur = state
-    while done < total_steps:
-        traj, covered, trace, measures = fixpoint_solve(
-            cur, p, ws, cfg, max_steps=total_steps - done, budgets=budgets)
+    for _ in range(total_steps):
+        cur, measure, trace = fixpoint_solve(cur, p, ws, cfg, budgets)
         traces.append(trace)
-        for st, m in zip(traj[1:], measures):
-            record(st, m)
-        cur = traj[-1]
-        done += trace.steps
+        record(cur, measure)
 
     return QuasilinearResult(state=cur, traces=traces, energy_reports=log.reports,
-                             w2_sup=w2_sup, achieved_T=done * cfg.dt)
+                             w2_sup=w2_sup, achieved_T=total_steps * cfg.dt)
 
 
 POLAR_SNAPSHOT_HEADER = "x,psi,s,phi,v,omega,r"

@@ -263,6 +263,76 @@ def test_semilinear_run_writes_artifacts(tmp_path):
                                          "python"}
 
 
+def _semilinear_run(tmp_path, amplitude, *flags, t_final=0.5):
+    """run-semilinear to t_final on 65 nodes (dt = 0.25); returns (exit
+    code, out dir)."""
+    out = tmp_path / ("run" + "".join(flags))
+    cfg = _write_config(tmp_path, {
+        "solver": "semilinear",
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 65},
+        "time": {"t_final": t_final},
+        "initial_data": {"family": "gaussian", "amplitude": amplitude,
+                         "width": 0.6},
+    })
+    return main(["run-semilinear", "--config", cfg, "--out", str(out),
+                 *flags]), out
+
+
+def _warnings(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines()
+            if ln.startswith("warning:")]
+
+
+def test_semilinear_run_reports_a_missing_contraction_certificate(
+        tmp_path, capsys):
+    # zero data have zero energy, so no enlarged budget and no certificate
+    rc, _ = _semilinear_run(tmp_path, 0.0)
+    assert rc == 0
+    lines = _warnings(capsys)
+    assert sum("no finite contraction window" in ln for ln in lines) == 1
+    assert any("one window of length t_final = 0.5" in ln for ln in lines)
+
+
+def test_semilinear_run_reports_a_window_shorter_than_one_step(
+        tmp_path, capsys):
+    # the certified window of this amplitude is far below dt = dx = 0.25
+    rc, out = _semilinear_run(tmp_path, 0.3)
+    assert rc == 0
+    assert [ln for ln in _warnings(capsys) if "shorter than one step" in ln
+            and "dt = 0.25" in ln and "one-step windows" in ln] != []
+    # --quiet silences the report and changes no artifact
+    rc, quiet = _semilinear_run(tmp_path, 0.3, "--quiet")
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert (quiet / "energy.csv").read_bytes() == (
+        out / "energy.csv").read_bytes()
+
+
+def test_semilinear_run_blames_no_certificate_for_a_short_t_final(
+        tmp_path, capsys, monkeypatch):
+    import varwave.cli as cli
+
+    monkeypatch.setattr(cli, "contraction_window", lambda p, E, c: 10.0)
+    rc, _ = _semilinear_run(tmp_path, 0.3, t_final=0.1)
+    assert rc == 2
+    assert _warnings(capsys) == []
+
+
+def test_semilinear_run_reports_the_bound_monitor_off(tmp_path, capsys,
+                                                      monkeypatch):
+    import varwave.cli as cli
+
+    def failing(p, E):
+        raise cli.ConfigError("energy budget must be positive")
+
+    monkeypatch.setattr(cli, "apriori_constants", failing)
+    rc, _ = _semilinear_run(tmp_path, 0.02)
+    assert rc == 0
+    lines = _warnings(capsys)
+    assert ("warning: no a priori bound (energy budget must be positive); "
+            "the sup|zeta| monitor is off") in lines
+    assert not any("no finite contraction window" in ln for ln in lines)
+
+
 def test_quasilinear_run_writes_artifacts(tmp_path):
     out = tmp_path / "runq"
     cfg = _write_config(tmp_path, {

@@ -45,11 +45,40 @@ def test_interpolate_reproduces_constants_and_nodes():
     assert np.array_equal(interpolate(g, samples, g.nodes), samples)
 
 
-def test_interpolate_exact_on_cubics():
-    g = Grid1D(-1.0, 2.0, 25)
-    f = lambda x: x ** 3 - 2.0 * x ** 2 + 0.5 * x - 1.0
-    mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
-    assert np.allclose(interpolate(g, f(g.nodes), mids), f(mids), atol=1e-12)
+@st.composite
+def _cubic_on_grid(draw, points):
+    """A grid, the coefficients (c0, c1, c2, c3) of a cubic, and `points`
+    sorted points inside the grid."""
+    x_min = draw(st.floats(-5.0, 5.0))
+    g = Grid1D(x_min, x_min + draw(st.floats(0.5, 10.0)),
+               draw(st.integers(16, 80)))
+    coeffs = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=points,
+                          max_size=points))
+    pts = np.clip(g.x_min + np.sort(fracs) * (g.x_max - g.x_min),
+                  g.x_min, g.x_max)
+    return g, coeffs, pts
+
+
+_CUBIC_GRID = Grid1D(-1.0, 2.0, 25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cubic_on_grid(points=24))
+# x^3 - 2x^2 + 0.5x - 1 at the cell midpoints
+@example((_CUBIC_GRID, (-1.0, 0.5, -2.0, 1.0),
+          0.5 * (_CUBIC_GRID.nodes[:-1] + _CUBIC_GRID.nodes[1:])))
+def test_interpolate_exact_on_cubics(case):
+    g, coeffs, q = case
+    f = np.polynomial.Polynomial(coeffs)
+    M = max(1.0, abs(g.x_min), abs(g.x_max))
+    # roundoff on the cubic's terms, plus the snap of a query within 1e-9
+    # cells of a node to that node's sample
+    atol = (1e-12 * sum(abs(c) * M ** k for k, c in enumerate(coeffs))
+            + 1e-9 * g.dx * sum(k * abs(c) * M ** (k - 1)
+                                for k, c in enumerate(coeffs)))
+    assert np.allclose(interpolate(g, f(g.nodes), q), f(q), rtol=0.0,
+                       atol=atol)
 
 
 def test_interpolate_fourth_order_on_smooth_data():
@@ -223,12 +252,26 @@ def test_integrate_linear_exact():
         (1.77 ** 2 - 0.13 ** 2) / 2.0, abs=1e-14)
 
 
-def test_integrate_additive_over_subintervals():
-    g = Grid1D(-3.0, 3.0, 61)
-    vals = np.exp(-g.nodes ** 2)
-    whole = integrate(g, vals)
-    split = integrate(g, vals, -3.0, 0.37) + integrate(g, vals, 0.37, 3.0)
-    assert whole == pytest.approx(split, abs=1e-13)
+_GAUSS_GRID = Grid1D(-3.0, 3.0, 61)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cubic_on_grid(points=3).map(
+    lambda c: (c[0], np.polynomial.Polynomial(c[1])(c[0].nodes), c[2])))
+# a Gaussian over the whole grid, split at 0.37
+@example((_GAUSS_GRID, np.exp(-_GAUSS_GRID.nodes ** 2),
+          np.array([-3.0, 0.37, 3.0])))
+def test_integrate_additive_over_subintervals(case):
+    g, vals, (a, split, b) = case
+    whole = integrate(g, vals, a, b)
+    parts = integrate(g, vals, a, split) + integrate(g, vals, split, b)
+    # 1e-13 for data of size at most 1, as on the Gaussian example
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
+    assert whole == pytest.approx(parts, rel=0.0, abs=tol)
+    assert integrate(g, vals) == pytest.approx(
+        integrate(g, vals, g.x_min, split) + integrate(g, vals, split,
+                                                       g.x_max),
+        rel=0.0, abs=tol)
 
 
 def test_integrate_second_order_convergence():

@@ -11,8 +11,8 @@ from varwave import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, Grid1D, NonContractionError, PolarState,
                      QuasilinearConfig, StateEscapeError, advance,
                      centered_derivative, energy_density_polar, ensure_valid,
-                     fit_order, fixpoint_solve, flat_point_potential,
-                     integrate, interpolate, read_polar_snapshot_csv,
+                     fit_order, flat_point_potential, integrate,
+                     interpolate, read_polar_snapshot_csv,
                      reference_potential, rhs_sources, trace_characteristics,
                      transport_step, wave_speed, write_polar_snapshot_csv,
                      zero_potential)
@@ -366,7 +366,7 @@ def test_transport_step_matches_per_field_reference(case):
     assert out.time == st.time + dt and out.far_field == st.far_field
 
 
-# --- fixpoint_solve / advance ------------------------------------------------
+# --- fixed point / advance --------------------------------------------------
 
 
 def _bump_state(g, ws, psi0=math.pi / 4.0, s0=0.5, a_psi=0.1, a_s=0.05):
@@ -383,13 +383,14 @@ def test_fixpoint_equilibrium_converges_immediately():
     ws = wave_speed(2.0, 1.0)
     st = _equilibrium_state(g)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8)
-    traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
-    # every step converges on its first pass
-    assert trace.steps > 1
-    assert [len(d) for d in trace.diff_norms] == [1] * trace.steps
-    assert covered == pytest.approx(trace.steps * cfg.dt)
-    assert np.max(np.abs(traj[-1].psi - math.pi / 4.0)) < 1e-14
-    assert np.max(np.abs(traj[-1].s - 0.5)) < 1e-14
+    res = advance(st, p, ws, cfg, 7 * cfg.dt)
+    # one trace per step, each converged on its first pass
+    assert [len(t.diff_norms) for t in res.traces] == [1] * 7
+    assert [t.time for t in res.traces] == [r.time for r in
+                                            res.energy_reports[:-1]]
+    assert res.achieved_T == pytest.approx(7 * cfg.dt)
+    assert np.max(np.abs(res.state.psi - math.pi / 4.0)) < 1e-14
+    assert np.max(np.abs(res.state.s - 0.5)) < 1e-14
 
 
 def test_fixpoint_iterates_decay_geometrically():
@@ -398,11 +399,13 @@ def test_fixpoint_iterates_decay_geometrically():
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-12)
-    traj, covered, trace, _ = fixpoint_solve(st, p, ws, cfg)
-    assert len(trace.diff_norms) == trace.steps
-    assert max(len(d) for d in trace.diff_norms) >= 3
+    res = advance(st, p, ws, cfg, 7 * cfg.dt)
+    assert len(res.traces) == 7
+    assert max(len(t.diff_norms) for t in res.traces) >= 3
     # within each step the iteration contracts
-    for d in trace.diff_norms:
+    for t in res.traces:
+        d = t.diff_norms
+        assert all(isinstance(x, float) for x in d)
         for a, b in zip(d[:-1], d[1:]):
             if a > 1e-11:
                 assert b / a <= 0.9
@@ -454,46 +457,17 @@ def test_per_step_fixed_point_matches_window_sweep(monkeypatch, n):
     monkeypatch.setattr(ql, "transport_step", counting)
     new = advance(st, p, ws, cfg, 32 * cfg.dt)
     per_step_calls, calls["step"] = calls["step"], 0
-    # the reference over the same windows, each swept whole
-    old, old_steps, left = st, [], 32
+    # the reference over 7-step windows, each swept whole
+    old, left = st, 32
     while left:
-        traj, _, converged = _reference_window_sweep(
-            old, p, ws, cfg, min(ql._WINDOW_STEPS, left))
+        traj, _, converged = _reference_window_sweep(old, p, ws, cfg,
+                                                     min(7, left))
         assert converged
         old, left = traj[-1], left - (len(traj) - 1)
-        old_steps.append(len(traj) - 1)
-    # several multi-step windows, accepted alike by both
-    assert [t.steps for t in new.traces] == old_steps
-    assert len(new.traces) > 1 and new.traces[0].steps > 1
-    assert all(len(t.diff_norms) == t.steps for t in new.traces)
+    assert len(new.traces) == 32
+    assert per_step_calls == sum(len(t.diff_norms) for t in new.traces)
     assert ql._w1_sup(g, new.state.U - old.U) < 100.0 * cfg.fixpoint_tol
     assert per_step_calls < calls["step"]
-
-
-def test_fixpoint_rejects_data_over_budget():
-    g = Grid1D(-8.0, 8.0, 257)
-    p = flat_point_potential(0.5)
-    ws = wave_speed(2.0, 1.0)
-    st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
-    with pytest.raises(ConfigError, match="budget"):
-        fixpoint_solve(st, p, ws, cfg, budgets=(1e-9, 1e9))
-
-
-def test_window_entry_uses_the_level_budget_check():
-    # energy within the level check's 1e-9 slack of E': a level the solver
-    # would accept, so it must also start a window
-    import varwave.quasilinear as ql
-    g = Grid1D(-8.0, 8.0, 257)
-    p = flat_point_potential(0.5)
-    ws = wave_speed(2.0, 1.0)
-    st = _bump_state(g, ws)
-    _, E0, norm0, _ = ql._measure(st, p, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
-    budgets = (E0 * (1.0 - 5e-10), 10.0 * norm0)
-    _, covered, trace, _ = fixpoint_solve(st, p, ws, cfg, max_steps=1,
-                                          budgets=budgets)
-    assert trace.steps == 1 and covered == cfg.dt
 
 
 def _failing_run(monkeypatch):
@@ -522,9 +496,11 @@ def _assert_levels_of_a_plain_run(levels, st, p, ws, cfg):
     # each step depends only on the level before it: the levels observed
     # before the failure are those of an undisturbed run
     want = []
-    advance(st, p, ws, cfg, (len(levels) - 1) * cfg.dt, observer=want.append)
+    res = advance(st, p, ws, cfg, (len(levels) - 1) * cfg.dt,
+                  observer=want.append)
     assert [lv.time for lv in levels] == [lv.time for lv in want]
     assert all(np.array_equal(a.U, b.U) for a, b in zip(levels, want))
+    return res
 
 
 def test_advance_stops_before_the_step_that_fails_to_contract(monkeypatch):
@@ -537,12 +513,14 @@ def test_advance_stops_before_the_step_that_fails_to_contract(monkeypatch):
     assert len(levels) == 4
     assert levels[-1].time == pytest.approx(0.053033, abs=1e-6)
     assert str(err.value).count("t = 0.053033") == 1
-    # one failing step, its seven passes
-    assert len(err.value.diff_norms) == 1 and len(err.value.diff_norms[0]) == 7
-    assert err.value.diff_norms[0][-1] >= cfg.fixpoint_tol
-    assert calls["step"] <= 35
+    # the failing step's seven passes, solved once
+    assert len(err.value.diff_norms) == 7
+    assert err.value.diff_norms[-1] >= cfg.fixpoint_tol
+    failing_calls = calls["step"]
     monkeypatch.setattr(ql, "_FIXPOINT_MAX", 40)
-    _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
+    res = _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
+    assert failing_calls == sum(len(t.diff_norms) for t in res.traces) + 7
+    assert failing_calls == 28
 
 
 def test_advance_stops_before_the_level_over_budget(monkeypatch):
@@ -571,9 +549,6 @@ def test_advance_stops_before_the_level_over_budget(monkeypatch):
     _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
 
 
-_WINDOW_LENGTHS = [1, 3, 7, 40]
-
-
 def _bump_run(observer=None):
     """20 steps of the bump on a grid of 257 nodes."""
     g = Grid1D(-8.0, 8.0, 257)
@@ -584,11 +559,12 @@ def _bump_run(observer=None):
                    observer=observer)
 
 
-@pytest.mark.parametrize("window", _WINDOW_LENGTHS)
+@pytest.mark.parametrize("later", [1, 3, 7, 40])
 def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
-                                                           window):
-    # level 5 is over budget and solving level 7 would raise: the run must
-    # report level 5 and solve nothing after it, whatever the window length
+                                                           later):
+    # level 5 is over budget and solving level 5 + later would raise: the
+    # run must report level 5 and solve nothing after it; 5 + 40 lies past
+    # the end of the 20-step run, where no later step raises
     import varwave.quasilinear as ql
     g = Grid1D(-8.0, 8.0, 257)
     dt = QuasilinearConfig.cfl(g, wave_speed(2.0, 1.0), 0.8).dt
@@ -603,11 +579,11 @@ def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
         out = step(*args, **kw)
         calls["step"] += 1
         calls["level"] = max(calls["level"], round(out.time / dt))
-        if calls["level"] >= 7:
-            raise DegeneracyError("order parameter fell at level 7")
+        if calls["level"] >= 5 + later:
+            raise DegeneracyError(f"order parameter fell at level "
+                                  f"{5 + later}")
         return out
 
-    monkeypatch.setattr(ql, "_WINDOW_STEPS", window)
     monkeypatch.setattr(ql, "_measure", tripping)
     monkeypatch.setattr(ql, "transport_step", degenerating)
     levels = []
@@ -616,28 +592,8 @@ def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
     assert err.value.time == levels[-1].time
     assert err.value.time == pytest.approx(0.141421, abs=1e-6)
     assert len(levels) == 5
-    # levels 1-5; level 5 is solved again when it opens the next window,
-    # unless the window before it ended on level 4
-    assert calls["level"] == 5 and calls["step"] <= 30
-
-
-def test_window_length_changes_no_output(monkeypatch):
-    import varwave.quasilinear as ql
-    runs = []
-    for window in _WINDOW_LENGTHS:
-        monkeypatch.setattr(ql, "_WINDOW_STEPS", window)
-        levels = []
-        res = _bump_run(levels.append)
-        assert len(levels) == 21
-        assert [t.steps for t in res.traces][0] == min(window, 20)
-        runs.append((levels, res))
-    levels0, res0 = runs[0]
-    want = np.array([astuple(r) for r in res0.energy_reports], dtype=float)
-    for levels, res in runs[1:]:
-        assert all(np.array_equal(a.U, b.U) for a, b in zip(levels, levels0))
-        got = np.array([astuple(r) for r in res.energy_reports], dtype=float)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert res.w2_sup == res0.w2_sup
+    # levels 1-5, each solved once: five passes a step on this bump
+    assert calls["level"] == 5 and calls["step"] == 25
 
 
 @pytest.mark.parametrize("n", [16, 17, 257])
@@ -690,14 +646,14 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     assert np.max(np.abs(E - E[0])) < 1e-3 * max(E[0], 1.0)
 
 
-def _multi_window_run(observer=None):
+def _twelve_step_run(observer=None):
     g = Grid1D(-8.0, 8.0, 129)
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     cfg = QuasilinearConfig.cfl(g, ws, 0.8)
     res = advance(st, p, ws, cfg, 12 * cfg.dt, observer=observer)
-    assert len(res.traces) > 1
+    assert len(res.traces) == 12
     return g, p, ws, cfg, res
 
 
@@ -726,7 +682,7 @@ def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
     monkeypatch.setattr(ql, "rhs_sources",
                         counting("sources", ql.rhs_sources))
     monkeypatch.setattr(Stencil, "apply", recording)
-    _multi_window_run()
+    _twelve_step_run()
     assert calls["step"] > 0
     assert calls["stencil"] == 2 * calls["step"]
     assert calls["sources"] == calls["step"]
@@ -742,14 +698,14 @@ def test_advance_evaluates_each_level_energy_once(monkeypatch):
         return energy_density_polar(*args)
 
     monkeypatch.setattr(ql, "energy_density_polar", counting)
-    _, _, _, _, res = _multi_window_run()
-    # one per level, one per window for its entry check, one for the budgets
-    assert len(calls) <= len(res.energy_reports) + len(res.traces) + 2
+    _, _, _, _, res = _twelve_step_run()
+    # one per level, plus one for the budgets
+    assert len(calls) == len(res.energy_reports) + 1
 
 
 def test_advance_records_match_per_level_formulas():
     levels = []
-    g, p, ws, cfg, res = _multi_window_run(levels.append)
+    g, p, ws, cfg, res = _twelve_step_run(levels.append)
     log = EnergyLog(g, cfg.dt)
     for st in levels:
         log.record(st.time, energy_density_polar(*st.U, p, ws),

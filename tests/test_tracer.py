@@ -86,6 +86,11 @@ def test_notes_match_the_results_of_traced_runs():
         t.steps for t in qres.traces) == 12
     assert notes["quasilinear.sweeps"] == sum(
         len(t.diff_norms) for t in qres.traces)
+    # one trace per step, so the sweeps note counts fixed-point passes
+    store = tracer.store
+    passes = store.names.index("quasilinear.transport_step")
+    assert notes["quasilinear.sweeps"] == sum(
+        nid == passes for nid in store.name_id)
     assert notes["quasilinear.halvings"] == 0
     assert notes["semilinear.windows"] == len(sres.trace.diff_norms) == 3
     assert notes["semilinear.picard_iters"] == sres.trace.iterate_count
