@@ -24,7 +24,9 @@ the inverse extraction from a computed fast solution in the moving frame,
 the rescaling map, the discrete action machinery (value, exact nodal
 gradient, strong-form residual on deliberately different stencils), and the
 epsilon sweep that measures how fast the full dynamics converges to the
-reduced one.
+reduced one.  The sweep solves the full dynamics in the frame y = x - c0 t
+itself (QuasilinearConfig.frame_speed = c0), on a grid that covers only
+y_span plus a pad, whatever the fast time.
 """
 
 from __future__ import annotations
@@ -230,19 +232,23 @@ class ExtractedSlow:
     t_fast: float
 
 
-def extract(cfg: AsymptoticConfig, state: PolarState, y_query) -> ExtractedSlow:
+def extract(cfg: AsymptoticConfig, state: PolarState, y_query,
+            frame_speed: float = 0.0) -> ExtractedSlow:
     """Undo the embedding at the state's time.
 
-    Samples the fast solution at x = y + c0 t, peels off the background and
-    the amplitude: u = (psi - psi0)/eps and rho = s_x/eps, read through the
-    gradient field r = c(psi) s_x so no extra differencing is introduced.
-    The returned fields are unstandardized; apply the rescaling map to
-    compare with the standard-form marker solution.
+    The state is solved in the frame moving at frame_speed V (0: the fixed
+    frame), so the co-moving point y sits at y + (c0 - V) t on its grid:
+    x = y + c0 t in the fixed frame, and y itself when V = c0.  Samples the
+    fast solution there, peels off the background and the amplitude:
+    u = (psi - psi0)/eps and rho = s_x/eps, read through the gradient field
+    r = c(psi) s_x so no extra differencing is introduced.  The returned
+    fields are unstandardized; apply the rescaling map to compare with the
+    standard-form marker solution.
     """
     if cfg.epsilon == 0.0:
         raise ConfigError("cannot extract slow fields at epsilon = 0")
     y = np.atleast_1d(np.asarray(y_query, dtype=float))
-    x = y + cfg.c0 * state.time
+    x = y + (cfg.c0 - frame_speed) * state.time
     psi_q, r_q = stencil(state.grid, x).apply(state.U[[0, 5]])
     u = (psi_q - cfg.psi0) / cfg.epsilon
     rho = r_q / (cfg.ws.c(psi_q) * cfg.epsilon)
@@ -403,6 +409,73 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 _CFL, _FIXPOINT_TOL = 0.8, 1e-8
 
 
+def _marker_reference(mapping: RescalingMap, u0: Callable, rho0: Callable,
+                      du0: Optional[Callable], y_span: Tuple[float, float],
+                      y_grid: np.ndarray, n_markers: int, marker_dt: float,
+                      tau_final: float
+                      ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The standard reduced system at tau_final on y_grid, from one marker
+    run (profiles u0 as-is, rho0 rescaled by the density factor), moved
+    into the gauge the full dynamics selects (see convergence_study).
+    Returns (u_ref, rho_ref, E_ref), E_ref the conserved reference energy."""
+    def rho_std0(y):
+        return mapping.rho_scale * np.asarray(rho0(y), dtype=float)
+
+    mk = make_markers(y_span, n_markers, u0, rho_std0, du0=du0)
+    steps_tau = int(math.ceil(tau_final / marker_dt))
+    res = evolve_markers(mk, tau_final, tau_final / steps_tau)
+    if res.broke:
+        raise ConfigError(f"reference solution breaks before tau = {tau_final}")
+    # the left-pinned reference moves into the other gauge: constant drop
+    # tau*E in u, frame shift tau^2 E/2 in y
+    E_ref = res.state.energy
+    u_ref, rho_ref = sample_eulerian(
+        res.state, y_grid + 0.5 * tau_final * tau_final * E_ref)
+    return u_ref - tau_final * E_ref, rho_ref, E_ref
+
+
+def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
+               tau_final: float, y_grid: np.ndarray, u_ref: np.ndarray,
+               rho_ref: np.ndarray, y_span: Tuple[float, float], dx: float,
+               pad: float) -> Dict:
+    """One epsilon of the sweep: embed, advance to the fast time of
+    tau_final in the frame moving at c0 on a grid over y_span +- pad,
+    extract, standardize, and measure against the reference.  Returns the
+    run's study.json entry; a run that fails is marked, not raised."""
+    V = cfg.c0
+    t_fast = tau_final / (cfg.epsilon * mapping.time_scale)
+    x_lo = y_span[0] - pad
+    n_nodes = int(round((y_span[1] + pad - x_lo) / dx)) + 1
+    grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
+    n_steps = int(math.ceil(t_fast / (_CFL * grid.dx / cfg.ws.c_max)))
+    qcfg = QuasilinearConfig(dt=t_fast / n_steps, fixpoint_tol=_FIXPOINT_TOL,
+                             frame_speed=V)
+    try:
+        out = advance(embed(cfg, grid, p=p), p, cfg.ws, qcfg, t_fast)
+        ext = standardize(extract(cfg, out.state, y_grid, frame_speed=V),
+                          mapping)
+    except VarwaveError as exc:
+        return {"epsilon": cfg.epsilon, "t_fast": t_fast, "frame_speed": V,
+                "failed": True, "error": f"{type(exc).__name__}: {exc}"}
+    err_u = ext.u - u_ref
+    err_rho = ext.rho - rho_ref
+    dy = y_grid[1] - y_grid[0]
+    return {
+        "epsilon": cfg.epsilon,
+        "t_fast": t_fast,
+        "frame_speed": V,
+        "grid_nodes": grid.n,
+        "steps": n_steps,
+        "fixpoint_passes": sum(len(t.diff_norms) for t in out.traces),
+        "achieved_T": out.achieved_T,
+        "l2_u": float(l2_norm(err_u, dy)),
+        "l2_rho": float(l2_norm(err_rho, dy)),
+        "sup_u": float(np.max(np.abs(err_u))),
+        "sup_rho": float(np.max(np.abs(err_rho))),
+        "failed": False,
+    }
+
+
 def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
                       u0: Callable, rho0: Callable, epsilons: Sequence[float],
                       tau_final: float, *,
@@ -420,13 +493,18 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     the standard reduced system (profiles u0 as-is, rho0 rescaled by the
     density factor) provides the reference.  For each epsilon the profiles
     are embedded at that amplitude, the full system is advanced to the
-    matching fast time tau_final / (epsilon * time_scale), the slow fields
-    are extracted in the co-moving frame and standardized, and L2 errors
-    over the evaluation window are recorded.  A sub-run failure marks its
-    entry instead of aborting the sweep.  Returns a JSON-ready dictionary:
-    epsilons, errors (combined u/rho L2 per epsilon), fitted_order, the
-    velocity-constant gauge of the reference, the rescaling map, and
-    per-run detail.
+    matching fast time tau_final / (epsilon * time_scale) in the frame
+    y = x - c0 t (QuasilinearConfig.frame_speed = c0), on a grid over
+    y_span +- pad whatever the fast time, the slow fields are read off at y
+    itself and standardized, and L2 errors over the evaluation window are
+    recorded.  Ahead of the packet the grid's right edge reads
+    the untouched far field; its left edge is outflow.  A sub-run failure
+    marks its entry instead of aborting the sweep.  Returns a JSON-ready
+    dictionary: epsilons, errors (combined u/rho L2 per epsilon),
+    fitted_order, the velocity-constant gauge of the reference, the
+    rescaling map, and per-run detail (each run also records its
+    frame_speed and, unless it failed, its total fixed-point passes
+    fixpoint_passes).
 
     Gauge handling: the marker reference pins u at the left end (the
     velocity constant is zero), so its u rises by tau*E ahead of the wave.
@@ -445,66 +523,21 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     base = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=epsilons[0],
                             u_init=u0, rho_init=rho0, du_init=du0)
     mapping = rescaling_map(base)
-
-    # standard-form reference from the marker scheme
-    def rho_std0(y):
-        return mapping.rho_scale * np.asarray(rho0(y), dtype=float)
-
-    mk = make_markers(y_span, n_markers, u0, rho_std0, du0=du0)
-    steps_tau = int(math.ceil(tau_final / marker_dt))
-    res = evolve_markers(mk, tau_final, tau_final / steps_tau)
-    if res.broke:
-        raise ConfigError(f"reference solution breaks before tau = {tau_final}")
     y_grid = np.linspace(y_eval[0], y_eval[1], n_eval)
-    dy = y_grid[1] - y_grid[0]
-
-    # move the left-pinned reference into the gauge the full dynamics
-    # selects: constant drop tau*E in u, frame shift tau^2 E/2 in y
-    E_ref = res.state.energy
-    gauge_shift = 0.5 * tau_final * tau_final * E_ref
-    u_ref, rho_ref = sample_eulerian(res.state, y_grid + gauge_shift)
-    u_ref = u_ref - tau_final * E_ref
+    u_ref, rho_ref, E_ref = _marker_reference(
+        mapping, u0, rho0, du0, y_span, y_grid, n_markers, marker_dt,
+        tau_final)
 
     runs: List[Dict] = []
     errors: List[Optional[float]] = []
     for eps in epsilons:
         cfg = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps,
                                u_init=u0, rho_init=rho0, du_init=du0)
-        t_fast = tau_final / (eps * mapping.time_scale)
-        x_lo = y_span[0] - pad
-        n_nodes = int(round((y_span[1] + cfg.c0 * t_fast + pad - x_lo) / dx)) + 1
-        grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
-        dt0 = _CFL * grid.dx / ws.c_max
-        n_steps = int(math.ceil(t_fast / dt0))
-        qcfg = QuasilinearConfig(dt=t_fast / n_steps,
-                                 fixpoint_tol=_FIXPOINT_TOL)
-        try:
-            st0 = embed(cfg, grid, p=p)
-            out = advance(st0, p, ws, qcfg, t_fast)
-            ext = standardize(extract(cfg, out.state, y_grid), mapping)
-        except VarwaveError as exc:
-            runs.append({"epsilon": eps, "t_fast": t_fast, "failed": True,
-                         "error": f"{type(exc).__name__}: {exc}"})
-            errors.append(None)
-            continue
-        err_u = ext.u - u_ref
-        err_rho = ext.rho - rho_ref
-        l2_u = float(l2_norm(err_u, dy))
-        l2_rho = float(l2_norm(err_rho, dy))
-        combined = math.hypot(l2_u, l2_rho)
-        runs.append({
-            "epsilon": eps,
-            "t_fast": t_fast,
-            "grid_nodes": grid.n,
-            "steps": n_steps,
-            "achieved_T": out.achieved_T,
-            "l2_u": l2_u,
-            "l2_rho": l2_rho,
-            "sup_u": float(np.max(np.abs(err_u))),
-            "sup_rho": float(np.max(np.abs(err_rho))),
-            "failed": False,
-        })
-        errors.append(combined)
+        run = _sweep_run(p, cfg, mapping, tau_final, y_grid, u_ref, rho_ref,
+                         y_span, dx, pad)
+        runs.append(run)
+        errors.append(None if run["failed"]
+                      else math.hypot(run["l2_u"], run["l2_rho"]))
 
     ok_pairs = [(e, r) for e, r in zip(epsilons, errors) if r is not None]
     fitted: Optional[float]
@@ -527,6 +560,6 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         "reference_markers": n_markers,
         "reference_energy": E_ref,
         "gauge_drop": tau_final * E_ref,
-        "gauge_shift": gauge_shift,
+        "gauge_shift": 0.5 * tau_final * tau_final * E_ref,
         "runs": runs,
     }

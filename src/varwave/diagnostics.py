@@ -8,7 +8,9 @@ with E the energy density and F = (s^2 phi omega + v r) / c in transport
 variables (equivalently Re(conj(zeta_t) zeta_x) in the constant-speed complex
 form, where c^2 F needs the explicit c^2 factor).  Residuals are measured by
 centered differences across snapshot triples, so the first and last reported
-steps carry no residual.
+steps carry no residual.  In a frame y = x - V t moving at V both laws gain
+an advective flux, E_t = (c^2 F + V E)_y and F_t = (E - 2 W0 + V F)_y;
+EnergyLog adds it.
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ class EnergyLog:
 
     `record` takes each level's densities (E, F, c2F, EmW) in time order;
     a level's centered residuals are filled in when the next level comes,
-    so the first and last reports keep NaN residuals.
+    so the first and last reports keep NaN residuals.  With frame_speed V
+    the levels live in y = x - V t, and the residuals are those of the laws
+    in that frame: V E joins the energy flux c2F and V F the flux EmW.
     """
 
-    def __init__(self, grid: Grid1D, dt: float):
-        self.grid, self.dt = grid, dt
+    def __init__(self, grid: Grid1D, dt: float, frame_speed: float = 0.0):
+        self.grid, self.dt, self.frame_speed = grid, dt, frame_speed
         self.reports: List[EnergyReport] = []
         self._triple: List[tuple] = []  # densities of the last three levels
 
@@ -107,6 +111,10 @@ class EnergyLog:
             time, float(integrate(g, densities[0])),
             float(integrate(g, densities[1])), math.nan, math.nan,
             sup_state, apriori_violated))
+        V = self.frame_speed
+        if V != 0.0:
+            E, F, c2F, EmW = densities
+            densities = (E, F, c2F + V * E, EmW + V * F)
         self._triple = self._triple[-2:] + [densities]
         if len(self._triple) == 3:
             E, F, c2F, EmW = zip(*self._triple)

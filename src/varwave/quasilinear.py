@@ -29,6 +29,13 @@ Both families in one pass: the six fields live in one (6, n) array, the
 two families' queries form one set of 2n points, and a step builds 2
 stencils, the midpoints sampling all six fields in one call and the feet
 the four Riemann fields in one call, and makes one rhs_sources call.
+
+A run may solve in the frame y = x - V t moving at V
+(QuasilinearConfig.frame_speed): the families then move at +c - V and
+-c - V relative to the grid, psi and s at -V, and the grid follows a packet
+moving at about V instead of covering its whole path.  Each step samples
+the departure primitives once more, at the nodes shifted by V dt, with a
+stencil cached per grid and V dt.  V = 0 is the fixed frame, bit for bit.
 """
 
 from __future__ import annotations
@@ -230,19 +237,44 @@ def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
 
 
 @functools.lru_cache(maxsize=16)
-def _family_queries(grid: Grid1D) -> Tuple[np.ndarray, np.ndarray]:
-    """The 2n query nodes of both families and their signs, read-only: the
-    +c family (moving right, foot to the left) first, then the -c family."""
+def _family_queries(grid: Grid1D, shift: float
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2n query nodes of both families shifted by shift / 2 (half
+    points) and by shift (feet), and their signs, read-only: the +c family
+    (moving right, foot to the left) first, then the -c family.  shift is
+    V dt, the distance the frame moving at V covers in one step; with
+    shift = 0 both node sets are the nodes themselves, bit for bit."""
     x = np.tile(grid.nodes, 2)
+    half, foot = x + 0.5 * shift, x + shift
     sign = np.repeat([-1.0, 1.0], grid.n)
-    x.flags.writeable = sign.flags.writeable = False
-    return x, sign
+    for a in (half, foot, sign):
+        a.flags.writeable = False
+    return half, foot, sign
+
+
+@functools.lru_cache(maxsize=16)
+def _drift_stencil(grid: Grid1D, shift: float):
+    """Stencil of the nodes shifted by V dt, the feet of psi and s in the
+    frame moving at V (they ride the characteristic dy/dt = -V)."""
+    return stencil(grid, grid.nodes + shift)
+
+
+def _drifted_rows(state: PolarState, shift: float) -> np.ndarray:
+    """Rows (psi, s, phi, v) of state at the nodes shifted by shift = V dt,
+    the far field beyond the grid: the departure values of the primitives'
+    ODEs in the frame moving at V.  They depend only on the departure level,
+    so a fixed point computes them once per step."""
+    far = np.array(state.far[:4])[:, None]
+    return _drift_stencil(state.grid, shift).apply(state.U[:4], fill=far)
 
 
 def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float,
                    frozen_mid: Optional[PolarState] = None,
-                   frozen_end: Optional[PolarState] = None) -> PolarState:
-    """One semi-Lagrangian step of length dt.
+                   frozen_end: Optional[PolarState] = None,
+                   frame_speed: float = 0.0,
+                   drifted: Optional[np.ndarray] = None) -> PolarState:
+    """One semi-Lagrangian step of length dt in the frame y = x - V t
+    moving at V = frame_speed.
 
     Characteristic feet are traced through the frozen coefficient fields
     (frozen_end at the arrival time for the first half step, frozen_mid at
@@ -256,21 +288,30 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     -c family.  The midpoint stencil samples all six rows of the frozen
     midpoint state at once, the foot stencil the four rows (phi, v, omega, r)
     of the departure state that the Riemann updates read.
+
+    In the moving frame the families travel at +c - V and -c - V, so the
+    half points shift by V dt / 2 and the feet by V dt; psi and s ride
+    dy/dt = -V, so their ODEs start from the departure rows at the nodes
+    shifted by V dt (`drifted`: the rows (psi, s, phi, v) there, computed
+    here when not given; one more stencil, cached per grid and V dt).  The
+    Riemann updates and the sources do not change.  V = 0 takes none of
+    this: 2 stencils, and the same bits as a step that knows no frame.
     """
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
     far = np.array(state.far)[:, None]
-    x, sign = _family_queries(g)
+    shift = frame_speed * dt
+    x_half, x_foot, sign = _family_queries(g, shift)
 
     # feet, RK2 through frozen angles; the frozen midpoint state sampled at
     # the half-way points also feeds the sources, and one sin and one cos
     # of its angle row give the midpoint speeds and the sources' c'/c
-    half = (x.reshape(2, g.n) + sign.reshape(2, g.n)
+    half = (x_half.reshape(2, g.n) + sign.reshape(2, g.n)
             * (0.5 * dt * ws.c(end.psi))).reshape(-1)
     args = stencil(g, half).apply(mid.U, fill=far)
     c_mid, cp_over_c = ws.speed_and_ratio(args[0])
-    foot = x + sign * (dt * c_mid)
+    foot = x_foot + sign * (dt * c_mid)
     dep = stencil(g, foot).apply(state.U[2:], fill=far[2:])
     src = rhs_sources(p, cp_over_c, *args[1:])
 
@@ -280,11 +321,15 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     right, left = R[:, :g.n], R[:, g.n:]
 
     # the new level, written row block by row block into one fresh array:
-    # pointwise ODEs for the primitives, midpoint rule on frozen data
-    # (without frozen_end, 0.5 * (a + a) == a exactly), then the Riemann
-    # variables split back into (phi, v) and (omega, r)
+    # ODEs along dy/dt = -V for the primitives, midpoint rule on frozen data
+    # (at V = 0 without frozen_end, 0.5 * (a + a) == a exactly), then the
+    # Riemann variables split back into (phi, v) and (omega, r)
+    if shift == 0.0:
+        dep0 = state.U
+    else:
+        dep0 = drifted if drifted is not None else _drifted_rows(state, shift)
     U = np.empty_like(state.U)
-    np.add(state.U[:2], dt * (0.5 * (state.U[2:4] + end.U[2:4])), out=U[:2])
+    np.add(dep0[:2], dt * (0.5 * (dep0[2:4] + end.U[2:4])), out=U[:2])
     np.add(left, right, out=U[2:4])
     np.subtract(left, right, out=U[4:])
     U[2:] *= 0.5
@@ -299,19 +344,24 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
 
 @dataclass(frozen=True)
 class QuasilinearConfig:
-    """Step and tolerance of the fixed-point solver.
+    """Step, tolerance and frame of the fixed-point solver.
 
-    The budgets the iteration must stay under belong to a run, not to the
-    configuration: advance resolves them once from its initial state (see
-    resolve_budgets) and checks every level against them.
+    frame_speed V: the run solves in y = x - V t, on a grid that moves with
+    that frame (0, the default, is the fixed frame).  The budgets the
+    iteration must stay under belong to a run, not to the configuration:
+    advance resolves them once from its initial state (see resolve_budgets)
+    and checks every level against them.
     """
 
     dt: float
     fixpoint_tol: float = 1e-9
+    frame_speed: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        if not math.isfinite(self.frame_speed):
+            raise ConfigError("frame_speed must be finite")
 
     @classmethod
     def cfl(cls, grid: Grid1D, ws: WaveSpeed, cfl: float = 0.8,
@@ -357,13 +407,14 @@ def _measure(st: PolarState, p: PotentialSpec, ws: WaveSpeed):
     return dens, float(integrate(st.grid, dens[0])), norm, float(np.max(dU[2:]))
 
 
-def resolve_budgets(U0: PolarState, p: PotentialSpec,
-                    ws: WaveSpeed) -> Tuple[float, float]:
+def resolve_budgets(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
+                    measure: Optional[tuple] = None) -> Tuple[float, float]:
     """The budgets (E', L') of a run starting at U0: twice the initial
     energy, and twice the larger of the initial W^{1,inf} norm and sup(1/s).
     A tiny absolute floor on the energy budget keeps exact equilibria
-    (energy zero up to roundoff) from tripping the monitor on noise."""
-    _, E0, norm0, _ = _measure(U0, p, ws)
+    (energy zero up to roundoff) from tripping the monitor on noise.
+    measure: U0's _measure, when the caller has it already."""
+    _, E0, norm0, _ = measure if measure is not None else _measure(U0, p, ws)
     E0 = max(E0, 0.0)
     return 2.0 * E0 + 1e-12 * max(1.0, E0), 2.0 * norm0
 
@@ -375,19 +426,22 @@ def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
     The step's map takes a guessed next level y to the semi-Lagrangian step
     of the linear system with coefficients and sources frozen on avg(x, y)
-    and y; its fixed point is the nonlinear step.  The iteration starts from
-    y = x (the plain step) and stops once the W^{1,inf} change is below
-    cfg.fixpoint_tol.  A step still moving after _FIXPOINT_MAX passes raises
-    NonContractionError (diff_norms: its passes), and a level over the
-    budgets (E', L') raises AprioriViolationError (time: x.time); the energy
-    has 1e-9 relative slack.  Returns (level, measure, trace), where measure
-    holds the level's densities (E, F, c2F, EmW), total energy, budget norm
+    and y, in the frame moving at cfg.frame_speed; its fixed point is the
+    nonlinear step.  The iteration starts from y = x (the plain step) and
+    stops once the W^{1,inf} change is below cfg.fixpoint_tol.  A step
+    still moving after _FIXPOINT_MAX passes raises NonContractionError
+    (diff_norms: its passes), and a level over the budgets (E', L') raises
+    AprioriViolationError (time: x.time); the energy has 1e-9 relative
+    slack.  Returns (level, measure, trace), where measure holds the
+    level's densities (E, F, c2F, EmW), total energy, budget norm
     max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
     """
-    y, diffs = x, []
+    V, y, diffs = cfg.frame_speed, x, []
+    drifted = _drifted_rows(x, V * cfg.dt) if V != 0.0 else None
     for _ in range(_FIXPOINT_MAX):
         y_new = transport_step(x, p, ws, cfg.dt,
-                               frozen_mid=_average_state(x, y), frozen_end=y)
+                               frozen_mid=_average_state(x, y), frozen_end=y,
+                               frame_speed=V, drifted=drifted)
         diffs.append(_w1_sup(x.grid, y_new.U - y.U))
         y = y_new
         if diffs[-1] < cfg.fixpoint_tol:
@@ -415,13 +469,22 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     Budgets are resolved once from the initial state, which always
     satisfies them, and held fixed for the whole run.  Energy and flux
     totals are recorded every step with centered conservation residuals
-    filled in away from the run's ends; w2_sup tracks the largest gradient
-    of any first-order field (a second-derivative proxy for the
-    primitives), which the continuation theory watches but never caps.
+    filled in away from the run's ends (the laws of the frame moving at
+    cfg.frame_speed, see EnergyLog); w2_sup tracks the largest gradient of
+    any first-order field (a second-derivative proxy for the primitives),
+    which the continuation theory watches but never caps.
 
     `observer(state)` is called with the initial state and then with each
     accepted level, in time order; the solver never changes a PolarState
     after handing it over.
+
+    The entry gate dt <= 0.9 dx / c_max bounds the speeds of the fixed
+    frame.  In a frame moving at V the speeds relative to the grid reach
+    c_max + |V|, so a foot may travel up to (c_max + |V|) dt / dx cells in
+    one step: about 1.5 cells on the epsilon sweep (V = c0, dt = 0.8 dx /
+    c_max).  The four-point stencil reads a foot at any distance; what the
+    step needs is a contracting fixed point, which every step checks (the
+    sweep's passes contract by a factor below 0.02).
     """
     grid = state.grid
     if cfg.dt > _CFL_LIMIT * grid.dx / ws.c_max + 1e-15:
@@ -440,7 +503,7 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     if total_steps == 0:
         raise ConfigError("t_final shorter than one step")
 
-    log = EnergyLog(grid, cfg.dt)
+    log = EnergyLog(grid, cfg.dt, frame_speed=cfg.frame_speed)
     w2_sup: List[float] = []
 
     def record(st: PolarState, measure):
@@ -450,8 +513,9 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
         if observer is not None:
             observer(st)
 
-    budgets = resolve_budgets(state, p, ws)
-    record(state, _measure(state, p, ws))
+    measure = _measure(state, p, ws)
+    budgets = resolve_budgets(state, p, ws, measure=measure)
+    record(state, measure)
 
     traces: List[FixpointTrace] = []
     cur = state

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from varwave import (AsymptoticConfig, ConfigError, Grid1D, SlowCoefficients,
+from varwave import (AsymptoticConfig, ConfigError, Grid1D, QuasilinearConfig,
+                     SlowCoefficients, advance,
                      bump_slope, convergence_study, discrete_el_residual,
                      embed, evolve_markers, extract,
                      flat_point_potential, gaussian, integrate, make_markers,
                      fit_order, reference_potential, rescaling_from_coefficients,
                      rescaling_map, sample_eulerian, slow_time, standardize,
                      strong_residual, wave_speed)
-from varwave.diagnostics import energy_density_polar
+from varwave.diagnostics import EnergyLog, energy_density_polar
 from varwave.profiles import zero
 
 
@@ -283,9 +284,15 @@ def test_study_small_sweep_structure_and_improvement():
     assert out["reference_energy"] > 0.0
     assert out["gauge_drop"] == pytest.approx(0.1 * out["reference_energy"])
     run = out["runs"][0]
-    for key in ("epsilon", "t_fast", "grid_nodes", "steps", "achieved_T",
-                "l2_u", "l2_rho", "sup_u", "sup_rho", "failed"):
+    for key in ("epsilon", "t_fast", "frame_speed", "grid_nodes", "steps",
+                "fixpoint_passes", "achieved_T", "l2_u", "l2_rho", "sup_u",
+                "sup_rho", "failed"):
         assert key in run
+    for run in out["runs"]:
+        # solved in the frame moving at c0, on y_span +- pad only
+        assert run["frame_speed"] == out["c0"]
+        assert run["grid_nodes"] == 161
+        assert run["steps"] <= run["fixpoint_passes"] <= 40 * run["steps"]
 
 
 def test_study_requires_two_epsilons():
@@ -293,3 +300,59 @@ def test_study_requires_two_epsilons():
         convergence_study(flat_point_potential(0.5), wave_speed(2.0, 1.0),
                           math.pi / 4.0, 0.5, zero(), zero(),
                           epsilons=(0.2,), tau_final=0.1)
+
+
+def _criterion_10_inputs():
+    u0 = gaussian(1.0, 0.0, 1.0)
+    return (flat_point_potential(0.5), u0, bump_slope(0.5, 0.0, 1.0),
+            u0.derivative)
+
+
+def test_moving_frame_error_is_converged_in_dx():
+    # criterion 10's inputs at epsilon = 0.1: the sweep's error against the
+    # marker reference moves by 0.05 % when dx halves (measured), so it is
+    # the asymptotic error and not the scheme's
+    import varwave.asymptotic as asy
+    p, u0, rho0, du0 = _criterion_10_inputs()
+    cfg = _background(0.1, u0, rho0, du0)
+    mapping = rescaling_map(cfg)
+    y_grid = np.linspace(-5.0, 5.0, 400)
+    u_ref, rho_ref, _ = asy._marker_reference(
+        mapping, u0, rho0, du0, (-6.0, 6.0), y_grid, 4001, 2e-3, 0.5)
+    errs = []
+    for dx in (0.05, 0.025):
+        run = asy._sweep_run(p, cfg, mapping, 0.5, y_grid, u_ref, rho_ref,
+                             (-6.0, 6.0), dx, 8.0)
+        assert not run["failed"]
+        errs.append(math.hypot(run["l2_u"], run["l2_rho"]))
+    assert abs(errs[1] - errs[0]) <= 0.01 * errs[1]
+
+
+def test_moving_frame_energy_residuals_carry_the_frame_flux():
+    # epsilon = 0.2 to t = 4 in both frames, on the sweep's grids: with the
+    # flux V E (and V F) the moving-frame residuals are no larger than the
+    # fixed frame's; without it they measure the frame drift instead
+    p, u0, rho0, du0 = _criterion_10_inputs()
+    cfg = _background(0.2, u0, rho0, du0)
+    ws, V, T = cfg.ws, cfg.c0, 4.0
+    reports = {}
+    for frame, x_hi in ((0.0, 6.0 + V * T + 8.0), (V, 14.0)):
+        g = Grid1D(-14.0, x_hi, int(round((x_hi + 14.0) / 0.05)) + 1)
+        steps = int(math.ceil(T / (0.8 * g.dx / ws.c_max)))
+        qcfg = QuasilinearConfig(dt=T / steps, frame_speed=frame)
+        levels = []
+        res = advance(embed(cfg, g, p=p), p, ws, qcfg, T,
+                      observer=levels.append)
+        reports[frame] = res.energy_reports
+    # the moving-frame levels (the loop's last run) logged as if fixed
+    blind = EnergyLog(g, qcfg.dt)
+    for st in levels:
+        blind.record(st.time, energy_density_polar(*st.U, p, ws), 0.0)
+
+    def worst(reps, key):
+        return max(getattr(r, key) for r in reps[1:-1])
+
+    for key in ("residual_E", "residual_F"):
+        assert worst(reports[V], key) <= worst(reports[0.0], key)
+    assert worst(blind.reports, "residual_E") > 100.0 * worst(reports[V],
+                                                              "residual_E")

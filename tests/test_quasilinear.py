@@ -17,6 +17,7 @@ from varwave import (AprioriViolationError, ConfigError, DegeneracyError,
                      transport_step, wave_speed, write_polar_snapshot_csv,
                      zero_potential)
 from varwave.diagnostics import EnergyLog
+from varwave.fields import stencil
 from varwave.quasilinear import resolve_budgets
 
 
@@ -532,8 +533,8 @@ def test_advance_stops_before_the_level_over_budget(monkeypatch):
         dens, E, norm, grad_sup = measure(lv, p, ws)
         return dens, E, norm + 100.0 * lv.time, grad_sup
 
-    def budgets(U0, p, ws):
-        E_prime, L_prime = resolve_budgets(U0, p, ws)
+    def budgets(U0, p, ws, **kw):
+        E_prime, L_prime = resolve_budgets(U0, p, ws, **kw)
         return E_prime, L_prime + 2050.0 * cfg.dt
 
     monkeypatch.setattr(ql, "_measure", drifting)
@@ -699,8 +700,8 @@ def test_advance_evaluates_each_level_energy_once(monkeypatch):
 
     monkeypatch.setattr(ql, "energy_density_polar", counting)
     _, _, _, _, res = _twelve_step_run()
-    # one per level, plus one for the budgets
-    assert len(calls) == len(res.energy_reports) + 1
+    # one per level: the budgets read the initial level's record
+    assert len(calls) == len(res.energy_reports)
 
 
 def test_advance_records_match_per_level_formulas():
@@ -749,6 +750,123 @@ def test_advance_entry_validation():
     st_ref = _bump_state(g, ws)
     with pytest.raises(ConfigError, match="far-field"):
         advance(st_ref, reference_potential(), ws, cfg, 16 * cfg.dt)
+
+
+# --- moving frame ------------------------------------------------------------
+
+
+def _pinned_fixed_frame_step(state, p, ws, dt, frozen_mid, frozen_end):
+    """transport_step as it was before frames existed, kept verbatim."""
+    g = state.grid
+    mid, end = frozen_mid, frozen_end
+    far = np.array(state.far)[:, None]
+    x = np.tile(g.nodes, 2)
+    sign = np.repeat([-1.0, 1.0], g.n)
+    half = (x.reshape(2, g.n) + sign.reshape(2, g.n)
+            * (0.5 * dt * ws.c(end.psi))).reshape(-1)
+    args = stencil(g, half).apply(mid.U, fill=far)
+    c_mid, cp_over_c = ws.speed_and_ratio(args[0])
+    foot = x + sign * (dt * c_mid)
+    dep = stencil(g, foot).apply(state.U[2:], fill=far[2:])
+    src = rhs_sources(p, cp_over_c, *args[1:])
+    R = (dep[0:2] + sign * dep[2:4]) + dt * (src[0:2] + sign * src[2:4])
+    right, left = R[:, :g.n], R[:, g.n:]
+    U = np.empty_like(state.U)
+    np.add(state.U[:2], dt * (0.5 * (state.U[2:4] + end.U[2:4])), out=U[:2])
+    np.add(left, right, out=U[2:4])
+    np.subtract(left, right, out=U[4:])
+    U[2:] *= 0.5
+    return PolarState(g, *U, time=state.time + dt,
+                      far_field=state.far_field)
+
+
+def test_fixed_frame_levels_match_the_pinned_step_bitwise():
+    import varwave.quasilinear as ql
+    levels = []
+    g, p, ws, cfg, res = _twelve_step_run(levels.append)
+    assert cfg.frame_speed == 0.0
+    cur = levels[0]
+    for want in levels[1:]:
+        y = cur
+        for _ in range(ql._FIXPOINT_MAX):
+            y_new = _pinned_fixed_frame_step(
+                cur, p, ws, cfg.dt, ql._average_state(cur, y), y)
+            done = ql._w1_sup(g, y_new.U - y.U) < cfg.fixpoint_tol
+            y = y_new
+            if done:
+                break
+        assert y.time == want.time
+        assert y.U.tobytes() == want.U.tobytes()
+        cur = y
+
+
+def _frame_run(n, V, T=2.0):
+    """The bump on [-8, 8] to time T, solved in the frame moving at V."""
+    g = Grid1D(-8.0, 8.0, n)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    steps = int(math.ceil(T / (0.8 * g.dx / ws.c_max)))
+    cfg = QuasilinearConfig(dt=T / steps, frame_speed=V)
+    return g, advance(_bump_state(g, ws), p, ws, cfg, T)
+
+
+def test_moving_frame_matches_fixed_frame_to_discretization_accuracy():
+    # the moving-frame state at y is the fixed-frame state at x = y + V T;
+    # measured sup gaps over the six fields: 2.4e-4 at dx = 1/8 and 2.5e-5
+    # at dx = 1/16, so the gap falls like a discretization error
+    V, T = 0.7, 2.0
+    gaps = []
+    for n in (129, 257):
+        g, fixed = _frame_run(n, 0.0, T)
+        _, moving = _frame_run(n, V, T)
+        x = g.nodes[g.nodes - V * T >= g.x_min]
+        got = stencil(g, x - V * T).apply(moving.state.U)
+        want = stencil(g, x).apply(fixed.state.U)
+        gaps.append(float(np.max(np.abs(got - want))))
+    assert gaps[0] < 5e-4
+    assert gaps[1] < 5e-5
+    assert gaps[1] < gaps[0] / 8.0
+
+
+def test_moving_frame_step_samples_the_departure_primitives_once(monkeypatch):
+    # a pass still builds 2 stencils (6 rows at the midpoints, 4 at the
+    # feet); psi and s add one 4-row sample per step, shared by its passes
+    from varwave.fields import Stencil
+    rows = []
+    apply = Stencil.apply
+
+    def recording(self, samples, fill=None):
+        rows.append(np.shape(samples)[0])
+        return apply(self, samples, fill=fill)
+
+    monkeypatch.setattr(Stencil, "apply", recording)
+    _, res = _frame_run(129, 0.7, T=0.5)
+    want = []
+    for t in res.traces:
+        want += [4] + [6, 4] * len(t.diff_norms)
+    assert rows == want
+
+
+def test_moving_frame_step_with_or_without_drifted_rows_is_identical():
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    dt, V = 0.8 * g.dx / ws.c_max, 1.1
+    end = transport_step(st, p, ws, dt, frame_speed=V)
+    kw = dict(frozen_mid=ql._average_state(st, end), frozen_end=end,
+              frame_speed=V)
+    a = transport_step(st, p, ws, dt, **kw)
+    b = transport_step(st, p, ws, dt, drifted=ql._drifted_rows(st, V * dt),
+                       **kw)
+    assert np.array_equal(a.U, b.U)
+
+
+def test_config_rejects_non_finite_frame_speed():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="frame_speed"):
+            QuasilinearConfig(dt=0.01, frame_speed=bad)
 
 
 # --- polar snapshots ---------------------------------------------------------
