@@ -232,14 +232,14 @@ class ExtractedSlow:
     t_fast: float
 
 
-def extract(cfg: AsymptoticConfig, state: PolarState, y_query,
-            frame_speed: float = 0.0) -> ExtractedSlow:
+def extract(cfg: AsymptoticConfig, state: PolarState, y_query
+            ) -> ExtractedSlow:
     """Undo the embedding at the state's time.
 
-    The state is solved in the frame moving at frame_speed V (0: the fixed
-    frame), so the co-moving point y sits at y + (c0 - V) t on its grid:
-    x = y + c0 t in the fixed frame, and y itself when V = c0.  Samples the
-    fast solution there, peels off the background and the amplitude:
+    The state is solved in the frame moving at c0
+    (QuasilinearConfig.frame_speed = c0), so its grid coordinate is the
+    co-moving y itself.  Samples the fast solution at y_query, peels off
+    the background and the amplitude:
     u = (psi - psi0)/eps and rho = s_x/eps, read through the gradient field
     r = c(psi) s_x so no extra differencing is introduced.  The returned
     fields are unstandardized; apply the rescaling map to compare with the
@@ -248,8 +248,7 @@ def extract(cfg: AsymptoticConfig, state: PolarState, y_query,
     if cfg.epsilon == 0.0:
         raise ConfigError("cannot extract slow fields at epsilon = 0")
     y = np.atleast_1d(np.asarray(y_query, dtype=float))
-    x = y + (cfg.c0 - frame_speed) * state.time
-    psi_q, r_q = stencil(state.grid, x).apply(state.U[[0, 5]])
+    psi_q, r_q = stencil(state.grid, y).apply(state.U[[0, 5]])
     u = (psi_q - cfg.psi0) / cfg.epsilon
     rho = r_q / (cfg.ws.c(psi_q) * cfg.epsilon)
     return ExtractedSlow(y=y, u=u, rho=rho, tau=slow_time(cfg, state.time),
@@ -452,8 +451,7 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
                              frame_speed=V)
     try:
         out = advance(embed(cfg, grid, p=p), p, cfg.ws, qcfg, t_fast)
-        ext = standardize(extract(cfg, out.state, y_grid, frame_speed=V),
-                          mapping)
+        ext = standardize(extract(cfg, out.state, y_grid), mapping)
     except VarwaveError as exc:
         return {"epsilon": cfg.epsilon, "t_fast": t_fast, "frame_speed": V,
                 "failed": True, "error": f"{type(exc).__name__}: {exc}"}

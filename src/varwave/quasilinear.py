@@ -292,9 +292,9 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     In the moving frame the families travel at +c - V and -c - V, so the
     half points shift by V dt / 2 and the feet by V dt; psi and s ride
     dy/dt = -V, so their ODEs start from the departure rows at the nodes
-    shifted by V dt (`drifted`: the rows (psi, s, phi, v) there, computed
-    here when not given; one more stencil, cached per grid and V dt).  The
-    Riemann updates and the sources do not change.  V = 0 takes none of
+    shifted by V dt (`drifted`: the rows (psi, s, phi, v) there, from
+    _drifted_rows; a step with V dt != 0 raises ValueError without them).
+    The Riemann updates and the sources do not change.  V = 0 takes none of
     this: 2 stencils, and the same bits as a step that knows no frame.
     """
     g = state.grid
@@ -302,6 +302,12 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     end = frozen_end if frozen_end is not None else state
     far = np.array(state.far)[:, None]
     shift = frame_speed * dt
+    if shift == 0.0:
+        dep0 = state.U
+    elif drifted is None:
+        raise ValueError("a step in a moving frame needs the drifted rows")
+    else:
+        dep0 = drifted
     x_half, x_foot, sign = _family_queries(g, shift)
 
     # feet, RK2 through frozen angles; the frozen midpoint state sampled at
@@ -324,10 +330,6 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     # ODEs along dy/dt = -V for the primitives, midpoint rule on frozen data
     # (at V = 0 without frozen_end, 0.5 * (a + a) == a exactly), then the
     # Riemann variables split back into (phi, v) and (omega, r)
-    if shift == 0.0:
-        dep0 = state.U
-    else:
-        dep0 = drifted if drifted is not None else _drifted_rows(state, shift)
     U = np.empty_like(state.U)
     np.add(dep0[:2], dt * (0.5 * (dep0[2:4] + end.U[2:4])), out=U[:2])
     np.add(left, right, out=U[2:4])

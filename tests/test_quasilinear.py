@@ -755,49 +755,28 @@ def test_advance_entry_validation():
 # --- moving frame ------------------------------------------------------------
 
 
-def _pinned_fixed_frame_step(state, p, ws, dt, frozen_mid, frozen_end):
-    """transport_step as it was before frames existed, kept verbatim."""
-    g = state.grid
-    mid, end = frozen_mid, frozen_end
-    far = np.array(state.far)[:, None]
-    x = np.tile(g.nodes, 2)
-    sign = np.repeat([-1.0, 1.0], g.n)
-    half = (x.reshape(2, g.n) + sign.reshape(2, g.n)
-            * (0.5 * dt * ws.c(end.psi))).reshape(-1)
-    args = stencil(g, half).apply(mid.U, fill=far)
-    c_mid, cp_over_c = ws.speed_and_ratio(args[0])
-    foot = x + sign * (dt * c_mid)
-    dep = stencil(g, foot).apply(state.U[2:], fill=far[2:])
-    src = rhs_sources(p, cp_over_c, *args[1:])
-    R = (dep[0:2] + sign * dep[2:4]) + dt * (src[0:2] + sign * src[2:4])
-    right, left = R[:, :g.n], R[:, g.n:]
-    U = np.empty_like(state.U)
-    np.add(state.U[:2], dt * (0.5 * (state.U[2:4] + end.U[2:4])), out=U[:2])
-    np.add(left, right, out=U[2:4])
-    np.subtract(left, right, out=U[4:])
-    U[2:] *= 0.5
-    return PolarState(g, *U, time=state.time + dt,
-                      far_field=state.far_field)
-
-
-def test_fixed_frame_levels_match_the_pinned_step_bitwise():
+def test_fixed_frame_levels_match_the_per_field_reference_bitwise(
+        monkeypatch):
+    # at frame_speed 0 a whole run takes the fixed-frame step: with the
+    # per-field reference step swapped in, every level keeps its bits
     import varwave.quasilinear as ql
-    levels = []
-    g, p, ws, cfg, res = _twelve_step_run(levels.append)
-    assert cfg.frame_speed == 0.0
-    cur = levels[0]
-    for want in levels[1:]:
-        y = cur
-        for _ in range(ql._FIXPOINT_MAX):
-            y_new = _pinned_fixed_frame_step(
-                cur, p, ws, cfg.dt, ql._average_state(cur, y), y)
-            done = ql._w1_sup(g, y_new.U - y.U) < cfg.fixpoint_tol
-            y = y_new
-            if done:
-                break
-        assert y.time == want.time
-        assert y.U.tobytes() == want.U.tobytes()
-        cur = y
+    want = []
+    _twelve_step_run(want.append)
+
+    def reference(state, p, ws, dt, frozen_mid=None, frozen_end=None,
+                  frame_speed=0.0, drifted=None):
+        assert frame_speed == 0.0 and drifted is None
+        U = _reference_transport_step(state, p, ws, dt, frozen_mid,
+                                      frozen_end)
+        return PolarState(state.grid, *U, time=state.time + dt,
+                          far_field=state.far_field)
+
+    monkeypatch.setattr(ql, "transport_step", reference)
+    got = []
+    _twelve_step_run(got.append)
+    assert [st.time for st in got] == [st.time for st in want]
+    for a, b in zip(got, want):
+        assert a.U.tobytes() == b.U.tobytes()
 
 
 def _frame_run(n, V, T=2.0):
@@ -847,20 +826,18 @@ def test_moving_frame_step_samples_the_departure_primitives_once(monkeypatch):
     assert rows == want
 
 
-def test_moving_frame_step_with_or_without_drifted_rows_is_identical():
+def test_moving_frame_step_needs_the_drifted_rows():
     import varwave.quasilinear as ql
-    g = Grid1D(-8.0, 8.0, 257)
-    p = flat_point_potential(0.5)
+    g = Grid1D(-8.0, 8.0, 129)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
     dt, V = 0.8 * g.dx / ws.c_max, 1.1
-    end = transport_step(st, p, ws, dt, frame_speed=V)
-    kw = dict(frozen_mid=ql._average_state(st, end), frozen_end=end,
-              frame_speed=V)
-    a = transport_step(st, p, ws, dt, **kw)
-    b = transport_step(st, p, ws, dt, drifted=ql._drifted_rows(st, V * dt),
-                       **kw)
-    assert np.array_equal(a.U, b.U)
+    p = flat_point_potential(0.5)
+    with pytest.raises(ValueError, match="drifted"):
+        transport_step(st, p, ws, dt, frame_speed=V)
+    out = transport_step(st, p, ws, dt, frame_speed=V,
+                         drifted=ql._drifted_rows(st, V * dt))
+    assert out.time == st.time + dt
 
 
 def test_config_rejects_non_finite_frame_speed():
