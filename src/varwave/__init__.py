@@ -35,8 +35,8 @@ from .profiles import (Profile, bump_slope, constant, gaussian, make_profile,
                        sine_packet)
 from .quasilinear import (FixpointTrace, PolarState, QuasilinearConfig,
                           QuasilinearResult, advance, read_polar_snapshot_csv,
-                          resolve_budgets, rhs_sources, trace_characteristics,
-                          transport_step, write_polar_snapshot_csv)
+                          resolve_budgets, rhs_sources, transport_step,
+                          write_polar_snapshot_csv)
 from .semilinear import (PicardTrace, SemilinearConfig, SemilinearResult,
                          contraction_window, duhamel_apply, free_wave,
                          picard_solve, source_term)
@@ -69,8 +69,7 @@ __all__ = [
     "make_profile",
     # quasilinear
     "PolarState", "QuasilinearConfig", "QuasilinearResult", "FixpointTrace",
-    "rhs_sources", "trace_characteristics", "transport_step", "advance",
-    "resolve_budgets",
+    "rhs_sources", "transport_step", "advance", "resolve_budgets",
     "write_polar_snapshot_csv", "read_polar_snapshot_csv",
     # markers
     "MarkerState", "HSResult", "make_markers", "marker_rhs", "evolve_markers",

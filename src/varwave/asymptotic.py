@@ -541,7 +541,7 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     fitted: Optional[float]
     try:
         fitted = fit_order(ok_pairs)
-    except (ConfigError, ValueError):
+    except ConfigError:
         fitted = None
 
     return {

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import (RunConfig, build_grid, build_potential, build_wave_speed,
-                     load_config, read_json)
+                     canonical_json, load_config, read_json)
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
@@ -69,10 +68,6 @@ def _exit_code(exc: VarwaveError) -> int:
     return 2
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _write_text(out_dir: str, name: str, text: str):
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
@@ -91,7 +86,7 @@ def _versions() -> Dict[str, str]:
 
 def _write_manifest(out_dir: str, cfg: RunConfig,
                     achieved_T: Optional[float], artifacts: List[str]):
-    _write_text(out_dir, "manifest.json", _canonical({
+    _write_text(out_dir, "manifest.json", canonical_json({
         "config": cfg.to_dict(),
         "versions": _versions(),
         "achieved_T": achieved_T,
@@ -181,10 +176,10 @@ def _cmd_validate_potential(cfg: RunConfig, args) -> int:
                     for key, cl in report.clauses.items()},
     }
     if not args.quiet:
-        sys.stdout.write(_canonical(doc))
+        sys.stdout.write(canonical_json(doc))
     if args.out is not None:
         out = _resolve_out_dir(cfg, args)
-        _write_text(out, "validation.json", _canonical(doc))
+        _write_text(out, "validation.json", canonical_json(doc))
         _write_manifest(out, cfg, None, ["validation.json"])
     return 0 if report.valid else 1
 
@@ -343,7 +338,7 @@ def _cmd_run_hs2(cfg: RunConfig, args) -> int:
         "marker_index": result.marker_index,
     }
     artifacts = ["trajectory.csv", "blowup.json", "manifest.json"]
-    _write_text(out, "blowup.json", _canonical(blow))
+    _write_text(out, "blowup.json", canonical_json(blow))
     _write_manifest(out, cfg, result.state.time, artifacts)
     if result.broke:
         if not args.quiet:
@@ -398,7 +393,7 @@ def _cmd_run_asymptotic(cfg: RunConfig, args) -> int:
 
     out = _resolve_out_dir(cfg, args)
     artifacts = ["study.json", "manifest.json"]
-    _write_text(out, "study.json", _canonical(study))
+    _write_text(out, "study.json", canonical_json(study))
     _write_manifest(out, cfg, cfg.time["t_final"], artifacts)
     if not args.quiet:
         order = study["fitted_order"]
@@ -424,10 +419,10 @@ def _cmd_fit_order(args) -> int:
     order = fit_order(pairs)
     result = {"fitted_order": order, "pairs": pairs}
     if not args.quiet:
-        sys.stdout.write(_canonical(result))
+        sys.stdout.write(canonical_json(result))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        _write_text(args.out, "fit.json", _canonical(result))
+        _write_text(args.out, "fit.json", canonical_json(result))
     return 0
 
 

@@ -4,10 +4,10 @@ A run config is a single JSON object with the sections solver, potential,
 wave_speed, grid, time, initial_data, outputs.  Loading is strict:
 unknown keys anywhere are rejected with the offending path named, missing
 values are filled from documented defaults, and numeric ranges are checked
-up front so solvers never see malformed input.  Serialization is canonical
-(sorted keys, fixed indentation, shortest round-trip floats), which makes
-dump(load(x)) byte-identical for canonicalized input and keeps manifests
-diffable.
+up front so solvers never see malformed input.  Serialization
+(canonical_json: sorted keys, fixed indentation, shortest round-trip
+floats) is canonical, which makes canonical_json(load(x).to_dict())
+byte-identical for canonicalized input and keeps manifests diffable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "load_config",
     "read_json",
     "parse_config",
-    "dump_config",
+    "canonical_json",
     "build_potential",
     "build_wave_speed",
     "build_grid",
@@ -250,9 +250,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(read_json(path))
 
 
-def dump_config(cfg: RunConfig) -> str:
-    """Canonical JSON serialization (stable bytes for stable configs)."""
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n"
+def canonical_json(doc) -> str:
+    """Canonical JSON text of a document: sorted keys, two-space indent, a
+    final newline.  Configs (`RunConfig.to_dict()`), manifests and reports
+    all go through it, so stable documents give stable bytes."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def build_potential(cfg: RunConfig) -> PotentialSpec:

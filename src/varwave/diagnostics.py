@@ -16,6 +16,7 @@ EnergyLog adds it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from typing import List
 
@@ -83,10 +84,9 @@ def conservation_residuals(grid: Grid1D, triple_E, triple_c2F, triple_F, triple_
     resE = dE_dt - centered_derivative(grid, triple_c2F[1])
     resF = dF_dt - centered_derivative(grid, triple_EmW[1])
     # one-sided boundary stencils are lower order; restrict to the interior
-    interior = np.zeros(grid.n)
-    interior[1:-1] = 1.0
-    return (float(integrate(grid, np.abs(resE) * interior)),
-            float(integrate(grid, np.abs(resF) * interior)))
+    res = np.abs([resE, resF])
+    res[:, [0, -1]] = 0.0
+    return tuple(float(r) for r in integrate(grid, res))
 
 
 class EnergyLog:
@@ -107,9 +107,9 @@ class EnergyLog:
     def record(self, time: float, densities, sup_state: float,
                apriori_violated: bool = False):
         g = self.grid
+        total_E, total_F = integrate(g, densities[:2])
         self.reports.append(EnergyReport(
-            time, float(integrate(g, densities[0])),
-            float(integrate(g, densities[1])), math.nan, math.nan,
+            time, float(total_E), float(total_F), math.nan, math.nan,
             sup_state, apriori_violated))
         V = self.frame_speed
         if V != 0.0:
@@ -123,17 +123,34 @@ class EnergyLog:
                 g, E, c2F, F, EmW, self.dt)
 
 
+def _finite_number(x) -> float:
+    """x as a float; ConfigError unless it is a finite, non-boolean real."""
+    ok = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    try:
+        val = float(x) if ok else math.nan
+    except OverflowError:  # an int beyond the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"order fit needs finite numbers, got {x!r}")
+    return val
+
+
 def fit_order(pairs) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    pairs is a sequence of (h, err) with h values distinct; every error must
-    be positive, otherwise a rate is meaningless and we refuse to fit.
+    pairs is a sequence of (h, err) with h values distinct; each pair is a
+    two-element sequence of finite, non-boolean numbers, and every error
+    must be positive, otherwise a rate is meaningless and we refuse to fit
+    (ConfigError).
     """
-    pairs = sorted(pairs, key=lambda he: -float(he[0]))
-    if len(pairs) < 3:
+    checked = []
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"order fit needs (h, err) pairs, got {pair!r}")
+        checked.append(tuple(map(_finite_number, pair)))
+    if len(checked) < 3:
         raise ConfigError("order fit needs at least three (h, err) pairs")
-    h = np.array([float(a) for a, _ in pairs])
-    e = np.array([float(b) for _, b in pairs])
+    h, e = np.array(sorted(checked, key=lambda he: -he[0])).T
     if np.any(h <= 0.0) or np.any(e <= 0.0):
         raise ConfigError("order fit needs positive h and err")
     if np.any(np.diff(h) >= 0.0):

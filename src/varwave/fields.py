@@ -3,15 +3,14 @@
 Everything downstream (both wave solvers, the marker resampler, the
 diagnostics) flows through these primitives, so their contracts are narrow
 and heavily tested: cubic interpolation is exact on cubics and at nodes,
-quadrature is the piecewise-linear integral (trapezoid plus partial end
-cells), and state_distance is the solution-space metric of the semilinear
-fixed-point solver.
+quadrature is the whole-grid trapezoid rule along the last axis, and
+state_distance is the solution-space metric of the semilinear fixed-point
+solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,9 +62,6 @@ class Grid1D:
         tol = 1e-12 * self.dx
         return (x >= self.x_min - tol) & (x <= self.x_max + tol)
 
-    def contains(self, x) -> bool:
-        return bool(np.all(self.inside(np.asarray(x))))
-
 
 @dataclass(frozen=True)
 class Stencil:
@@ -84,14 +80,13 @@ class Stencil:
     snap: np.ndarray     # queries on a node (to 1e-9 cells) ...
     snap_node: np.ndarray  # ... and the node each of them sits on
     outside: np.ndarray  # queries outside the grid (NaN included)
-    scalar: bool
 
     def apply(self, samples, fill=None):
         """Interpolate samples of shape (..., n) at the m queries.
 
         Queries outside the grid raise DomainError unless a fill value is
-        supplied; it broadcasts against the (..., m) result, so a (k, 1)
-        array gives each row of a stack its own far-field constant.
+        supplied: a scalar, or a (k, 1) array that gives each row of a
+        (k, n) stack its own far-field constant.
         """
         samples = np.asarray(samples)
         if fill is None and self.outside.size:
@@ -109,17 +104,13 @@ class Stencil:
         if self.outside.size:
             fill = np.asarray(fill)
             out = out.astype(np.result_type(out, fill), copy=False)
-            # a fill with one value per query gives its outside columns
-            per_query = fill.ndim and fill.shape[-1] == out.shape[-1]
-            out[..., self.outside] = (fill[..., self.outside] if per_query
-                                      else fill)
-        return out[..., 0] if self.scalar else out
+            out[..., self.outside] = fill
+        return out
 
 
 def stencil(grid: Grid1D, x) -> Stencil:
     """Interpolation stencil of the query points x (see `interpolate`)."""
-    x = np.asarray(x, dtype=float)
-    xq = np.atleast_1d(x)
+    xq = np.atleast_1d(np.asarray(x, dtype=float))
     outside = np.flatnonzero(~grid.inside(xq))
 
     # fmax/fmin clamp like clip but send NaN to the floor, so no NaN reaches
@@ -149,61 +140,27 @@ def stencil(grid: Grid1D, x) -> Stencil:
     node = np.round(pos)
     snap = np.flatnonzero(np.abs(pos - node) < 1e-9)
     return Stencil(jbase + np.arange(4)[:, None], weights, snap,
-                   node[snap].astype(np.intp), outside, x.ndim == 0)
+                   node[snap].astype(np.intp), outside)
 
 
 def interpolate(grid: Grid1D, samples: np.ndarray, x, fill=None):
     """Four-point Lagrange interpolation of nodal samples at query points.
 
-    Exact for cubic polynomials and exact at grid nodes.  Queries outside the
-    grid raise DomainError unless a fill value is supplied (used by the
-    transport solver, whose characteristics leave through a constant far
-    field).  To sample several fields at the same queries, build the
+    The m queries are a 1-d array (a scalar is one query); the result has
+    shape (..., m).  Exact for cubic polynomials and exact at grid nodes.
+    Queries outside the grid raise DomainError unless a fill value is
+    supplied (a scalar, or a (k, 1) array with one value per row of a (k, n)
+    stack).  To sample several fields at the same queries, build the
     `stencil` once and apply it to their stack.
     """
     return stencil(grid, x).apply(samples, fill)
 
 
-def integrate(grid: Grid1D, samples: np.ndarray, a: Optional[float] = None,
-              b: Optional[float] = None):
-    """Integral of the piecewise-linear interpolant of samples over [a, b].
-
-    Composite trapezoid over whole cells plus linear corrections for the
-    partial cells at each end; exactly additive over subintervals.
-    """
-    a = grid.x_min if a is None else float(a)
-    b = grid.x_max if b is None else float(b)
-    if b < a:
-        raise ConfigError("integration bounds reversed")
-    if not grid.contains((a, b)):
-        raise DomainError("integration bounds outside the grid")
-    a = min(max(a, grid.x_min), grid.x_max)
-    b = min(max(b, grid.x_min), grid.x_max)
-    if a == b:
-        return samples.dtype.type(0.0) if hasattr(samples, "dtype") else 0.0
-
-    dx = grid.dx
-    samples = np.asarray(samples)
-
-    def lin(xq):
-        pos = (xq - grid.x_min) / dx
-        j = min(int(pos), grid.n - 2)
-        t = pos - j
-        return (1.0 - t) * samples[j] + t * samples[j + 1], j, t
-
-    fa, ja, ta = lin(a)
-    fb, jb, tb = lin(b)
-    if ja == jb:
-        return 0.5 * (fa + fb) * (b - a)
-
-    x_first = grid.x_min + (ja + 1) * dx
-    x_last = grid.x_min + jb * dx
-    total = 0.5 * (fa + samples[ja + 1]) * (x_first - a)
-    total = total + 0.5 * (samples[jb] + fb) * (b - x_last)
-    if jb > ja + 1:
-        inner = samples[ja + 1:jb + 1]
-        total = total + np.trapezoid(inner, dx=dx)
-    return total
+def integrate(grid: Grid1D, samples):
+    """Trapezoid integral over the whole grid along the last axis, one
+    value per row of a (..., n) stack; exact for piecewise-linear data."""
+    return np.sum(np.asarray(samples) * trapezoid_weights(grid.n, grid.dx),
+                  axis=-1)
 
 
 def centered_derivative(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
@@ -267,11 +224,11 @@ def l2_norm(a, h: float):
     return np.sqrt(np.sum(np.abs(a) ** 2 * trapezoid_weights(a.shape[-1], h), axis=-1))
 
 
-def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p=None):
+def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p):
     """Metric distance between two states (zeta, zeta_t) on the grid.
 
     Sup and L^2 norms of the differences of zeta, zeta_x, zeta_t, plus the
-    L^1 difference of the potential densities when p is given; this is the
+    L^1 difference of the densities of the potential p; this is the
     contraction metric of the windowed fixed-point solver.  The arrays may
     be (..., n) stacks of time levels: the distance is taken along the last
     axis, one value per level.
@@ -284,12 +241,9 @@ def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p=None):
     dzx = centered_derivative(grid, dz)
     dzt = np.asarray(zeta_t1) - zeta_t2
     sup = lambda a: np.max(np.abs(a), axis=-1)
-    d = (sup(dz) + sup(dzx) + l2_norm(dz, h) + l2_norm(dzx, h)
-         + sup(dzt) + l2_norm(dzt, h))
-    if p is not None:
-        dw = np.abs(p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
-        d = d + np.sum(dw * trapezoid_weights(grid.n, h), axis=-1)
-    return d
+    dw = np.abs(p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
+    return (sup(dz) + sup(dzx) + l2_norm(dz, h) + l2_norm(dzx, h)
+            + sup(dzt) + l2_norm(dzt, h) + integrate(grid, dw))
 
 
 # ---------------------------------------------------------------------------

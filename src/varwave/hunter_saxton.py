@@ -189,16 +189,18 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
     accepted step, in time order; the solver never changes a MarkerState
     after handing it over.
     """
-    if dt <= 0.0:
-        raise ConfigError("dt must be positive")
+    if not (dt > 0.0 and t_final > 0.0):
+        raise ConfigError(f"need dt > 0 and t_final > 0, got {dt}, {t_final}")
     a0 = float(np.max(np.abs(st.alpha)))
     if dt * a0 > 0.1:
         raise ConfigError(
             f"dt = {dt:.3e} too large for initial slopes: dt * sup|alpha| = "
             f"{dt * a0:.3f} > 0.1")
     steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be a whole number of steps")
+    if steps == 0:
+        raise ConfigError("t_final shorter than one step")
     cur = st.copy()
     hist = [(cur.time, cur.energy)]
     sup_alpha = float(np.max(np.abs(cur.alpha)))

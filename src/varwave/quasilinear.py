@@ -53,6 +53,8 @@ from .diagnostics import (EnergyLog, EnergyReport, conservation_residuals,
                           energy_density_polar)
 from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      NonContractionError, StateEscapeError)
+# interpolate is not called here (transport_step builds stencils); the name
+# stays bound because perfbench/tracing.py wraps this module attribute
 from .fields import (Grid1D, centered_derivative, integrate, interpolate,
                      read_grid_csv, stencil, write_csv)
 from .potentials import PotentialSpec, WaveSpeed
@@ -63,7 +65,6 @@ __all__ = [
     "FixpointTrace",
     "QuasilinearResult",
     "rhs_sources",
-    "trace_characteristics",
     "transport_step",
     "advance",
     "resolve_budgets",
@@ -151,10 +152,6 @@ class PolarState:
         return cls(grid, psi, s, np.asarray(psi_t, float), np.asarray(s_t, float),
                    omega, r, time=time, far_field=far_field)
 
-    def copy(self) -> "PolarState":
-        return PolarState(self.grid, *self.U, time=self.time,
-                          far_field=self.far_field)
-
 
 def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
     """max(sup|U|, sup|centered_derivative(grid, U)|) along the last axis,
@@ -191,49 +188,6 @@ def rhs_sources(p: PotentialSpec, cp_over_c, s, phi, v, omega, r):
     np.multiply(cp_phi, omega, out=out[2])
     np.multiply(cp_phi, r, out=out[3])
     return out
-
-
-def trace_characteristics(grid: Grid1D, psi_hat: np.ndarray, ws: WaveSpeed,
-                          x, t: float, tau: float, dt: float,
-                          branch: int = 1) -> np.ndarray:
-    """Backward characteristic foot at time tau, started from (t, x).
-
-    The '+' branch solves dx/dtau = -c(psi_hat) (so tracing backward moves
-    right), the '-' branch the opposite.  psi_hat is either one frozen angle
-    field or a history array of shape (levels, n) at spacing dt whose level
-    0 sits at time tau; intermediate times use linear blending of levels.
-    Midpoint (RK2) stepping.  A trace leaving the grid raises DomainError.
-    """
-    if branch not in (1, -1):
-        raise ConfigError("branch must be +1 or -1")
-    if dt <= 0.0 or t < tau:
-        raise ConfigError("need dt > 0 and t >= tau")
-    steps = int(round((t - tau) / dt))
-    if abs(steps * dt - (t - tau)) > 1e-9 * max(1.0, t - tau):
-        raise ConfigError("t - tau must be a whole number of steps")
-    psi_hat = np.asarray(psi_hat, dtype=float)
-    frozen = psi_hat.ndim == 1
-    if not frozen and psi_hat.shape[0] < steps + 1:
-        raise ConfigError("history does not cover [tau, t]")
-
-    def angle_at(time_q, xq):
-        if frozen:
-            return interpolate(grid, psi_hat, xq)
-        pos = (time_q - tau) / dt
-        k0 = min(int(math.floor(pos + 1e-12)), psi_hat.shape[0] - 2)
-        k0 = max(k0, 0)
-        frac = pos - k0
-        level = (1.0 - frac) * psi_hat[k0] + frac * psi_hat[k0 + 1]
-        return interpolate(grid, level, xq)
-
-    cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    for k in range(steps):
-        t_k = t - k * dt
-        c0 = ws.c(angle_at(t_k, cur))
-        half = cur + branch * 0.5 * dt * c0
-        c1 = ws.c(angle_at(t_k - 0.5 * dt, half))
-        cur = cur + branch * dt * c1
-    return cur if np.ndim(x) else float(cur[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -365,11 +319,6 @@ class QuasilinearConfig:
         if not math.isfinite(self.frame_speed):
             raise ConfigError("frame_speed must be finite")
 
-    @classmethod
-    def cfl(cls, grid: Grid1D, ws: WaveSpeed, cfl: float = 0.8,
-            **kw) -> "QuasilinearConfig":
-        return cls(dt=cfl * grid.dx / ws.c_max, **kw)
-
 
 @dataclass
 class FixpointTrace:
@@ -499,6 +448,8 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
         raise ConfigError("far-field order parameter must be an equilibrium "
                           f"of the potential (W0'({s_inf}) != 0)")
 
+    if not t_final > 0.0:
+        raise ConfigError(f"t_final = {t_final} must be positive")
     total_steps = int(round(t_final / cfg.dt))
     if abs(total_steps * cfg.dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be a whole number of steps")

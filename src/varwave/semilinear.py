@@ -198,14 +198,13 @@ class SemilinearConfig:
         return cls(c=c, dt=grid.dx / c, T_window=T_window, **kw)
 
 
-def contraction_window(p: PotentialSpec, E: float, E_prime: Optional[float] = None,
-                       c: float = 1.0) -> float:
-    """Window length certified to contract: (1 - E/E') / (2 sqrt(k_{E'})).
+def contraction_window(p: PotentialSpec, E: float, c: float = 1.0) -> float:
+    """Window certified to contract, (1 - E/E') / (2 sqrt(k_{E'})), E' = 2E.
 
     The certificate does not depend on the wave speed c (the pinning bound
     behind k_{E'} is speed-uniform); c is checked to be positive only.
     """
-    E_prime = 2.0 * E if E_prime is None else E_prime
+    E_prime = 2.0 * E
     if not E_prime > E:
         raise ConfigError("enlarged budget must exceed the energy")
     if c <= 0.0:
@@ -284,6 +283,8 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     if abs(q_ff) > 1e-10:
         raise ConfigError("far field must be an equilibrium of the potential "
                           f"(|g(far_field)| = {abs(q_ff):.3e})")
+    if not t_final > 0.0:
+        raise ConfigError(f"t_final = {t_final} must be positive")
     total_steps = _aligned_steps(grid, cfg.c, t_final)
     if total_steps == 0:
         raise ConfigError("t_final shorter than one step")

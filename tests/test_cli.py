@@ -595,6 +595,25 @@ def test_fit_order_subcommand(tmp_path, capsys):
     assert _read_json(tmp_path / "fit" / "fit.json") == doc
 
 
+# pairs a JSON document may hold that no (h, err) fit can use; the last two
+# pairs of each case are good
+@pytest.mark.parametrize("bad", [
+    '["a", 1]', '[1]', '[0.1, 0.01, 7]', '[true, 0.01]', '[0.1, null]',
+    '[NaN, 0.01]', '[0.1, Infinity]', '[-Infinity, 0.01]', '[0.1, 1e400]',
+    '[1' + '0' * 400 + ', 0.01]', '{"h": 0.1, "err": 0.01}', '1',
+], ids=["text", "one_element", "three_elements", "boolean", "null", "nan",
+        "infinity", "minus_infinity", "overflow", "huge_int", "object",
+        "number"])
+def test_fit_order_hostile_pairs_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "pairs.json"
+    path.write_text('{"pairs": [%s, [0.05, 2.5e-3], [0.025, 6.25e-4]]}' % bad)
+    out = tmp_path / "fit"
+    assert main(["fit-order", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: order fit needs" in captured.err
+    assert captured.out == "" and not (out / "fit.json").exists()
+
+
 def test_fit_order_rejects_malformed_input(tmp_path, capsys):
     assert main(["fit-order"]) == 2
     assert "--config" in capsys.readouterr().err

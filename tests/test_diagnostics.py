@@ -275,7 +275,7 @@ def test_quasilinear_reports_match_reference_recorder():
     z = np.zeros(g.n)
     st = PolarState.from_primitives(g, psi, np.full(g.n, 0.5), z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     levels = []
     out = advance(st, p, ws, cfg, 12 * cfg.dt, observer=levels.append)
     rows = [(s.time, energy_density_polar(*s.U, p, ws),

@@ -195,6 +195,11 @@ def test_evolve_entry_checks():
         evolve_markers(st, t_final=1.0, dt=-0.01)
     with pytest.raises(ConfigError, match="whole number"):
         evolve_markers(st, t_final=1.0, dt=0.0003)
+    with pytest.raises(ConfigError, match="shorter than one step"):
+        evolve_markers(st, t_final=1e-12, dt=0.01)
+    for t_final in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="t_final > 0"):
+            evolve_markers(st, t_final=t_final, dt=0.01)
 
 
 # --- sample_eulerian ---------------------------------------------------------

@@ -46,7 +46,7 @@ def _advance(observer):
     z = np.zeros(g.n)
     st = PolarState.from_primitives(g, psi, np.full(g.n, 0.5), z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     steps = 12
     res = advance(st, flat_point_potential(0.5), ws, cfg, steps * cfg.dt,
                   observer=observer)

@@ -5,17 +5,15 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from varwave import (AprioriViolationError, ConfigError, DegeneracyError,
-                     DomainError, Grid1D, NonContractionError, PolarState,
+                     Grid1D, NonContractionError, PolarState,
                      QuasilinearConfig, StateEscapeError, advance,
                      centered_derivative, energy_density_polar, ensure_valid,
                      fit_order, flat_point_potential, integrate,
                      interpolate, read_polar_snapshot_csv,
-                     reference_potential, rhs_sources, trace_characteristics,
-                     transport_step, wave_speed, write_polar_snapshot_csv,
-                     zero_potential)
+                     reference_potential, rhs_sources, transport_step,
+                     wave_speed, write_polar_snapshot_csv, zero_potential)
 from varwave.diagnostics import EnergyLog
 from varwave.fields import stencil
 from varwave.quasilinear import resolve_budgets
@@ -154,82 +152,6 @@ def test_energy_law_detects_wrong_angle_source_sign():
     # the discretization residual
     assert bads[1] > 0.9 * bads[0]
     assert bads[1] > 50.0 * goods[1]
-
-
-# --- trace_characteristics ---------------------------------------------------
-
-
-def test_trace_constant_angle_is_exact():
-    g = Grid1D(-8.0, 8.0, 257)
-    ws = wave_speed(2.0, 1.0)
-    psi_hat = np.full(g.n, math.pi / 4.0)
-    c = ws.c(math.pi / 4.0)
-    t, tau, dt = 0.5, 0.1, 0.05
-    for branch in (1, -1):
-        foot = trace_characteristics(g, psi_hat, ws, 1.0, t, tau, dt, branch)
-        assert foot == pytest.approx(1.0 + branch * c * (t - tau), abs=1e-13)
-
-
-def test_trace_matches_ode_solution_second_order():
-    g = Grid1D(-8.0, 8.0, 513)
-    ws = wave_speed(2.0, 1.0)
-    psi_fn = lambda x: 0.4 * np.exp(-np.asarray(x) ** 2)
-    psi_hat = psi_fn(g.nodes)
-    t, x0 = 0.5, 1.0
-
-    sol = solve_ivp(lambda sigma, y: ws.c(psi_fn(y)), (0.0, t), [x0],
-                    rtol=1e-12, atol=1e-12)
-    exact = float(sol.y[0, -1])
-    errs = []
-    for dt in (0.05, 0.025):
-        foot = trace_characteristics(g, psi_hat, ws, x0, t, 0.0, dt, branch=1)
-        errs.append(abs(foot - exact))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
-
-
-def test_trace_speed_bounds():
-    g = Grid1D(-8.0, 8.0, 257)
-    ws = wave_speed(2.0, 1.0)
-    psi_hat = 0.5 * np.sin(g.nodes)
-    t, dt = 0.4, 0.02
-    c_max = math.sqrt(2.0)
-    x0 = 0.7
-    feet = {tau: trace_characteristics(g, psi_hat, ws, x0, t, tau, dt)
-            for tau in (0.3, 0.2, 0.0)}
-    assert abs(feet[0.2] - feet[0.3]) <= c_max * 0.1 + 1e-12
-    plus = trace_characteristics(g, psi_hat, ws, x0, t, 0.0, dt, branch=1)
-    minus = trace_characteristics(g, psi_hat, ws, x0, t, 0.0, dt, branch=-1)
-    assert abs(plus - minus) <= 2.0 * c_max * t + 1e-12
-    assert plus > x0 > minus  # backward '+' trace moves right
-
-
-def test_trace_accepts_time_histories():
-    g = Grid1D(-8.0, 8.0, 257)
-    ws = wave_speed(2.0, 1.0)
-    psi_hat = 0.3 * np.exp(-g.nodes ** 2)
-    t, dt = 0.2, 0.02
-    hist = np.tile(psi_hat, (11, 1))  # steady history == frozen field
-    a = trace_characteristics(g, psi_hat, ws, 0.5, t, 0.0, dt)
-    b = trace_characteristics(g, hist, ws, 0.5, t, 0.0, dt)
-    assert a == pytest.approx(b, abs=1e-13)
-
-
-def test_trace_input_validation():
-    g = Grid1D(-8.0, 8.0, 257)
-    ws = wave_speed(2.0, 1.0)
-    psi_hat = np.zeros(g.n)
-    with pytest.raises(ConfigError):
-        trace_characteristics(g, psi_hat, ws, 0.0, 0.5, 0.1, 0.05, branch=2)
-    with pytest.raises(ConfigError):
-        trace_characteristics(g, psi_hat, ws, 0.0, 0.1, 0.5, 0.05)
-    with pytest.raises(ConfigError, match="whole number"):
-        trace_characteristics(g, psi_hat, ws, 0.0, 0.5, 0.0, 0.3)
-    with pytest.raises(ConfigError, match="history"):
-        trace_characteristics(g, np.tile(psi_hat, (3, 1)), ws, 0.0, 0.5, 0.0,
-                              0.05)
-    # a trace that leaves the grid has no angle to read
-    with pytest.raises(DomainError):
-        trace_characteristics(g, psi_hat, ws, 7.9, 0.5, 0.0, 0.05, branch=1)
 
 
 # --- transport_step ----------------------------------------------------------
@@ -383,7 +305,7 @@ def test_fixpoint_equilibrium_converges_immediately():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _equilibrium_state(g)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     res = advance(st, p, ws, cfg, 7 * cfg.dt)
     # one trace per step, each converged on its first pass
     assert [len(t.diff_norms) for t in res.traces] == [1] * 7
@@ -399,7 +321,7 @@ def test_fixpoint_iterates_decay_geometrically():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-12)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=1e-12)
     res = advance(st, p, ws, cfg, 7 * cfg.dt)
     assert len(res.traces) == 7
     assert max(len(t.diff_norms) for t in res.traces) >= 3
@@ -418,9 +340,9 @@ def _reference_window_sweep(U0, p, ws, cfg, steps):
     trajectory, from a constant guess, until the sup over levels of the
     W^{1,inf} change falls below cfg.fixpoint_tol."""
     import varwave.quasilinear as ql
-    guess = [U0] + [U0.copy() for _ in range(steps)]
-    for j in range(1, steps + 1):
-        guess[j].time = U0.time + j * cfg.dt
+    guess = [U0] + [PolarState(U0.grid, *U0.U, time=U0.time + j * cfg.dt,
+                               far_field=U0.far_field)
+                    for j in range(1, steps + 1)]
     diffs = []
     for _ in range(ql._FIXPOINT_MAX):
         traj = [U0]
@@ -447,7 +369,7 @@ def test_per_step_fixed_point_matches_window_sweep(monkeypatch, n):
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-10)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=1e-10)
     calls = {"step": 0}
     step = ql.transport_step
 
@@ -481,7 +403,7 @@ def _failing_run(monkeypatch):
     st = PolarState.from_primitives(g, math.pi / 4.0 + 0.5 * bump,
                                     0.5 + 0.1 * bump, z, z, ws,
                                     far_field=(math.pi / 4.0, 0.5))
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8, fixpoint_tol=1e-12)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=1e-12)
     calls = {"step": 0}
     step = ql.transport_step
 
@@ -555,7 +477,7 @@ def _bump_run(observer=None):
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     return advance(_bump_state(g, ws), p, ws, cfg, 20 * cfg.dt,
                    observer=observer)
 
@@ -568,7 +490,7 @@ def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
     # the end of the 20-step run, where no later step raises
     import varwave.quasilinear as ql
     g = Grid1D(-8.0, 8.0, 257)
-    dt = QuasilinearConfig.cfl(g, wave_speed(2.0, 1.0), 0.8).dt
+    dt = 0.8 * g.dx / wave_speed(2.0, 1.0).c_max
     measure, step = ql._measure, ql.transport_step
     calls = {"step": 0, "level": 0}
 
@@ -635,7 +557,7 @@ def test_advance_preserves_equilibrium_and_reaches_t_final():
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws, a_psi=0.05, a_s=0.02)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     t_final = 16 * cfg.dt
     levels = []
     res = advance(st, p, ws, cfg, t_final, observer=levels.append)
@@ -652,7 +574,7 @@ def _twelve_step_run(observer=None):
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     res = advance(st, p, ws, cfg, 12 * cfg.dt, observer=observer)
     assert len(res.traces) == 12
     return g, p, ws, cfg, res
@@ -725,7 +647,7 @@ def test_advance_conservation_residuals_refine():
     for n in (129, 257, 513):
         g = Grid1D(-8.0, 8.0, n)
         st = _bump_state(g, ws)
-        cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+        cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
         steps = max(4, int(round(0.2 / cfg.dt)))
         res = advance(st, p, ws, cfg, steps * cfg.dt)
         rE = [rep.residual_E for rep in res.energy_reports
@@ -742,9 +664,12 @@ def test_advance_entry_validation():
     st = _bump_state(g, ws)
     with pytest.raises(ConfigError, match="dx"):
         advance(st, p, ws, QuasilinearConfig(dt=g.dx), 0.2)
-    cfg = QuasilinearConfig.cfl(g, ws, 0.8)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     with pytest.raises(ConfigError, match="whole number"):
         advance(st, p, ws, cfg, 10.37 * cfg.dt)
+    for t_final in (-10 * cfg.dt, math.nan):
+        with pytest.raises(ConfigError, match="must be positive"):
+            advance(st, p, ws, cfg, t_final)
     # reference potential has no interior equilibrium: s = 0.5 cannot be a
     # legitimate far field for it
     st_ref = _bump_state(g, ws)
@@ -899,20 +824,6 @@ def test_polar_state_fields_are_views_of_one_stack():
     assert st.U[4, 3] == 9.0
     with pytest.raises(ConfigError, match="omega must have shape"):
         PolarState(g, *st.U[:4], np.zeros(3), st.r)
-
-
-def test_polar_state_copy_is_independent():
-    g = Grid1D(-4.0, 4.0, 65)
-    st = _bump_state(g, wave_speed(2.0, 1.0))
-    st.time = 0.7
-    dup = st.copy()
-    assert np.array_equal(dup.U, st.U) and not np.shares_memory(dup.U, st.U)
-    assert (dup.time, dup.far_field) == (st.time, st.far_field)
-    before = st.U.copy()
-    dup.psi = 0.0
-    dup.r[5] = 3.0
-    dup.time = 1.0
-    assert np.array_equal(st.U, before) and st.time == 0.7
 
 
 def test_polar_snapshot_rejects_wrong_width(tmp_path):

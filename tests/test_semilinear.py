@@ -369,9 +369,11 @@ def test_contraction_window_positive_and_shrinks_with_energy():
 
 
 def test_contraction_window_requires_enlarged_budget():
+    # the budget 2E exceeds E only for a positive energy
     p = ensure_valid(reference_potential())
-    with pytest.raises(ConfigError):
-        contraction_window(p, 1.0, E_prime=0.5)
+    for E in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="enlarged budget"):
+            contraction_window(p, E)
 
 
 def test_contraction_window_needs_a_confining_tail():
@@ -484,6 +486,14 @@ def test_picard_energy_drift_second_order():
     from varwave import fit_order
     order = fit_order(list(zip(steps, drifts)))
     assert 1.7 <= order <= 2.3
+
+
+def test_picard_refuses_a_non_positive_t_final():
+    g, f0, cfg = _solve_setup()
+    for t_final in (-0.5, math.nan):
+        with pytest.raises(ConfigError, match="must be positive"):
+            picard_solve(f0, ensure_valid(reference_potential()), cfg,
+                         t_final)
 
 
 def test_picard_enforces_aligned_step_and_equilibrium_far_field():
