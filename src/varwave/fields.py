@@ -26,6 +26,7 @@ __all__ = [
     "trapezoid_weights",
     "l2_norm",
     "state_distance",
+    "contraction_stop",
     "centered_derivative",
     "write_csv_rows",
     "write_csv",
@@ -246,6 +247,22 @@ def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p):
             + sup(dzt) + l2_norm(dzt, h) + integrate(grid, dw))
 
 
+def contraction_stop(diffs, tol: float) -> bool:
+    """Whether a fixed-point iteration may stop after its latest pass.
+
+    diffs are the distances d_1, ..., d_k between successive iterates.  It
+    stops once d_k < tol, or, from pass 2 on, when the observed rate
+    q = d_k / d_{k-1} is below 1/2 and Banach's a-posteriori bound
+    q / (1 - q) * d_k on the distance to the fixed point is below tol.
+    """
+    d = diffs[-1]
+    if len(diffs) >= 2 and diffs[-2] > 0.0:
+        q = d / diffs[-2]
+        if q < 0.5 and q / (1.0 - q) * d < tol:
+            return True
+    return d < tol
+
+
 # ---------------------------------------------------------------------------
 # csv files: one row per node (or marker), every value as %.17g
 
@@ -300,6 +317,7 @@ def write_snapshot_csv(path, f: ComplexField):
 
 def read_snapshot_csv(path, far_field=0.0 + 0.0j, time=0.0) -> ComplexField:
     """Inverse of write_snapshot_csv; grid rebuilt from the x column."""
-    grid, (re_z, im_z, re_zt, im_zt) = read_grid_csv(path, 5, "snapshot csv")
-    return ComplexField(grid, re_z + 1j * im_z, re_zt + 1j * im_zt,
-                        far_field=far_field, time=time)
+    grid, cols = read_grid_csv(path, 5, "snapshot csv")
+    # each (re, im) column pair viewed as one complex column, bit for bit
+    zeta, zeta_t = np.ascontiguousarray(cols.T).view(complex).T
+    return ComplexField(grid, zeta, zeta_t, far_field=far_field, time=time)

@@ -19,7 +19,8 @@ E_t = (c^2 F)_x holds along solutions, which the diagnostics verify.)
 The scheme is semi-Lagrangian: each Riemann variable is pulled back along
 its characteristic (midpoint rule for the foot) and the sources are applied
 at the characteristic midpoint, with coefficient fields frozen from the
-previous iterate of a fixed point solved one step at a time.  The run
+previous iterate of a fixed point solved one step at a time, whose
+iteration starts from the extrapolation of the last two levels.  The run
 marches one step at a time: each level is checked against the budget
 monitors (energy, W^{1,inf} norm, 1/s) as soon as it is solved, so every
 accepted level certifies that its linearization was taken inside the
@@ -55,8 +56,8 @@ from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      NonContractionError, StateEscapeError)
 # interpolate is not called here (transport_step builds stencils); the name
 # stays bound because perfbench/tracing.py wraps this module attribute
-from .fields import (Grid1D, centered_derivative, integrate, interpolate,
-                     read_grid_csv, stencil, write_csv)
+from .fields import (Grid1D, centered_derivative, contraction_stop,
+                     integrate, interpolate, read_grid_csv, stencil, write_csv)
 from .potentials import PotentialSpec, WaveSpeed
 
 __all__ = [
@@ -370,16 +371,19 @@ def resolve_budgets(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
     return 2.0 * E0 + 1e-12 * max(1.0, E0), 2.0 * norm0
 
 
-def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
-                   cfg: QuasilinearConfig, budgets: Tuple[float, float]
+def fixpoint_solve(x: PolarState, y0: PolarState, p: PotentialSpec,
+                   ws: WaveSpeed, cfg: QuasilinearConfig,
+                   budgets: Tuple[float, float]
                    ) -> Tuple[PolarState, tuple, FixpointTrace]:
     """Solve the step from level x and check the level it reaches.
 
     The step's map takes a guessed next level y to the semi-Lagrangian step
     of the linear system with coefficients and sources frozen on avg(x, y)
     and y, in the frame moving at cfg.frame_speed; its fixed point is the
-    nonlinear step.  The iteration starts from y = x (the plain step) and
-    stops once the W^{1,inf} change is below cfg.fixpoint_tol.  A step
+    nonlinear step.  The iteration starts from the first guess y0 (y0 = x
+    makes the first pass the plain linearized step) and stops once
+    fields.contraction_stop accepts its W^{1,inf} changes at
+    cfg.fixpoint_tol.  A step
     still moving after _FIXPOINT_MAX passes raises NonContractionError
     (diff_norms: its passes), and a level over the budgets (E', L') raises
     AprioriViolationError (time: x.time); the energy has 1e-9 relative
@@ -387,7 +391,7 @@ def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
     level's densities (E, F, c2F, EmW), total energy, budget norm
     max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
     """
-    V, y, diffs = cfg.frame_speed, x, []
+    V, y, diffs = cfg.frame_speed, y0, []
     drifted = _drifted_rows(x, V * cfg.dt) if V != 0.0 else None
     for _ in range(_FIXPOINT_MAX):
         y_new = transport_step(x, p, ws, cfg.dt,
@@ -395,7 +399,7 @@ def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
                                frame_speed=V, drifted=drifted)
         diffs.append(_w1_sup(x.grid, y_new.U - y.U))
         y = y_new
-        if diffs[-1] < cfg.fixpoint_tol:
+        if contraction_stop(diffs, cfg.fixpoint_tol):
             break
     else:
         raise NonContractionError(
@@ -410,12 +414,28 @@ def fixpoint_solve(x: PolarState, p: PotentialSpec, ws: WaveSpeed,
     return y, measure, FixpointTrace(x.time, diffs)
 
 
+def _first_guess(prev: PolarState, cur: PolarState) -> PolarState:
+    """The first guess of the step from cur: 2 cur - prev, the linear
+    extrapolation of the last two levels (both on the same grid, in any
+    frame), or cur itself when that guess is not finite or its s leaves
+    (_S_FLOOR, 1), where the coefficients frozen on it are undefined."""
+    U = 2.0 * cur.U - prev.U
+    if (not np.all(np.isfinite(U)) or np.min(U[1]) <= _S_FLOOR
+            or np.max(U[1]) >= 1.0):
+        return cur
+    return PolarState._adopt(cur.grid, U, 2.0 * cur.time - prev.time,
+                             cur.far_field)
+
+
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
             observer: Optional[Callable] = None) -> QuasilinearResult:
     """March the state to t_final one step at a time (see fixpoint_solve:
     each level is checked as soon as it is solved, and the first step that
-    fails raises from the level before it).
+    fails raises from the level before it).  The first step's iteration
+    starts from the initial state, every later one from the extrapolation
+    of the last two levels (_first_guess); the fixed point, and so each
+    level up to the stop tolerance, does not depend on where it starts.
 
     Budgets are resolved once from the initial state, which always
     satisfies them, and held fixed for the whole run.  Energy and flux
@@ -471,9 +491,11 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     record(state, measure)
 
     traces: List[FixpointTrace] = []
-    cur = state
+    prev, cur = None, state
     for _ in range(total_steps):
-        cur, measure, trace = fixpoint_solve(cur, p, ws, cfg, budgets)
+        guess = cur if prev is None else _first_guess(prev, cur)
+        prev = cur
+        cur, measure, trace = fixpoint_solve(prev, guess, p, ws, cfg, budgets)
         traces.append(trace)
         record(cur, measure)
 

@@ -31,7 +31,8 @@ from .diagnostics import (EnergyLog, EnergyReport, conservation_residuals,
                           energy_density_complex)
 from .errors import (AprioriViolationError, ConfigError, DomainError,
                      NonContractionError, StateEscapeError)
-from .fields import ComplexField, Grid1D, centered_derivative, state_distance
+from .fields import (ComplexField, Grid1D, centered_derivative,
+                     contraction_stop, state_distance)
 from .potentials import AprioriConstants, PotentialSpec, apriori_constants
 
 __all__ = [
@@ -233,7 +234,9 @@ class SemilinearResult:
 
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
                     cfg: SemilinearConfig, m: int):
-    """Picard-iterate one window of m steps; returns level arrays and diffs."""
+    """Picard-iterate one window of m steps from its free levels until
+    fields.contraction_stop accepts the state_distance changes at
+    cfg.picard_tol; returns level arrays and diffs."""
     base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
@@ -254,7 +257,7 @@ def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
         lo = 1
         diffs.append(d)
         hat_z, hat_zt = new_z, new_zt
-        if d < cfg.picard_tol:
+        if contraction_stop(diffs, cfg.picard_tol):
             return hat_z, hat_zt, diffs, True
     return hat_z, hat_zt, diffs, False
 

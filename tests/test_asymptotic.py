@@ -328,6 +328,38 @@ def test_moving_frame_error_is_converged_in_dx():
     assert abs(errs[1] - errs[0]) <= 0.01 * errs[1]
 
 
+def test_sweep_run_is_within_the_stop_tolerance_of_a_tight_solve(
+        monkeypatch):
+    # criterion 10's inputs at epsilon = 0.2: the predictor and the
+    # a-posteriori stop move where each step's iteration starts and ends,
+    # not its fixed point, so the final state lies within 100 fixpoint_tol
+    # in W^{1,inf} of a run solved to 1e-12; the run takes 652 passes
+    # (872 from y = x with the plain stop)
+    import varwave.asymptotic as asy
+    import varwave.quasilinear as ql
+    p, u0, rho0, du0 = _criterion_10_inputs()
+    cfg = _background(0.2, u0, rho0, du0)
+    y_grid = np.linspace(-5.0, 5.0, 400)
+    no_ref = np.zeros_like(y_grid)
+    finals, passes = [], []
+
+    def keeping(*args, **kw):
+        out = advance(*args, **kw)
+        finals.append(out.state)
+        return out
+
+    monkeypatch.setattr(asy, "advance", keeping)
+    for tol in (asy._FIXPOINT_TOL, 1e-12):
+        monkeypatch.setattr(asy, "_FIXPOINT_TOL", tol)
+        run = asy._sweep_run(p, cfg, rescaling_map(cfg), 0.5, y_grid, no_ref,
+                             no_ref, (-6.0, 6.0), 0.05, 8.0)
+        assert not run["failed"]
+        passes.append(run["fixpoint_passes"])
+    loose, tight = finals
+    assert passes[0] == 652
+    assert ql._w1_sup(loose.grid, loose.U - tight.U) < 100.0 * 1e-8
+
+
 def test_moving_frame_energy_residuals_carry_the_frame_flux():
     # epsilon = 0.2 to t = 4 in both frames, on the sweep's grids: with the
     # flux V E (and V F) the moving-frame residuals are no larger than the

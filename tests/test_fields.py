@@ -1,7 +1,10 @@
 """Grid primitives: interpolation, quadrature, distances, snapshot files."""
 
 import math
+import tempfile
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from varwave import (ComplexField, ConfigError, DomainError, Grid1D,
                      centered_derivative, integrate, interpolate,
                      read_polar_snapshot_csv, read_snapshot_csv,
                      reference_potential, state_distance, write_snapshot_csv,
-                     zero_potential)
-from varwave.fields import stencil, trapezoid_weights
+                     write_polar_snapshot_csv, zero_potential)
+from varwave.fields import contraction_stop, stencil, trapezoid_weights
+from varwave.quasilinear import PolarState
 
 
 # --- Grid1D ------------------------------------------------------------------
@@ -350,6 +354,60 @@ def test_trapezoid_weights_integrate_linear_functions_exactly():
     assert np.sum(w * (2.0 * g.nodes + 1.0)) == pytest.approx(12.0, rel=1e-14)
 
 
+# --- contraction_stop --------------------------------------------------------
+
+
+def test_contraction_stop_cases():
+    # the first pass has no rate: only its change decides
+    assert not contraction_stop([0.1], 0.05)
+    assert contraction_stop([0.01], 0.05)
+    # rate 0.1: the bound 0.1 / 0.9 * 0.1 = 0.011 is below 0.05
+    assert contraction_stop([1.0, 0.1], 0.05)
+    # rate 0.6 is not below 1/2: the change itself must fall below tol
+    assert not contraction_stop([0.1, 0.06], 0.05)
+    assert contraction_stop([0.05, 0.03], 0.05)
+    # a zero change stops; a NaN change never does
+    assert contraction_stop([1.0, 0.0], 1e-12)
+    assert not contraction_stop([1.0, math.nan], 1.0)
+
+
+_finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-0.4999, 0.4999), n=st.integers(1, 5),
+       perm_seed=st.integers(0, 2 ** 32 - 1),
+       x_star=st.lists(_finite, min_size=5, max_size=5),
+       x0=st.lists(_finite, min_size=5, max_size=5),
+       tol_exp=st.floats(-12.0, 0.0))
+def test_contraction_stop_bounds_the_distance_to_the_fixed_point(
+        a, n, perm_seed, x_star, x0, tol_exp):
+    # T(x) = x* + a P (x - x*) with P a signed permutation, an isometry of
+    # the sup norm: a contraction at rate |a| < 1/2 in that norm (n = 1 is
+    # the scalar map), iterated in exact arithmetic; when the stop rule
+    # accepts an iterate it is within tol of x*, up to the rounding of the
+    # float distances the rule reads
+    rng = np.random.default_rng(perm_seed)
+    perm = rng.permutation(n)
+    sign = rng.choice([-1, 1], n)
+    star = [Fraction(v) for v in x_star[:n]]
+    x = [Fraction(v) for v in x0[:n]]
+    q = Fraction(a)
+    tol = 10.0 ** tol_exp
+    diffs = []
+    for _ in range(200):
+        e = [xi - si for xi, si in zip(x, star)]
+        new = [star[i] + q * sign[i] * e[perm[i]] for i in range(n)]
+        diffs.append(float(max(abs(u - v) for u, v in zip(new, x))))
+        x = new
+        if contraction_stop(diffs, tol):
+            break
+    else:
+        pytest.fail("the iteration never stopped")
+    true = max(abs(xi - si) for xi, si in zip(x, star))
+    assert true <= Fraction(tol) * (1 + Fraction(1, 10 ** 12))
+
+
 # --- snapshot files ----------------------------------------------------------
 
 
@@ -411,6 +469,51 @@ def test_snapshot_round_trip(tmp_path):
     # 17 significant digits read back exactly
     assert np.array_equal(f2.zeta, f.zeta)
     assert np.array_equal(f2.zeta_t, f.zeta_t)
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+def _complex(parts):
+    """The complex array whose real and imaginary parts are the two halves
+    of parts, bit for bit (x + 1j * y would turn an imaginary -0.0 into
+    +0.0)."""
+    out = np.empty(len(parts) // 2, dtype=complex)
+    out.real, out.imag = np.split(np.asarray(parts, dtype=float), 2)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), g=st.builds(
+    lambda x0, width, n: Grid1D(x0, x0 + width, n), st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3), st.integers(16, 40)))
+def test_snapshot_round_trip_property(data, g):
+    # random finite values on a random small grid: the complex snapshot
+    # (|zeta| < 1 and pinned ends, which its reader checks) and the polar
+    # one (any finite values) read back bit for bit, on the same grid
+    part = st.floats(-0.7, 0.7)
+    zeta = _complex(data.draw(st.lists(part, min_size=2 * g.n,
+                                       max_size=2 * g.n)))
+    zt = _complex(data.draw(st.lists(_any_float, min_size=2 * g.n,
+                                     max_size=2 * g.n)))
+    zeta[[0, -1]] = zt[[0, -1]] = 0.0
+    U = np.array(data.draw(st.lists(_any_float, min_size=6 * g.n,
+                                    max_size=6 * g.n))).reshape(6, g.n)
+    f = ComplexField(g, zeta, zt)
+    ps = PolarState(g, *U)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot_csv(Path(tmp) / "snap.csv", f)
+        f2 = read_snapshot_csv(Path(tmp) / "snap.csv")
+        write_polar_snapshot_csv(Path(tmp) / "polar.csv", ps)
+        ps2 = read_polar_snapshot_csv(Path(tmp) / "polar.csv")
+    assert f2.grid == g and ps2.grid == g
+    assert _bits(f2.zeta) == _bits(f.zeta)
+    assert _bits(f2.zeta_t) == _bits(f.zeta_t)
+    assert _bits(ps2.U) == _bits(ps.U)
 
 
 def test_snapshot_rejects_malformed_file(tmp_path):

@@ -427,23 +427,25 @@ def _assert_levels_of_a_plain_run(levels, st, p, ws, cfg):
 
 
 def test_advance_stops_before_the_step_that_fails_to_contract(monkeypatch):
+    # steps 1-5 of this run stop after six passes, step 6 after seven: a
+    # cap of six passes fails the step from level 5
     import varwave.quasilinear as ql
     st, p, ws, cfg, calls = _failing_run(monkeypatch)
-    monkeypatch.setattr(ql, "_FIXPOINT_MAX", 7)
+    monkeypatch.setattr(ql, "_FIXPOINT_MAX", 6)
     levels = []
     with pytest.raises(NonContractionError) as err:
         advance(st, p, ws, cfg, 60 * cfg.dt, observer=levels.append)
-    assert len(levels) == 4
-    assert levels[-1].time == pytest.approx(0.053033, abs=1e-6)
-    assert str(err.value).count("t = 0.053033") == 1
-    # the failing step's seven passes, solved once
-    assert len(err.value.diff_norms) == 7
+    assert len(levels) == 6
+    assert levels[-1].time == pytest.approx(0.088388, abs=1e-6)
+    assert str(err.value).count("t = 0.088388") == 1
+    # the failing step's six passes, solved once
+    assert len(err.value.diff_norms) == 6
     assert err.value.diff_norms[-1] >= cfg.fixpoint_tol
     failing_calls = calls["step"]
     monkeypatch.setattr(ql, "_FIXPOINT_MAX", 40)
     res = _assert_levels_of_a_plain_run(levels, st, p, ws, cfg)
-    assert failing_calls == sum(len(t.diff_norms) for t in res.traces) + 7
-    assert failing_calls == 28
+    assert failing_calls == sum(len(t.diff_norms) for t in res.traces) + 6
+    assert failing_calls == 36
 
 
 def test_advance_stops_before_the_level_over_budget(monkeypatch):
@@ -515,8 +517,111 @@ def test_level_over_budget_is_never_hidden_by_a_later_step(monkeypatch,
     assert err.value.time == levels[-1].time
     assert err.value.time == pytest.approx(0.141421, abs=1e-6)
     assert len(levels) == 5
-    # levels 1-5, each solved once: five passes a step on this bump
-    assert calls["level"] == 5 and calls["step"] == 25
+    # levels 1-5, each solved once: four passes a step on this bump
+    assert calls["level"] == 5 and calls["step"] == 20
+
+
+def _plain_stop(diffs, tol):
+    """The stop rule before the a-posteriori bound: the last change alone."""
+    return diffs[-1] < tol
+
+
+def _step_from_x(x, p, ws, cfg, stop):
+    """The step from x solved as advance solved every step before the
+    predictor: from y = x, stopped by stop."""
+    import varwave.quasilinear as ql
+    V, y, diffs = cfg.frame_speed, x, []
+    drifted = ql._drifted_rows(x, V * cfg.dt) if V != 0.0 else None
+    for _ in range(ql._FIXPOINT_MAX):
+        y_new = transport_step(x, p, ws, cfg.dt,
+                               frozen_mid=ql._average_state(x, y),
+                               frozen_end=y, frame_speed=V, drifted=drifted)
+        diffs.append(ql._w1_sup(x.grid, y_new.U - y.U))
+        y = y_new
+        if stop(diffs, cfg.fixpoint_tol):
+            return y, diffs
+    raise AssertionError("the reference step did not contract")
+
+
+@pytest.mark.parametrize("V", [0.0, 1.2])
+@pytest.mark.parametrize("stop", [None, _plain_stop], ids=["banach", "plain"])
+def test_first_step_starts_from_the_initial_state(monkeypatch, V, stop):
+    # no predictor on step 1: its guess is the initial state itself, and
+    # its level is the one a loop from y = x reaches under the same stop
+    # rule; under the plain rule that loop is the solver as it was before
+    # the predictor and the a-posteriori stop
+    import varwave.quasilinear as ql
+    if stop is not None:
+        monkeypatch.setattr(ql, "contraction_stop", stop)
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=1e-12,
+                            frame_speed=V)
+    guesses = []
+    solve = ql.fixpoint_solve
+
+    def recording(x, y0, *args):
+        guesses.append((x, y0))
+        return solve(x, y0, *args)
+
+    monkeypatch.setattr(ql, "fixpoint_solve", recording)
+    res = advance(st, p, ws, cfg, cfg.dt)
+    assert len(guesses) == 1 and guesses[0][1] is guesses[0][0] is st
+    want, diffs = _step_from_x(st, p, ws, cfg, stop or ql.contraction_stop)
+    assert np.array_equal(res.state.U, want.U)
+    assert res.traces[0].diff_norms == diffs
+
+
+def _corrupt_nan(prev, cur):
+    prev[3, 100] = math.nan
+
+
+def _corrupt_s_low(prev, cur):
+    prev[1, 128] = 2.0 * cur[1, 128] + 0.5  # extrapolated s = -0.5
+
+
+def _corrupt_s_high(prev, cur):
+    prev[1, 128] = 2.0 * cur[1, 128] - 1.5  # extrapolated s = 1.5
+
+
+@pytest.mark.parametrize("stop", [None, _plain_stop], ids=["banach", "plain"])
+@pytest.mark.parametrize("corrupt", [_corrupt_nan, _corrupt_s_low,
+                                     _corrupt_s_high],
+                         ids=["nan", "s_below_floor", "s_above_one"])
+def test_bad_guess_falls_back_to_the_level_before(monkeypatch, corrupt, stop):
+    # a guess that is not finite, or whose s leaves (_S_FLOOR, 1), would
+    # freeze coefficients where they are undefined: each step starts from
+    # x instead, and every level is, bit for bit, that of a run whose steps
+    # all start from x (under the plain rule, the solver as it was before
+    # the predictor and the a-posteriori stop)
+    import varwave.quasilinear as ql
+    if stop is not None:
+        monkeypatch.setattr(ql, "contraction_stop", stop)
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=1e-12)
+    guess, fell_back = ql._first_guess, []
+
+    def corrupted(prev, cur):
+        U = prev.U.copy()
+        corrupt(U, cur.U)
+        out = guess(PolarState(g, *U, time=prev.time,
+                               far_field=prev.far_field), cur)
+        fell_back.append(out is cur)
+        return out
+
+    monkeypatch.setattr(ql, "_first_guess", corrupted)
+    got = []
+    advance(_bump_state(g, ws), p, ws, cfg, 6 * cfg.dt, observer=got.append)
+    monkeypatch.setattr(ql, "_first_guess", lambda prev, cur: cur)
+    want = []
+    advance(_bump_state(g, ws), p, ws, cfg, 6 * cfg.dt, observer=want.append)
+    assert fell_back == [True] * 5
+    assert len(got) == len(want) == 7
+    assert all(np.array_equal(a.U, b.U) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [16, 17, 257])

@@ -308,7 +308,8 @@ def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
 
 
 def _all_levels_window_iterate(grid, f0, p, cfg, m):
-    """The Picard window with the distance taken over every level 0..m."""
+    """The Picard window with the distance taken over every level 0..m,
+    stopped by the solver's rule."""
     base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
@@ -322,7 +323,7 @@ def _all_levels_window_iterate(grid, f0, p, cfg, m):
         diffs.append(float(np.max(semilinear.state_distance(
             grid, new_z, new_zt, hat_z, hat_zt, p))))
         hat_z, hat_zt = new_z, new_zt
-        if diffs[-1] < cfg.picard_tol:
+        if semilinear.contraction_stop(diffs, cfg.picard_tol):
             return hat_z, hat_zt, diffs, True
     return hat_z, hat_zt, diffs, False
 
