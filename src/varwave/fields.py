@@ -237,14 +237,32 @@ def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p):
     shapes = {np.shape(a) for a in (zeta1, zeta_t1, zeta2, zeta_t2)}
     if shapes != {np.shape(zeta1)[:-1] + (grid.n,)}:
         raise ConfigError("states must match each other and the grid")
-    h = grid.dx
-    dz = np.asarray(zeta1) - zeta2
-    dzx = centered_derivative(grid, dz)
-    dzt = np.asarray(zeta_t1) - zeta_t2
-    sup = lambda a: np.max(np.abs(a), axis=-1)
-    dw = np.abs(p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
-    return (sup(dz) + sup(dzx) + l2_norm(dz, h) + l2_norm(dzx, h)
-            + sup(dzt) + l2_norm(dzt, h) + integrate(grid, dw))
+    return _difference_distance(
+        grid, np.asarray(zeta1) - zeta2, np.asarray(zeta_t1) - zeta_t2,
+        p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
+
+
+def _difference_distance(grid: Grid1D, dz, dzt, dw):
+    """state_distance from the differences of zeta, of zeta_t and of the
+    potential densities W0(|zeta|); one value per level of a stack.
+
+    Each |difference| is taken once for its sup and its L^2 norm, and the
+    trapezoid weights once per call; the terms add in state_distance's order.
+    """
+    w = trapezoid_weights(grid.n, grid.dx)
+
+    def sup_l2(a):
+        a = np.abs(a)
+        sup = np.max(a, axis=-1)
+        np.square(a, out=a)
+        a *= w
+        return sup, np.sqrt(np.sum(a, axis=-1))
+
+    sup_z, l2_z = sup_l2(dz)
+    sup_zx, l2_zx = sup_l2(centered_derivative(grid, dz))
+    sup_zt, l2_zt = sup_l2(dzt)
+    return (sup_z + sup_zx + l2_z + l2_zx + sup_zt + l2_zt
+            + np.sum(np.abs(dw) * w, axis=-1))
 
 
 def contraction_stop(diffs, tol: float) -> bool:

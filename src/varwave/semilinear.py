@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -31,8 +32,8 @@ from .diagnostics import (EnergyLog, EnergyReport, conservation_residuals,
                           energy_density_complex)
 from .errors import (AprioriViolationError, ConfigError, DomainError,
                      NonContractionError, StateEscapeError)
-from .fields import (ComplexField, Grid1D, centered_derivative,
-                     contraction_stop, state_distance)
+from .fields import (ComplexField, Grid1D, _difference_distance,
+                     centered_derivative, contraction_stop)
 from .potentials import AprioriConstants, PotentialSpec, apriori_constants
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _PICARD_MAX = 60  # Picard iterations per window before NonContractionError
+_BLOCK = 16  # levels per block of cone sources and prefixes and of distances
 
 
 def source_term(p: PotentialSpec, z):
@@ -86,17 +88,19 @@ def free_wave(f0: ComplexField, c: float, t: float) -> ComplexField:
     """
     if t < 0.0:
         raise ConfigError("free_wave evolves forward only")
-    zeta, zeta_t = _free_levels(f0, c, [_aligned_steps(f0.grid, c, t)])
+    zeta, zeta_t = np.empty((2, 1, f0.grid.n), dtype=complex)
+    _free_levels(f0, c, [_aligned_steps(f0.grid, c, t)], zeta, zeta_t)
     return ComplexField(f0.grid, zeta[0], zeta_t[0], far_field=f0.far_field,
                         time=f0.time + t, validate=False)
 
 
-def _free_levels(f0: ComplexField, c: float, shifts):
-    """d'Alembert levels of f0 after each of the given whole-cell shifts.
+def _free_levels(f0: ComplexField, c: float, shifts, zeta: np.ndarray,
+                 zeta_t: np.ndarray):
+    """d'Alembert levels of f0 after each of the given whole-cell shifts,
+    written into the (k, n) arrays zeta and zeta_t, one row per shift.
 
     The data are padded once: zeta by its far field, zeta_t and zeta_x by
-    zero, and the prefix integral of zeta_t by its end values.  Returns the
-    (k, n) stacks of zeta and zeta_t, one row per shift.
+    zero, and the prefix integral of zeta_t by its end values.
     """
     g = f0.grid
     n, pad = g.n, max(shifts)
@@ -107,76 +111,98 @@ def _free_levels(f0: ComplexField, c: float, shifts):
     zt = _padded(f0.zeta_t, 0.0, pad)
     zx = _padded(centered_derivative(g, f0.zeta), 0.0, pad)
     pref = _padded_prefix(f0.zeta_t, 0.0, g.dx, pad)
-    zeta = np.empty((len(shifts), n), dtype=complex)
-    zeta_t = np.empty((len(shifts), n), dtype=complex)
     for row, m in enumerate(shifts):
         hi, lo = slice(pad + m, pad + m + n), slice(pad - m, pad - m + n)
         zeta[row] = 0.5 * (z[hi] + z[lo]) + (pref[hi] - pref[lo]) / (2.0 * c)
         zeta_t[row] = 0.5 * c * (zx[hi] - zx[lo]) + 0.5 * (zt[hi] + zt[lo])
-    return zeta, zeta_t
 
 
 def _padded_prefix(q: np.ndarray, q_ff: complex, dx: float, pad: int):
-    """Trapezoid prefix integral of a source level, linearly extended by the
-    far-field source value on both sides."""
-    pref = np.concatenate(([0.0 + 0.0j], np.cumsum(0.5 * (q[1:] + q[:-1]) * dx)))
-    left = pref[0] - q_ff * dx * np.arange(pad, 0, -1)
-    right = pref[-1] + q_ff * dx * np.arange(1, pad + 1)
-    return np.concatenate((left, pref, right))
+    """Trapezoid prefix integrals of source levels along the last axis,
+    linearly extended by the far-field source value on both sides; q is one
+    level (n,) or a stack of them (k, n)."""
+    n = q.shape[-1]
+    out = np.empty(q.shape[:-1] + (n + 2 * pad,), dtype=complex)
+    out[..., :pad] = 0.0j - q_ff * dx * np.arange(pad, 0, -1)
+    out[..., pad] = 0.0
+    # cumsum accumulates each row in order, as it does a single level
+    np.cumsum(0.5 * (q[..., 1:] + q[..., :-1]) * dx, axis=-1,
+              out=out[..., pad + 1:pad + n])
+    out[..., pad + n:] = (out[..., pad + n - 1:pad + n]
+                          + q_ff * dx * np.arange(1, pad + 1))
+    return out
 
 
 def _padded(q: np.ndarray, q_ff: complex, pad: int):
-    return np.concatenate((np.full(pad, q_ff, dtype=q.dtype), q,
-                           np.full(pad, q_ff, dtype=q.dtype)))
+    """Source levels, one (n,) or a stack (k, n), extended by pad far-field
+    values on both sides of the last axis."""
+    n = q.shape[-1]
+    out = np.empty(q.shape[:-1] + (n + 2 * pad,), dtype=q.dtype)
+    out[..., :pad] = out[..., pad + n:] = q_ff
+    out[..., pad:pad + n] = q
+    return out
 
 
-def _cone_corrections(grid: Grid1D, q_levels: np.ndarray, q_ff: complex,
-                      c: float, dt: float):
-    """Duhamel corrections at every level of a window.
+def _cone_corrections(grid: Grid1D, levels: np.ndarray, source: Callable,
+                      q_ff: complex, c: float, dt: float,
+                      corr_z: np.ndarray, corr_zt: np.ndarray):
+    """Duhamel corrections at every level of a window, written into the
+    (m+1, n) arrays corr_z and corr_zt; level 0 is zero.
 
-    q_levels[l] is the source field at time level l (0..m).  Returns arrays
-    (m+1, n) with the corrections to zeta and zeta_t; level 0 is zero.
+    The source at time level l (0..m) is source(levels[l]); it and its
+    padded prefix integral are built for _BLOCK levels at a time.
     Trapezoid in time over levels, trapezoid in space over the cone through
     prefix integrals, linear far-field extension outside the grid.  The sums
     over l run along the characteristics, R_j[i] = R_{j-1}[i+1] + P_j[i] and
     L_j[i] = L_{j-1}[i-1] + P_j[i] for the prefixes P and the sources Q, less
-    half the l = 0 and l = j terms: O(m n) time, O(n + m) extra memory.
+    half the l = 0 and l = j terms: O(m n) time; besides the outputs it holds
+    one block of levels and O(n + m) running sums.
     """
-    m = q_levels.shape[0] - 1
+    m = levels.shape[0] - 1
     n, dx, pad = grid.n, grid.dx, m
     mid = slice(pad, pad + n)
-    p0 = _padded_prefix(q_levels[0], q_ff, dx, pad)
-    q0 = _padded(q_levels[0], q_ff, pad)
-    rp, lp, rq, lq = p0.copy(), p0.copy(), q0.copy(), q0.copy()
-    corr_z = np.zeros((m + 1, n), dtype=complex)
-    corr_zt = np.zeros((m + 1, n), dtype=complex)
-    for j in range(1, m + 1):
-        p = _padded_prefix(q_levels[j], q_ff, dx, pad)
-        q = _padded(q_levels[j], q_ff, pad)
-        # j shifts leave j stale end entries; pad = m keeps them off the grid
-        rp[:-1] = rp[1:] + p[:-1]
-        lp[1:] = lp[:-1] + p[1:]
-        rq[:-1] = rq[1:] + q[:-1]
-        lq[1:] = lq[:-1] + q[1:]
-        hi, lo = slice(pad + j, pad + j + n), slice(pad - j, pad - j + n)
-        corr_z[j] = -dt / (2.0 * c) * (rp[mid] - lp[mid] - 0.5 * (p0[hi] - p0[lo]))
-        corr_zt[j] = -dt / 2.0 * (rq[mid] + lq[mid] - 0.5 * (q0[hi] + q0[lo]) - q[mid])
-    return corr_z, corr_zt
+    corr_z[0] = corr_zt[0] = 0.0
+    for b in range(0, m + 1, _BLOCK):
+        q_block = source(levels[b:b + _BLOCK])
+        prefs = _padded_prefix(q_block, q_ff, dx, pad)
+        qs = _padded(q_block, q_ff, pad)
+        if b == 0:
+            p0, q0 = prefs[0].copy(), qs[0].copy()
+            rp, lp, rq, lq = p0.copy(), p0.copy(), q0.copy(), q0.copy()
+        for j in range(max(b, 1), b + len(q_block)):
+            p, q = prefs[j - b], qs[j - b]
+            # j shifts leave j stale end entries; pad = m keeps them off the grid
+            rp[:-1] = rp[1:] + p[:-1]
+            lp[1:] = lp[:-1] + p[1:]
+            rq[:-1] = rq[1:] + q[:-1]
+            lq[1:] = lq[:-1] + q[1:]
+            hi, lo = slice(pad + j, pad + j + n), slice(pad - j, pad - j + n)
+            corr_z[j] = -dt / (2.0 * c) * (rp[mid] - lp[mid] - 0.5 * (p0[hi] - p0[lo]))
+            corr_zt[j] = -dt / 2.0 * (rq[mid] + lq[mid] - 0.5 * (q0[hi] + q0[lo]) - q[mid])
+
+
+def _check_aligned_step(grid: Grid1D, c: float, dt: float):
+    """The cone sums move one cell per level, so c dt must be dx."""
+    if abs(dt * c / grid.dx - 1.0) > 1e-9:
+        raise ConfigError("dt must equal dx/c for grid-aligned transport")
 
 
 def duhamel_apply(grid: Grid1D, zeta_history: np.ndarray, p: PotentialSpec,
                   c: float, dt: float, far_field=0.0 + 0.0j):
     """Backward-cone source correction at the last level of a history.
 
-    zeta_history has shape (m+1, n): field levels at times 0, dt, ..., m dt.
-    Returns the pair of corrections to (zeta, zeta_t) at time m dt.
+    zeta_history has shape (m+1, n): field levels at times 0, dt, ..., m dt,
+    with dt = dx/c.  Returns the pair of corrections to (zeta, zeta_t) at
+    time m dt.
     """
     zh = np.asarray(zeta_history, dtype=complex)
     if zh.ndim != 2 or zh.shape[1] != grid.n:
         raise ConfigError("history must be (levels, grid.n)")
-    q = source_term(p, zh)
+    _check_aligned_step(grid, c, dt)
     q_ff = complex(source_term(p, np.asarray([far_field]))[0])
-    corr_z, corr_zt = _cone_corrections(grid, q, q_ff, c, dt)
+    corr_z, corr_zt = np.empty_like(zh), np.empty_like(zh)
+    _cone_corrections(grid, zh, partial(source_term, p), q_ff, c, dt,
+                      corr_z, corr_zt)
     return corr_z[-1], corr_zt[-1]
 
 
@@ -233,30 +259,52 @@ class SemilinearResult:
 
 
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
-                    cfg: SemilinearConfig, m: int):
-    """Picard-iterate one window of m steps from its free levels until
+                    cfg: SemilinearConfig, q_ff: complex, stacks: np.ndarray,
+                    w0: np.ndarray):
+    """Picard-iterate one window from its free levels until
     fields.contraction_stop accepts the state_distance changes at
-    cfg.picard_tol; returns level arrays and diffs."""
-    base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
-    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
-    hat_z, hat_zt = base_z.copy(), base_zt.copy()
+    cfg.picard_tol; returns level arrays and diffs.
+
+    The window works in the six (m+1, n) complex stacks of `stacks`: the
+    free levels and two iterates, each as zeta and zeta_t, every iterate
+    written over the one before the current one.  W0(|zeta|) of the
+    current iterate is carried into the next distance in the two real
+    stacks of `w0`.  The cone and the distance work through _BLOCK levels
+    at a time.
+    """
+    m = stacks.shape[1] - 1
+    base_z, base_zt = stacks[0], stacks[1]
+    buffers = (stacks[2], stacks[3]), (stacks[4], stacks[5])
+    hat_w, new_w = w0
+    _free_levels(f0, cfg.c, range(m + 1), base_z, base_zt)
+    source = partial(source_term, p)
+    hat_z, hat_zt = base_z, base_zt
+    for b in range(0, m + 1, _BLOCK):
+        hat_w[b:b + _BLOCK] = p.eval_0(np.abs(base_z[b:b + _BLOCK]))
     diffs: List[float] = []
     # level 0 carries no correction: once the first iterate has pinned its
-    # ends it is the same array in every iterate, so later distances skip it
+    # ends it is the same in every iterate, so later distances skip it
     lo = 0
-    for _ in range(_PICARD_MAX):
-        q = source_term(p, hat_z)
-        corr_z, corr_zt = _cone_corrections(grid, q, q_ff, cfg.c, cfg.dt)
-        new_z = base_z + corr_z
-        new_zt = base_zt + corr_zt
+    for k in range(_PICARD_MAX):
+        new_z, new_zt = buffers[k % 2]
+        _cone_corrections(grid, hat_z, source, q_ff, cfg.c, cfg.dt,
+                          new_z, new_zt)
+        new_z += base_z
+        new_zt += base_zt
         # boundary pinned to the (equilibrium) far field
         new_z[:, 0] = new_z[:, -1] = f0.far_field
         new_zt[:, 0] = new_zt[:, -1] = 0.0
-        d = float(np.max(state_distance(grid, new_z[lo:], new_zt[lo:],
-                                        hat_z[lo:], hat_zt[lo:], p)))
+        block_sups = []
+        for b in range(lo, m + 1, _BLOCK):
+            blk = slice(b, b + _BLOCK)
+            new_w[blk] = p.eval_0(np.abs(new_z[blk]))
+            block_sups.append(np.max(_difference_distance(
+                grid, new_z[blk] - hat_z[blk], new_zt[blk] - hat_zt[blk],
+                new_w[blk] - hat_w[blk])))
+        diffs.append(float(np.max(block_sups)))
         lo = 1
-        diffs.append(d)
         hat_z, hat_zt = new_z, new_zt
+        hat_w, new_w = new_w, hat_w
         if contraction_stop(diffs, cfg.picard_tol):
             return hat_z, hat_zt, diffs, True
     return hat_z, hat_zt, diffs, False
@@ -280,8 +328,7 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     afterwards.
     """
     grid = f0.grid
-    if abs(cfg.dt * cfg.c / grid.dx - 1.0) > 1e-9:
-        raise ConfigError("dt must equal dx/c for grid-aligned transport")
+    _check_aligned_step(grid, cfg.c, cfg.dt)
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     if abs(q_ff) > 1e-10:
         raise ConfigError("far field must be an equilibrium of the potential "
@@ -314,12 +361,18 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     state = f0.copy()
     record_level(state.zeta, state.zeta_t, state.time)
 
+    # the windows' level stacks, kept for the whole solve; a shorter last
+    # window works in their leading levels
+    levels = min(win, total_steps) + 1
+    stacks = np.empty((6, levels, grid.n), dtype=complex)
+    w0 = np.empty((2, levels, grid.n))
     windows: List[List[float]] = []
     iterate_count = 0
     done = 0
     while done < total_steps:
         m = min(win, total_steps - done)
-        hat_z, hat_zt, diffs, ok = _window_iterate(grid, state, p, cfg, m)
+        hat_z, hat_zt, diffs, ok = _window_iterate(
+            grid, state, p, cfg, q_ff, stacks[:, :m + 1], w0[:, :m + 1])
         windows.append(diffs)
         iterate_count += len(diffs)
         if not ok:

@@ -12,7 +12,8 @@ from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      Grid1D, SemilinearConfig, apriori_constants,
                      contraction_window, duhamel_apply, ensure_valid,
                      flat_point_potential, free_wave, picard_solve,
-                     reference_potential, source_term, zero_potential)
+                     reference_potential, source_term, state_distance,
+                     zero_potential)
 from varwave import semilinear
 from varwave.semilinear import (_cone_corrections, _free_levels, _padded,
                                 _padded_prefix)
@@ -187,7 +188,8 @@ def test_free_wave_exact_on_aligned_shifts(case):
     assert fw.zeta.tobytes() == zeta.tobytes()
     assert fw.zeta_t.tobytes() == zeta_t.tobytes()
     # the window's free levels are the free_wave calls, row for row
-    base_z, base_zt = _free_levels(f0, c, range(m + 1))
+    base_z, base_zt = np.empty((2, m + 1, f0.grid.n), dtype=complex)
+    _free_levels(f0, c, range(m + 1), base_z, base_zt)
     for j in range(m + 1):
         fw = free_wave(f0, c, j * dt)
         assert base_z[j].tobytes() == fw.zeta.tobytes()
@@ -250,15 +252,15 @@ def test_duhamel_self_convergence_second_order():
     assert e_coarse / e_mid == pytest.approx(4.0, rel=0.4)
 
 
-def _loop_cone_corrections(grid, q_levels, q_ff, c, dt):
+def _loop_cone_corrections(grid, levels, source, q_ff, c, dt, corr_z, corr_zt):
     """The O(m^2 n) cone sum: every (level j, source level l) pair summed
     directly, trapezoid weights 1/2 at l = 0 and l = j."""
+    q_levels = source(levels)
     m, n = q_levels.shape[0] - 1, grid.n
     pad = m + 1
     prefs = np.stack([_padded_prefix(q, q_ff, grid.dx, pad) for q in q_levels])
     qs = np.stack([_padded(q, q_ff, pad) for q in q_levels])
-    corr_z = np.zeros((m + 1, n), dtype=complex)
-    corr_zt = np.zeros((m + 1, n), dtype=complex)
+    corr_z[0] = corr_zt[0] = 0.0
     for j in range(1, m + 1):
         acc_z = np.zeros(n, dtype=complex)
         acc_zt = np.zeros(n, dtype=complex)
@@ -270,10 +272,13 @@ def _loop_cone_corrections(grid, q_levels, q_ff, c, dt):
             acc_zt += w * (qs[l, hi] + qs[l, lo])
         corr_z[j] = -(dt / (2.0 * c)) * acc_z
         corr_zt[j] = -(dt / 2.0) * acc_zt
-    return corr_z, corr_zt
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 15, 40])
+def _identity(q):
+    return q
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 15, 16, 17, 33, 40])
 @pytest.mark.parametrize("n", [16, 33, 257])
 def test_cone_running_sums_match_double_loop(n, m):
     rng = np.random.default_rng(1000 * n + m)
@@ -281,23 +286,63 @@ def test_cone_running_sums_match_double_loop(n, m):
     c = 1.7
     q = rng.normal(size=(m + 1, n)) + 1j * rng.normal(size=(m + 1, n))
     q_ff = 0.3 - 0.7j
-    got = _cone_corrections(g, q, q_ff, c, g.dx / c)
-    want = _loop_cone_corrections(g, q, q_ff, c, g.dx / c)
+    # NaN-filled outputs: every entry, level 0 included, must be written
+    got = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
+    want = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
+    _cone_corrections(g, q, _identity, q_ff, c, g.dx / c, *got)
+    _loop_cone_corrections(g, q, _identity, q_ff, c, g.dx / c, *want)
     for new, loop in zip(got, want):
+        assert np.all(new[0] == 0.0)
         scale = max(1.0, float(np.max(np.abs(loop))))
         assert np.max(np.abs(new - loop)) <= 1e-12 * scale
 
 
+def _concatenated_prefix(q, q_ff, dx, pad):
+    """The one-level padded prefix built by concatenation."""
+    pref = np.concatenate(([0.0 + 0.0j], np.cumsum(0.5 * (q[1:] + q[:-1]) * dx)))
+    left = pref[0] - q_ff * dx * np.arange(pad, 0, -1)
+    right = pref[-1] + q_ff * dx * np.arange(1, pad + 1)
+    return np.concatenate((left, pref, right))
+
+
+@pytest.mark.parametrize("pad", [0, 1, 7, 40])
+def test_padded_stacks_match_single_levels(pad):
+    rng = np.random.default_rng(pad)
+    q = rng.normal(size=(17, 33)) + 1j * rng.normal(size=(17, 33))
+    dx = 0.37
+    for q_ff in (0.0 + 0.0j, 0.3 - 0.7j):
+        prefs = _padded_prefix(q, q_ff, dx, pad)
+        padded = _padded(q, q_ff, pad)
+        assert prefs.shape == padded.shape == (17, 33 + 2 * pad)
+        for l in range(17):
+            one = _padded_prefix(q[l], q_ff, dx, pad)
+            assert prefs[l].tobytes() == one.tobytes()
+            assert one.tobytes() == _concatenated_prefix(q[l], q_ff, dx,
+                                                         pad).tobytes()
+            full = np.full(pad, q_ff, dtype=complex)
+            assert padded[l].tobytes() == _padded(q[l], q_ff, pad).tobytes()
+            assert padded[l].tobytes() == np.concatenate((full, q[l],
+                                                          full)).tobytes()
+
+
 def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
+    # 32-step windows: the cone's blocks of levels meet inside each window
     g = Grid1D(-8.0, 8.0, 257)
     zeta = 0.1 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
     cfg = SemilinearConfig.aligned(g, 1.0, T_window=32 * g.dx)
     new = picard_solve(f0, p, cfg, 64 * g.dx)
-    monkeypatch.setattr(semilinear, "_cone_corrections",
-                        _loop_cone_corrections)
+    loop_calls = []
+
+    def loop_cone(*args):
+        loop_calls.append(args[1].shape)
+        _loop_cone_corrections(*args)
+
+    monkeypatch.setattr(semilinear, "_cone_corrections", loop_cone)
     old = picard_solve(f0, p, cfg, 64 * g.dx)
+    assert loop_calls and all(s == (33, g.n) for s in loop_calls)
+    assert len(loop_calls) == old.trace.iterate_count
     for a, b in ((new.field.zeta, old.field.zeta),
                  (new.field.zeta_t, old.field.zeta_t)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -307,20 +352,24 @@ def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
             == [len(d) for d in old.trace.diff_norms])
 
 
-def _all_levels_window_iterate(grid, f0, p, cfg, m):
-    """The Picard window with the distance taken over every level 0..m,
-    stopped by the solver's rule."""
-    base_z, base_zt = _free_levels(f0, cfg.c, range(m + 1))
-    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+def _all_levels_window_iterate(grid, f0, p, cfg, q_ff, stacks, w0):
+    """The Picard window with fresh arrays for every iterate (the solver's
+    kept stacks go unused), the source evaluated on the whole stack, and
+    the distance taken by state_distance over every level 0..m, stopped by
+    the solver's rule."""
+    m = stacks.shape[1] - 1
+    base_z, base_zt = np.empty((2, m + 1, grid.n), dtype=complex)
+    _free_levels(f0, cfg.c, range(m + 1), base_z, base_zt)
     hat_z, hat_zt = base_z.copy(), base_zt.copy()
     diffs = []
     for _ in range(semilinear._PICARD_MAX):
-        corr_z, corr_zt = _cone_corrections(grid, source_term(p, hat_z), q_ff,
-                                            cfg.c, cfg.dt)
+        corr_z, corr_zt = np.zeros_like(base_z), np.zeros_like(base_zt)
+        _cone_corrections(grid, source_term(p, hat_z), _identity, q_ff,
+                          cfg.c, cfg.dt, corr_z, corr_zt)
         new_z, new_zt = base_z + corr_z, base_zt + corr_zt
         new_z[:, 0] = new_z[:, -1] = f0.far_field
         new_zt[:, 0] = new_zt[:, -1] = 0.0
-        diffs.append(float(np.max(semilinear.state_distance(
+        diffs.append(float(np.max(state_distance(
             grid, new_z, new_zt, hat_z, hat_zt, p))))
         hat_z, hat_zt = new_z, new_zt
         if semilinear.contraction_stop(diffs, cfg.picard_tol):
@@ -328,12 +377,15 @@ def _all_levels_window_iterate(grid, f0, p, cfg, m):
     return hat_z, hat_zt, diffs, False
 
 
-@pytest.mark.parametrize("amp, width, window_steps, steps", [
-    (2e-10, 9.0, 0.5, 8),  # one-step windows, edge 9e-11 off the far field
-    (0.1, 1.0, 8, 24),     # three 8-step windows, edge 1.6e-29
-], ids=["one_step_windows", "three_8_step_windows"])
+@pytest.mark.parametrize("amp, width, c, window_steps, steps, windows", [
+    (2e-10, 9.0, 1.0, 0.5, 8, 8),  # one-step windows, edge 9e-11 off far field
+    (0.1, 1.0, 1.0, 8, 24, 3),     # three 8-step windows, edge 1.6e-29
+    # two 40-step windows, each crossing two block edges; c = 8 keeps the
+    # window (40 dt = 0.625) short enough to contract
+    (0.1, 1.0, 8.0, 40, 80, 2),
+], ids=["one_step_windows", "three_8_step_windows", "two_40_step_windows"])
 def test_picard_distance_without_fixed_level_matches_all_levels(
-        monkeypatch, amp, width, window_steps, steps):
+        monkeypatch, amp, width, c, window_steps, steps, windows):
     # in the first case the first iterate's boundary pin moves level 0 by
     # more than the Duhamel correction moves level 1, so leaving level 0 out
     # of that first distance would change diff_norms
@@ -341,15 +393,49 @@ def test_picard_distance_without_fixed_level_matches_all_levels(
     zeta = amp * np.exp(-(g.nodes / width) ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=window_steps * g.dx)
-    new = picard_solve(f0, p, cfg, steps * g.dx)
+    cfg = SemilinearConfig.aligned(g, c, T_window=window_steps * g.dx / c)
+    new = picard_solve(f0, p, cfg, steps * g.dx / c)
     monkeypatch.setattr(semilinear, "_window_iterate",
                         _all_levels_window_iterate)
-    old = picard_solve(f0, p, cfg, steps * g.dx)
-    assert len(new.trace.diff_norms) == (steps if window_steps < 1 else 3)
+    old = picard_solve(f0, p, cfg, steps * g.dx / c)
+    assert len(new.trace.diff_norms) == windows
     assert new.trace.diff_norms == old.trace.diff_norms
     assert np.array_equal(new.field.zeta, old.field.zeta)
     assert np.array_equal(new.field.zeta_t, old.field.zeta_t)
+
+
+def test_window_holds_at_most_ten_level_stacks():
+    # numpy reports its buffers to tracemalloc, so the peak is the arrays'
+    # own bytes, whatever the allocator does with them
+    import tracemalloc
+    g = Grid1D(-8.0, 8.0, 1025)
+    m = 64
+    zeta = 0.1 * np.exp(-g.nodes ** 2)
+    f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
+    p = ensure_valid(reference_potential())
+    cfg = SemilinearConfig.aligned(g, 1.0, T_window=m * g.dx)
+    picard_solve(f0, p, cfg, m * g.dx)  # first-call caches stay out of it
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        res = picard_solve(f0, p, cfg, m * g.dx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.trace.diff_norms) == 1 and res.trace.iterate_count >= 3
+    stack = (m + 1) * g.n * 16
+    assert (peak - before) / stack <= 10.0
+
+
+@pytest.mark.parametrize("c, cells", [(1.0, 2.0), (2.0, 1.0)])
+def test_duhamel_refuses_a_misaligned_step(c, cells):
+    # the cone moves one cell per level; with c dt = 2 dx the constant
+    # history's correction came out half of -q t^2 / 2
+    g = Grid1D(-8.0, 8.0, 257)
+    hist = np.full((13, g.n), 0.4 + 0.0j)
+    with pytest.raises(ConfigError, match="dt must equal dx/c"):
+        duhamel_apply(g, hist, reference_potential(), c, cells * g.dx,
+                      far_field=0.4 + 0.0j)
 
 
 def test_duhamel_rejects_misshapen_history():
