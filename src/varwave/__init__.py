@@ -11,8 +11,8 @@ and a potential-validation gate.
 from .asymptotic import (AsymptoticConfig, ELResidualReport, ExtractedSlow,
                          RescalingMap, SlowCoefficients, action_gradient,
                          action_value, convergence_study, discrete_el_residual,
-                         embed, extract, rescaling_from_coefficients,
-                         rescaling_map, slow_time, standardize, strong_residual)
+                         embed, extract, rescaling_map, standardize,
+                         strong_residual)
 from .diagnostics import (ENERGY_HEADER, EnergyReport, conservation_residuals,
                           energy_density_complex, energy_density_polar,
                           fit_order, write_energy_csv)
@@ -38,8 +38,8 @@ from .quasilinear import (FixpointTrace, PolarState, QuasilinearConfig,
                           resolve_budgets, rhs_sources, transport_step,
                           write_polar_snapshot_csv)
 from .semilinear import (PicardTrace, SemilinearConfig, SemilinearResult,
-                         contraction_window, duhamel_apply, free_wave,
-                         picard_solve, source_term)
+                         contraction_window, free_wave, picard_solve,
+                         source_term)
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,7 @@ __all__ = [
     "conservation_residuals", "fit_order", "write_energy_csv", "ENERGY_HEADER",
     # semilinear
     "SemilinearConfig", "SemilinearResult", "PicardTrace", "free_wave",
-    "duhamel_apply", "picard_solve", "contraction_window", "source_term",
+    "picard_solve", "contraction_window", "source_term",
     # profiles
     "Profile", "gaussian", "sine_packet", "bump_slope", "constant",
     "make_profile",
@@ -76,8 +76,7 @@ __all__ = [
     "sample_eulerian", "breaking_time_riccati",
     # asymptotic
     "AsymptoticConfig", "SlowCoefficients", "RescalingMap", "ExtractedSlow",
-    "ELResidualReport", "embed", "extract", "slow_time",
-    "rescaling_map", "rescaling_from_coefficients", "standardize",
+    "ELResidualReport", "embed", "extract", "rescaling_map", "standardize",
     "action_value", "action_gradient", "strong_residual",
     "discrete_el_residual", "convergence_study",
 ]

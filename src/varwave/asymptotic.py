@@ -39,12 +39,14 @@ import numpy as np
 
 from .diagnostics import fit_order
 from .errors import ConfigError, VarwaveError
-# interpolate is not called here (extract builds one stencil); the name
-# stays bound because perfbench/tracing.py wraps this module attribute
+# centered_derivative and interpolate are not called here (embed takes the
+# exact slope, extract builds one stencil); the names stay bound because
+# perfbench/tracing.py wraps these module attributes
 from .fields import (Grid1D, centered_derivative, interpolate, l2_norm,
                      stencil, trapezoid_weights)
 from .hunter_saxton import evolve_markers, make_markers, sample_eulerian
 from .potentials import PotentialSpec, WaveSpeed
+from .profiles import Profile
 from .quasilinear import PolarState, QuasilinearConfig, advance
 
 __all__ = [
@@ -55,9 +57,7 @@ __all__ = [
     "ELResidualReport",
     "embed",
     "extract",
-    "slow_time",
     "rescaling_map",
-    "rescaling_from_coefficients",
     "standardize",
     "action_value",
     "action_gradient",
@@ -80,12 +80,6 @@ class SlowCoefficients:
         if self.a <= 0.0 or self.d <= 0.0:
             raise ConfigError("kinetic coefficients a, d must be positive")
 
-    @property
-    def compatible(self) -> bool:
-        """Whether one time rescaling standardizes both equations."""
-        scale = abs(self.a * self.e) + abs(self.b * self.d)
-        return abs(self.a * self.e - self.b * self.d) <= 1e-12 * max(1.0, scale)
-
     @classmethod
     def from_background(cls, ws: WaveSpeed, psi0: float, s0: float) -> "SlowCoefficients":
         c0 = float(ws.c(psi0))
@@ -95,20 +89,13 @@ class SlowCoefficients:
 
 @dataclass(frozen=True)
 class AsymptoticConfig:
-    """Background state, amplitude, and slow profiles for one embedding.
-
-    u_init is the slow angle profile, rho_init the slow transverse density
-    (the y-derivative of the order-parameter disturbance, unstandardized);
-    du_init optionally supplies the exact derivative of u_init.
-    """
+    """Background state (wave speed, psi0, s0) and amplitude epsilon of one
+    embedding; the slow profiles go to embed."""
 
     ws: WaveSpeed
     psi0: float
     s0: float
     epsilon: float
-    u_init: Optional[Callable] = None
-    rho_init: Optional[Callable] = None
-    du_init: Optional[Callable] = None
 
     def __post_init__(self):
         if not (0.0 < self.s0 < 1.0):
@@ -133,10 +120,6 @@ class AsymptoticConfig:
         return SlowCoefficients.from_background(self.ws, self.psi0, self.s0)
 
 
-def slow_time(cfg: AsymptoticConfig, t: float) -> float:
-    return cfg.epsilon * t
-
-
 @dataclass(frozen=True)
 class RescalingMap:
     """(tau, rho) |-> (time_scale * tau, rho_scale * rho) standardization."""
@@ -145,66 +128,50 @@ class RescalingMap:
     rho_scale: float
 
 
-def rescaling_from_coefficients(coeffs: SlowCoefficients) -> RescalingMap:
-    """Standardizing rescale of the general reduced Lagrangian.
-
-    Requires the cross-compatibility a e = b d (one clock must serve both
-    equations) and e/b > 0 (a real density rescale).  time_scale = b/a,
-    rho_scale = sqrt(e/b); unit coefficients map to the identity.
-    """
-    if not coeffs.compatible:
-        raise ConfigError("no single rescaling standardizes these "
-                          "coefficients: a e != b d")
-    if coeffs.b == 0.0:
-        raise ConfigError("b = 0: the reduction is linear, nothing to rescale")
-    ratio = coeffs.e / coeffs.b
-    if ratio <= 0.0:
-        raise ConfigError("e/b must be positive for a real density rescale")
-    return RescalingMap(time_scale=coeffs.b / coeffs.a,
-                        rho_scale=math.sqrt(ratio))
-
-
 def rescaling_map(cfg: AsymptoticConfig) -> RescalingMap:
-    """Background form of the standardization: (c'(psi0) tau, rho / s0)."""
-    return rescaling_from_coefficients(cfg.coefficients)
+    """Standardizing rescale (b/a tau, sqrt(e/b) rho) = (c'(psi0) tau,
+    rho / s0) of the background's reduced Lagrangian.
+
+    One clock serves both equations because a e = b d for every background;
+    b != 0 because the config refuses isotropic backgrounds, and
+    e/b = 1/s0^2 > 0.
+    """
+    co = cfg.coefficients
+    return RescalingMap(time_scale=co.b / co.a,
+                        rho_scale=math.sqrt(co.e / co.b))
 
 
-def embed(cfg: AsymptoticConfig, grid: Grid1D,
-          p: Optional[PotentialSpec] = None) -> PolarState:
+def embed(cfg: AsymptoticConfig, grid: Grid1D, p: PotentialSpec,
+          u0: Callable, du0: Callable, rho0: Callable) -> PolarState:
     """Initial full state carrying the slow profiles at amplitude epsilon.
 
-    psi = psi0 + eps u, s = s0 + eps R with R the antiderivative of
-    rho_init; rho_init must have zero mass so R is again localized.  Time
-    derivatives are set for a right-moving packet (the moving-frame chain
-    rule at leading order: psi_t = -c0 eps u_y, s_t = -c0 eps R_y), and the
-    gradient fields satisfy their defining constraints exactly on the grid.
-    When a potential is supplied, its first three derivatives at s0 are
-    checked to vanish; otherwise the cubic term it contributes would enter
-    at the retained order and the reduced system would not be the right
-    limit.
+    u0 is the slow angle profile and du0 its exact derivative; rho0 is the
+    slow transverse density (the y-derivative of the order-parameter
+    disturbance, unstandardized).  psi = psi0 + eps u0, s = s0 + eps R with
+    R the antiderivative of rho0; rho0 must have zero mass so R is again
+    localized.  Time derivatives are set for a right-moving packet (the
+    moving-frame chain rule at leading order: psi_t = -c0 eps u_y,
+    s_t = -c0 eps R_y), and the gradient fields satisfy their defining
+    constraints exactly on the grid.  The first three derivatives of the
+    potential p at s0 are checked to vanish; otherwise the cubic term it
+    contributes would enter at the retained order and the reduced system
+    would not be the right limit.
     """
-    if cfg.u_init is None or cfg.rho_init is None:
-        raise ConfigError("config carries no slow profiles to embed")
-    if p is not None:
-        s0_arr = np.asarray([cfg.s0])
-        for k, ev in ((1, p.eval_1), (2, p.eval_2), (3, p.eval_3)):
-            val = float(ev(s0_arr)[0])
-            if abs(val) > 1e-9:
-                raise ConfigError(
-                    f"potential must be flat to third order at s0 = {cfg.s0}: "
-                    f"derivative {k} is {val:.3e}")
+    s0_arr = np.asarray([cfg.s0])
+    for k, ev in ((1, p.eval_1), (2, p.eval_2), (3, p.eval_3)):
+        val = float(ev(s0_arr)[0])
+        if abs(val) > 1e-9:
+            raise ConfigError(
+                f"potential must be flat to third order at s0 = {cfg.s0}: "
+                f"derivative {k} is {val:.3e}")
     y = grid.nodes
     eps, s0, c0 = cfg.epsilon, cfg.s0, cfg.c0
-    u = np.asarray(cfg.u_init(y), dtype=float)
-    rho = np.asarray(cfg.rho_init(y), dtype=float)
-    if cfg.du_init is not None:
-        u_y = np.asarray(cfg.du_init(y), dtype=float)
-    else:
-        u_y = centered_derivative(grid, u)
-    R_y = rho
+    u = np.asarray(u0(y), dtype=float)
+    u_y = np.asarray(du0(y), dtype=float)
+    R_y = np.asarray(rho0(y), dtype=float)
     R = np.concatenate(([0.0], np.cumsum(0.5 * (R_y[1:] + R_y[:-1]) * grid.dx)))
     if abs(R[-1]) > 1e-8 * max(1.0, float(np.max(np.abs(R)))):
-        raise ConfigError("rho_init must have zero mass for a localized "
+        raise ConfigError("rho0 must have zero mass for a localized "
                           f"embedding (residual mass {R[-1]:.3e})")
 
     psi = cfg.psi0 + eps * u
@@ -251,7 +218,7 @@ def extract(cfg: AsymptoticConfig, state: PolarState, y_query
     psi_q, r_q = stencil(state.grid, y).apply(state.U[[0, 5]])
     u = (psi_q - cfg.psi0) / cfg.epsilon
     rho = r_q / (cfg.ws.c(psi_q) * cfg.epsilon)
-    return ExtractedSlow(y=y, u=u, rho=rho, tau=slow_time(cfg, state.time),
+    return ExtractedSlow(y=y, u=u, rho=rho, tau=cfg.epsilon * state.time,
                          t_fast=state.time)
 
 
@@ -406,12 +373,14 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 
 # every full-dynamics run of the sweep: CFL number and fixed-point tolerance
 _CFL, _FIXPOINT_TOL = 0.8, 1e-8
+# evaluation points, reference markers, and the pad (in y) on each side of
+# y_span that the full-dynamics grids cover
+_N_EVAL, _N_MARKERS, _PAD = 400, 4001, 8.0
 
 
-def _marker_reference(mapping: RescalingMap, u0: Callable, rho0: Callable,
-                      du0: Optional[Callable], y_span: Tuple[float, float],
-                      y_grid: np.ndarray, n_markers: int, marker_dt: float,
-                      tau_final: float
+def _marker_reference(mapping: RescalingMap, u0: Profile, rho0: Callable,
+                      y_span: Tuple[float, float], y_grid: np.ndarray,
+                      marker_dt: float, tau_final: float
                       ) -> Tuple[np.ndarray, np.ndarray, float]:
     """The standard reduced system at tau_final on y_grid, from one marker
     run (profiles u0 as-is, rho0 rescaled by the density factor), moved
@@ -420,7 +389,7 @@ def _marker_reference(mapping: RescalingMap, u0: Callable, rho0: Callable,
     def rho_std0(y):
         return mapping.rho_scale * np.asarray(rho0(y), dtype=float)
 
-    mk = make_markers(y_span, n_markers, u0, rho_std0, du0=du0)
+    mk = make_markers(y_span, _N_MARKERS, u0, rho_std0, u0.derivative)
     steps_tau = int(math.ceil(tau_final / marker_dt))
     res = evolve_markers(mk, tau_final, tau_final / steps_tau)
     if res.broke:
@@ -434,23 +403,24 @@ def _marker_reference(mapping: RescalingMap, u0: Callable, rho0: Callable,
 
 
 def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
-               tau_final: float, y_grid: np.ndarray, u_ref: np.ndarray,
-               rho_ref: np.ndarray, y_span: Tuple[float, float], dx: float,
-               pad: float) -> Dict:
+               u0: Profile, rho0: Callable, tau_final: float,
+               y_grid: np.ndarray, u_ref: np.ndarray, rho_ref: np.ndarray,
+               y_span: Tuple[float, float], dx: float) -> Dict:
     """One epsilon of the sweep: embed, advance to the fast time of
-    tau_final in the frame moving at c0 on a grid over y_span +- pad,
+    tau_final in the frame moving at c0 on a grid over y_span +- _PAD,
     extract, standardize, and measure against the reference.  Returns the
     run's study.json entry; a run that fails is marked, not raised."""
     V = cfg.c0
     t_fast = tau_final / (cfg.epsilon * mapping.time_scale)
-    x_lo = y_span[0] - pad
-    n_nodes = int(round((y_span[1] + pad - x_lo) / dx)) + 1
+    x_lo = y_span[0] - _PAD
+    n_nodes = int(round((y_span[1] + _PAD - x_lo) / dx)) + 1
     grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
     n_steps = int(math.ceil(t_fast / (_CFL * grid.dx / cfg.ws.c_max)))
     qcfg = QuasilinearConfig(dt=t_fast / n_steps, fixpoint_tol=_FIXPOINT_TOL,
                              frame_speed=V)
     try:
-        out = advance(embed(cfg, grid, p=p), p, cfg.ws, qcfg, t_fast)
+        out = advance(embed(cfg, grid, p, u0, u0.derivative, rho0), p,
+                      cfg.ws, qcfg, t_fast)
         ext = standardize(extract(cfg, out.state, y_grid), mapping)
     except VarwaveError as exc:
         return {"epsilon": cfg.epsilon, "t_fast": t_fast, "frame_speed": V,
@@ -475,33 +445,31 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
 
 
 def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
-                      u0: Callable, rho0: Callable, epsilons: Sequence[float],
+                      u0: Profile, rho0: Callable, epsilons: Sequence[float],
                       tau_final: float, *,
-                      du0: Optional[Callable] = None,
                       y_span: Tuple[float, float] = (-6.0, 6.0),
-                      y_eval: Tuple[float, float] = (-5.0, 5.0),
-                      n_eval: int = 400,
                       dx: float = 0.05,
-                      n_markers: int = 4001,
-                      marker_dt: float = 1e-3,
-                      pad: float = 8.0) -> Dict:
+                      marker_dt: float = 1e-3) -> Dict:
     """Measure the distance between the full dynamics and its reduction.
 
-    tau_final is measured on the standardized slow clock.  One marker run of
-    the standard reduced system (profiles u0 as-is, rho0 rescaled by the
-    density factor) provides the reference.  For each epsilon the profiles
-    are embedded at that amplitude, the full system is advanced to the
-    matching fast time tau_final / (epsilon * time_scale) in the frame
+    u0 is a Profile: its exact derivative seeds the reference slopes and
+    the embedded gradient fields.  epsilons holds at least two values, each
+    in (0, 1); anything else is a ConfigError before any run.  tau_final is
+    measured on the standardized slow clock.  One marker run of the
+    standard reduced system (4001 markers; profiles u0 as-is, rho0 rescaled
+    by the density factor) provides the reference.  For each epsilon the
+    profiles are embedded at that amplitude, the full system is advanced to
+    the matching fast time tau_final / (epsilon * time_scale) in the frame
     y = x - c0 t (QuasilinearConfig.frame_speed = c0), on a grid over
-    y_span +- pad whatever the fast time, the slow fields are read off at y
-    itself and standardized, and L2 errors over the evaluation window are
-    recorded.  Ahead of the packet the grid's right edge reads
-    the untouched far field; its left edge is outflow.  A sub-run failure
-    marks its entry instead of aborting the sweep.  Returns a JSON-ready
-    dictionary: epsilons, errors (combined u/rho L2 per epsilon),
-    fitted_order, the velocity-constant gauge of the reference, the
-    rescaling map, and per-run detail (each run also records its
-    frame_speed and, unless it failed, its total fixed-point passes
+    y_span +- 8 whatever the fast time, the slow fields are read off at y
+    itself and standardized, and L2 errors are recorded on 400 points
+    spanning y_span shrunk by 1 on each side.  Ahead of the packet the
+    grid's right edge reads the untouched far field; its left edge is
+    outflow.  A sub-run failure marks its entry instead of aborting the
+    sweep.  Returns a JSON-ready dictionary: epsilons, errors (combined
+    u/rho L2 per epsilon), fitted_order, the velocity-constant gauge of the
+    reference, the rescaling map, and per-run detail (each run also records
+    its frame_speed and, unless it failed, its total fixed-point passes
     fixpoint_passes).
 
     Gauge handling: the marker reference pins u at the left end (the
@@ -515,24 +483,25 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     measuring errors.  The reference itself, and the gauge tag in the
     output, stay in the left-pinned convention.
     """
-    epsilons = sorted((float(e) for e in epsilons), reverse=True)
+    epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2:
         raise ConfigError("need at least two epsilon values")
-    base = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=epsilons[0],
-                            u_init=u0, rho_init=rho0, du_init=du0)
+    for eps in epsilons:
+        if not 0.0 < eps < 1.0:
+            raise ConfigError(f"epsilon {eps} outside (0, 1)")
+    epsilons.sort(reverse=True)
+    base = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=epsilons[0])
     mapping = rescaling_map(base)
-    y_grid = np.linspace(y_eval[0], y_eval[1], n_eval)
+    y_grid = np.linspace(y_span[0] + 1.0, y_span[1] - 1.0, _N_EVAL)
     u_ref, rho_ref, E_ref = _marker_reference(
-        mapping, u0, rho0, du0, y_span, y_grid, n_markers, marker_dt,
-        tau_final)
+        mapping, u0, rho0, y_span, y_grid, marker_dt, tau_final)
 
     runs: List[Dict] = []
     errors: List[Optional[float]] = []
     for eps in epsilons:
-        cfg = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps,
-                               u_init=u0, rho_init=rho0, du_init=du0)
-        run = _sweep_run(p, cfg, mapping, tau_final, y_grid, u_ref, rho_ref,
-                         y_span, dx, pad)
+        cfg = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps)
+        run = _sweep_run(p, cfg, mapping, u0, rho0, tau_final, y_grid,
+                         u_ref, rho_ref, y_span, dx)
         runs.append(run)
         errors.append(None if run["failed"]
                       else math.hypot(run["l2_u"], run["l2_rho"]))
@@ -555,7 +524,7 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         "psi0": psi0,
         "s0": s0,
         "c0": base.c0,
-        "reference_markers": n_markers,
+        "reference_markers": _N_MARKERS,
         "reference_energy": E_ref,
         "gauge_drop": tau_final * E_ref,
         "gauge_shift": 0.5 * tau_final * tau_final * E_ref,

@@ -207,10 +207,6 @@ class ComplexField:
             if abs(self.zeta_t[edge]) > 1e-10:
                 raise ConfigError("boundary time derivative is not zero")
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.zeta.copy(), self.zeta_t.copy(),
-                            self.far_field, self.time, validate=False)
-
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
     """Composite trapezoid weights of n nodes spaced h apart."""

@@ -15,7 +15,9 @@ with du/dt constant per marker because (alpha^2 + rho^2) J is.  Wave
 breaking is the Jacobian touching zero: alpha = u_x blows down while u stays
 bounded.  w = alpha + i rho obeys dw/dt = -w^2/2, so each marker is an exact
 Riccati flow; the solver exploits that only for blow-up prediction and for
-test oracles, and otherwise integrates with classical RK4.  A run hands
+test oracles, and otherwise integrates with classical RK4.  Markers start
+from the exact slope du0 of the initial profile u0 (make_markers takes
+both), so no difference quotient enters the initial data.  A run hands
 each level to an optional observer and reports breaking on its result
 (broke, t_star, marker_index) instead of raising.
 """
@@ -77,14 +79,12 @@ class MarkerState:
                            time=self.time)
 
 
-def make_markers(span: Tuple[float, float], m: int,
-                 u0: Callable, rho0: Callable,
-                 du0: Optional[Callable] = None) -> MarkerState:
+def make_markers(span: Tuple[float, float], m: int, u0: Callable,
+                 rho0: Callable, du0: Callable) -> MarkerState:
     """Seed m markers uniformly over span widened by 10% on each side.
 
-    At t = 0 the labels coincide with positions (J = 1).  The slope is taken
-    from du0 when given, otherwise by centered differences of u0 on the
-    marker spacing.
+    At t = 0 the labels coincide with positions (J = 1).  The slope alpha
+    is du0, the exact derivative of u0, at the labels.
     """
     if m < 8:
         raise ConfigError("need at least 8 markers")
@@ -95,11 +95,7 @@ def make_markers(span: Tuple[float, float], m: int,
     xi = np.linspace(lo - pad, hi + pad, m)
     u = np.asarray(u0(xi), dtype=float)
     rho = np.asarray(rho0(xi), dtype=float)
-    if du0 is not None:
-        alpha = np.asarray(du0(xi), dtype=float)
-    else:
-        h = xi[1] - xi[0]
-        alpha = np.asarray((u0(xi + h) - u0(xi - h)) / (2.0 * h), dtype=float)
+    alpha = np.asarray(du0(xi), dtype=float)
     return MarkerState(xi=xi, x=xi.copy(), u=u, alpha=alpha, rho=rho,
                        J=np.ones(m), time=0.0)
 

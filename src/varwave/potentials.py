@@ -320,24 +320,21 @@ def wave_speed(K1: float, K3: float) -> WaveSpeed:
 
 @dataclass(frozen=True)
 class AprioriConstants:
-    """Energy-certified bounds: sup|zeta| <= cE < 1 plus Lipschitz data.
+    """Energy-certified bounds: sup|zeta| <= cE < 1 and CE = W0(cE).
 
     kE dominates W0'^2/W0 on [0, cE] (with the removable 2 W0'' limits at the
-    zeros), LE/LEp/LEpp dominate |W0'|, |W0'(s)/s|, |W0''| there.
+    zeros); s_tilde is the positivity threshold the pinning integral starts
+    from.
     """
 
     cE: float
     CE: float
     kE: float
-    LE: float
-    LEp: float
-    LEpp: float
-    E_budget: float
     s_tilde: float
 
 
 _PIN_RESOLUTION = 1500  # nodes per segment of the pinning-integral grid
-_SCAN_POINTS = 100_000  # scan of [0, cE] for the suprema
+_SCAN_POINTS = 100_000  # scan of [0, cE] for the supremum kE
 
 
 def _pin_integral_grid(p: PotentialSpec, s_tilde: float):
@@ -413,11 +410,5 @@ def apriori_constants(p: PotentialSpec, E: float) -> AprioriConstants:
         if 0.0 <= z <= cE:
             kE = max(kE, float(2.0 * p.eval_2(np.array([z]))[0]))
 
-    LE = float(np.max(np.abs(w1)))
-    over_s = np.where(s > 1e-12, np.abs(w1) / np.where(s > 1e-12, s, 1.0), np.abs(w2))
-    LEp = float(np.max(over_s))
-    LEpp = float(np.max(np.abs(w2)))
-
     return AprioriConstants(cE=float(cE), CE=float(p.eval_0(np.array([cE]))[0]),
-                            kE=kE, LE=LE, LEp=LEp, LEpp=LEpp,
-                            E_budget=float(E), s_tilde=float(s_tilde))
+                            kE=kE, s_tilde=float(s_tilde))

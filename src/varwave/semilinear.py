@@ -42,7 +42,6 @@ __all__ = [
     "SemilinearResult",
     "source_term",
     "free_wave",
-    "duhamel_apply",
     "picard_solve",
     "contraction_window",
 ]
@@ -181,31 +180,6 @@ def _cone_corrections(grid: Grid1D, levels: np.ndarray, source: Callable,
             corr_zt[j] = -dt / 2.0 * (rq[mid] + lq[mid] - 0.5 * (q0[hi] + q0[lo]) - q[mid])
 
 
-def _check_aligned_step(grid: Grid1D, c: float, dt: float):
-    """The cone sums move one cell per level, so c dt must be dx."""
-    if abs(dt * c / grid.dx - 1.0) > 1e-9:
-        raise ConfigError("dt must equal dx/c for grid-aligned transport")
-
-
-def duhamel_apply(grid: Grid1D, zeta_history: np.ndarray, p: PotentialSpec,
-                  c: float, dt: float, far_field=0.0 + 0.0j):
-    """Backward-cone source correction at the last level of a history.
-
-    zeta_history has shape (m+1, n): field levels at times 0, dt, ..., m dt,
-    with dt = dx/c.  Returns the pair of corrections to (zeta, zeta_t) at
-    time m dt.
-    """
-    zh = np.asarray(zeta_history, dtype=complex)
-    if zh.ndim != 2 or zh.shape[1] != grid.n:
-        raise ConfigError("history must be (levels, grid.n)")
-    _check_aligned_step(grid, c, dt)
-    q_ff = complex(source_term(p, np.asarray([far_field]))[0])
-    corr_z, corr_zt = np.empty_like(zh), np.empty_like(zh)
-    _cone_corrections(grid, zh, partial(source_term, p), q_ff, c, dt,
-                      corr_z, corr_zt)
-    return corr_z[-1], corr_zt[-1]
-
-
 @dataclass(frozen=True)
 class SemilinearConfig:
     """Discretization and iteration parameters for the windowed solver."""
@@ -328,7 +302,9 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     afterwards.
     """
     grid = f0.grid
-    _check_aligned_step(grid, cfg.c, cfg.dt)
+    # the cone sums move one cell per level, so c dt must be dx
+    if abs(cfg.dt * cfg.c / grid.dx - 1.0) > 1e-9:
+        raise ConfigError("dt must equal dx/c for grid-aligned transport")
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
     if abs(q_ff) > 1e-10:
         raise ConfigError("far field must be an equilibrium of the potential "
@@ -358,7 +334,8 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
             observer(ComplexField(grid, zeta, zeta_t, far_field=f0.far_field,
                                   time=t, validate=False))
 
-    state = f0.copy()
+    # windows only read their start state, so f0 is never written
+    state = f0
     record_level(state.zeta, state.zeta_t, state.time)
 
     # the windows' level stacks, kept for the whole solve; a shorter last

@@ -299,7 +299,7 @@ def test_criterion_10_slow_scale_reduction():
     u0 = gaussian(1.0, 0.0, 1.0)
     out = convergence_study(
         flat_point_potential(0.5), wave_speed(2.0, 1.0), math.pi / 4.0, 0.5,
-        u0, bump_slope(0.5, 0.0, 1.0), du0=u0.derivative,
+        u0, bump_slope(0.5, 0.0, 1.0),
         epsilons=(0.2, 0.1, 0.05), tau_final=0.5, dx=0.05, marker_dt=2e-3)
     elapsed = time.monotonic() - t0
     errs = out["errors"]

@@ -10,17 +10,15 @@ from varwave import (AsymptoticConfig, ConfigError, Grid1D, QuasilinearConfig,
                      bump_slope, convergence_study, discrete_el_residual,
                      embed, evolve_markers, extract,
                      flat_point_potential, gaussian, integrate, make_markers,
-                     fit_order, reference_potential, rescaling_from_coefficients,
-                     rescaling_map, sample_eulerian, slow_time, standardize,
-                     strong_residual, wave_speed)
+                     fit_order, reference_potential, rescaling_map,
+                     sample_eulerian, standardize, strong_residual, wave_speed)
 from varwave.diagnostics import EnergyLog, energy_density_polar
 from varwave.profiles import zero
 
 
-def _background(eps, u0=None, rho0=None, du0=None):
+def _background(eps):
     return AsymptoticConfig(ws=wave_speed(2.0, 1.0), psi0=math.pi / 4.0,
-                            s0=0.5, epsilon=eps, u_init=u0, rho_init=rho0,
-                            du_init=du0)
+                            s0=0.5, epsilon=eps)
 
 
 # --- config and clocks -------------------------------------------------------
@@ -39,17 +37,18 @@ def test_config_rejects_degenerate_backgrounds():
 
 
 def test_clocks_are_inverse_scalings():
+    # the slow clock runs at epsilon: fast time 8 is tau = 2 at eps = 1/4
     cfg = _background(0.25)
-    assert slow_time(cfg, 8.0) == pytest.approx(2.0)
+    u0 = gaussian(1.0)
+    g = Grid1D(-8.0, 8.0, 257)
+    st = embed(cfg, g, flat_point_potential(0.5), u0, u0.derivative,
+               bump_slope(0.5))
+    st.time = 8.0
+    ext = extract(cfg, st, g.nodes)
+    assert ext.tau == pytest.approx(2.0) and ext.t_fast == 8.0
 
 
 # --- rescaling ---------------------------------------------------------------
-
-
-def test_unit_coefficients_rescale_to_identity():
-    m = rescaling_from_coefficients(SlowCoefficients(1.0, 1.0, 1.0, 1.0))
-    assert m.time_scale == pytest.approx(1.0)
-    assert m.rho_scale == pytest.approx(1.0)
 
 
 def test_background_rescaling_values():
@@ -64,20 +63,21 @@ def test_background_rescaling_values():
     assert m2.time_scale == pytest.approx(-m.time_scale, abs=1e-12)
 
 
-def test_rescaling_requires_compatible_coefficients():
-    with pytest.raises(ConfigError, match="a e != b d"):
-        rescaling_from_coefficients(SlowCoefficients(1.0, 1.0, 1.0, 2.0))
-    with pytest.raises(ConfigError, match="linear"):
-        rescaling_from_coefficients(SlowCoefficients(1.0, 0.0, 1.0, 0.0))
+def test_slow_coefficients_require_positive_kinetic_terms():
     with pytest.raises(ConfigError, match="positive"):
         SlowCoefficients(-1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="positive"):
+        SlowCoefficients(1.0, 1.0, 0.0, 1.0)
 
 
 def test_background_coefficients_are_always_compatible():
+    # a e = b d and e/b = 1/s0^2: one clock and a real density rescale
+    # standardize every background, so rescaling_map checks neither
     for K1, K3, psi0, s0 in ((2.0, 1.0, 0.3, 0.4), (5.0, 0.5, 1.1, 0.7),
                              (1.0, 3.0, 0.9, 0.25)):
-        coeffs = SlowCoefficients.from_background(wave_speed(K1, K3), psi0, s0)
-        assert coeffs.compatible
+        co = SlowCoefficients.from_background(wave_speed(K1, K3), psi0, s0)
+        assert abs(co.a * co.e - co.b * co.d) <= 1e-12 * abs(co.a * co.e)
+        assert co.e / co.b == pytest.approx(1.0 / (s0 * s0), rel=1e-12)
 
 
 def test_standardize_scales_density_and_clock():
@@ -94,9 +94,11 @@ def test_standardize_scales_density_and_clock():
 
 
 def test_embed_zero_amplitude_is_equilibrium():
-    cfg = _background(0.0, u0=gaussian(1.0), rho0=bump_slope(0.5))
+    cfg = _background(0.0)
+    u0 = gaussian(1.0)
     g = Grid1D(-8.0, 8.0, 257)
-    st = embed(cfg, g, p=flat_point_potential(0.5))
+    st = embed(cfg, g, flat_point_potential(0.5), u0, u0.derivative,
+               bump_slope(0.5))
     assert np.max(np.abs(st.psi - math.pi / 4.0)) == 0.0
     assert np.max(np.abs(st.s - 0.5)) == 0.0
     for f in (st.phi, st.v, st.omega, st.r):
@@ -106,8 +108,9 @@ def test_embed_zero_amplitude_is_equilibrium():
 def test_embed_amplitude_scales_with_epsilon():
     u0 = gaussian(1.0)
     for eps in (0.2, 0.1, 0.05):
-        cfg = _background(eps, u0=u0, rho0=bump_slope(0.5))
-        st = embed(cfg, Grid1D(-8.0, 8.0, 513), p=flat_point_potential(0.5))
+        st = embed(_background(eps), Grid1D(-8.0, 8.0, 513),
+                   flat_point_potential(0.5), u0, u0.derivative,
+                   bump_slope(0.5))
         assert np.max(np.abs(st.psi - math.pi / 4.0)) == pytest.approx(eps)
 
 
@@ -118,8 +121,8 @@ def test_embedded_energy_is_quadratic_in_epsilon():
     ws = wave_speed(2.0, 1.0)
     pairs = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        cfg = _background(eps, u0=u0, rho0=rho0, du0=u0.derivative)
-        st = embed(cfg, Grid1D(-10.0, 10.0, 1001), p=p)
+        st = embed(_background(eps), Grid1D(-10.0, 10.0, 1001), p, u0,
+                   u0.derivative, rho0)
         E = energy_density_polar(st.psi, st.s, st.phi, st.v, st.omega, st.r,
                                  p, ws)[0]
         pairs.append((eps, float(integrate(st.grid, E))))
@@ -128,31 +131,30 @@ def test_embedded_energy_is_quadratic_in_epsilon():
 
 
 def test_embed_requires_flat_potential_and_zero_mass_density():
-    cfg = _background(0.1, u0=gaussian(1.0), rho0=bump_slope(0.5))
+    cfg = _background(0.1)
+    u0 = gaussian(1.0)
     g = Grid1D(-8.0, 8.0, 257)
     with pytest.raises(ConfigError, match="flat to third order"):
-        embed(cfg, g, p=reference_potential())
-    bad = _background(0.1, u0=gaussian(1.0), rho0=gaussian(0.5))
+        embed(cfg, g, reference_potential(), u0, u0.derivative,
+              bump_slope(0.5))
     with pytest.raises(ConfigError, match="zero mass"):
-        embed(bad, g, p=flat_point_potential(0.5))
-    none = _background(0.1)
-    with pytest.raises(ConfigError, match="profiles"):
-        embed(none, g)
+        embed(cfg, g, flat_point_potential(0.5), u0, u0.derivative,
+              gaussian(0.5))
 
 
 def test_extract_inverts_embed_at_time_zero():
     u0 = gaussian(1.0, 0.0, 1.3)
     rho0 = bump_slope(0.5, 0.0, 1.0)
-    cfg = _background(0.1, u0=u0, rho0=rho0, du0=u0.derivative)
+    cfg = _background(0.1)
     g = Grid1D(-8.0, 8.0, 641)
-    st = embed(cfg, g, p=flat_point_potential(0.5))
+    st = embed(cfg, g, flat_point_potential(0.5), u0, u0.derivative, rho0)
     y = g.nodes[40:-40]
     ext = extract(cfg, st, y)
     assert np.max(np.abs(ext.u - u0(y))) < 1e-12
     assert np.max(np.abs(ext.rho - rho0(y))) < 1e-12
     assert ext.tau == 0.0
     with pytest.raises(ConfigError):
-        extract(_background(0.0, u0=u0, rho0=rho0), st, y)
+        extract(_background(0.0), st, y)
 
 
 # --- discrete action machinery -----------------------------------------------
@@ -260,8 +262,7 @@ def test_study_zero_data_reports_zero_errors():
     out = convergence_study(
         flat_point_potential(0.5), wave_speed(2.0, 1.0), math.pi / 4.0, 0.5,
         zero(), zero(), epsilons=(0.5, 0.25), tau_final=0.04,
-        y_span=(-3.0, 3.0), y_eval=(-2.0, 2.0), n_eval=51, dx=0.1,
-        n_markers=201, marker_dt=2e-3, pad=3.0)
+        y_span=(-3.0, 3.0), dx=0.1, marker_dt=2e-3)
     assert out["errors"] == [pytest.approx(0.0, abs=1e-10)] * 2
     assert out["fitted_order"] is None
     assert out["gauge"] == "C(t)=0"
@@ -273,9 +274,8 @@ def test_study_small_sweep_structure_and_improvement():
     rho0 = bump_slope(0.4, 0.0, 1.0)
     out = convergence_study(
         flat_point_potential(0.5), wave_speed(2.0, 1.0), math.pi / 4.0, 0.5,
-        u0, rho0, du0=u0.derivative, epsilons=(0.4, 0.2), tau_final=0.1,
-        y_span=(-4.0, 4.0), y_eval=(-3.0, 3.0), n_eval=121, dx=0.1,
-        n_markers=1201, marker_dt=1e-3, pad=4.0)
+        u0, rho0, epsilons=(0.4, 0.2), tau_final=0.1,
+        y_span=(-4.0, 4.0), dx=0.1, marker_dt=1e-3)
     assert out["epsilons"] == [0.4, 0.2]
     assert all(e is not None and e > 0.0 for e in out["errors"])
     # smaller epsilon sits closer to the reduced dynamics
@@ -289,9 +289,9 @@ def test_study_small_sweep_structure_and_improvement():
                 "sup_rho", "failed"):
         assert key in run
     for run in out["runs"]:
-        # solved in the frame moving at c0, on y_span +- pad only
+        # solved in the frame moving at c0, on y_span +- 8 only
         assert run["frame_speed"] == out["c0"]
-        assert run["grid_nodes"] == 161
+        assert run["grid_nodes"] == 241
         assert run["steps"] <= run["fixpoint_passes"] <= 40 * run["steps"]
 
 
@@ -302,10 +302,26 @@ def test_study_requires_two_epsilons():
                           epsilons=(0.2,), tau_final=0.1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0, math.nan])
+def test_study_refuses_epsilons_outside_the_unit_interval(bad, monkeypatch):
+    # refused before the reference or any run starts (0 used to divide by
+    # zero in the fast time)
+    import varwave.asymptotic as asy
+
+    def no_run(*args, **kw):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(asy, "make_markers", no_run)
+    monkeypatch.setattr(asy, "advance", no_run)
+    with pytest.raises(ConfigError, match="outside"):
+        convergence_study(flat_point_potential(0.5), wave_speed(2.0, 1.0),
+                          math.pi / 4.0, 0.5, zero(), zero(),
+                          epsilons=(0.5, bad), tau_final=0.1)
+
+
 def _criterion_10_inputs():
-    u0 = gaussian(1.0, 0.0, 1.0)
-    return (flat_point_potential(0.5), u0, bump_slope(0.5, 0.0, 1.0),
-            u0.derivative)
+    return (flat_point_potential(0.5), gaussian(1.0, 0.0, 1.0),
+            bump_slope(0.5, 0.0, 1.0))
 
 
 def test_moving_frame_error_is_converged_in_dx():
@@ -313,16 +329,16 @@ def test_moving_frame_error_is_converged_in_dx():
     # marker reference moves by 0.05 % when dx halves (measured), so it is
     # the asymptotic error and not the scheme's
     import varwave.asymptotic as asy
-    p, u0, rho0, du0 = _criterion_10_inputs()
-    cfg = _background(0.1, u0, rho0, du0)
+    p, u0, rho0 = _criterion_10_inputs()
+    cfg = _background(0.1)
     mapping = rescaling_map(cfg)
     y_grid = np.linspace(-5.0, 5.0, 400)
     u_ref, rho_ref, _ = asy._marker_reference(
-        mapping, u0, rho0, du0, (-6.0, 6.0), y_grid, 4001, 2e-3, 0.5)
+        mapping, u0, rho0, (-6.0, 6.0), y_grid, 2e-3, 0.5)
     errs = []
     for dx in (0.05, 0.025):
-        run = asy._sweep_run(p, cfg, mapping, 0.5, y_grid, u_ref, rho_ref,
-                             (-6.0, 6.0), dx, 8.0)
+        run = asy._sweep_run(p, cfg, mapping, u0, rho0, 0.5, y_grid, u_ref,
+                             rho_ref, (-6.0, 6.0), dx)
         assert not run["failed"]
         errs.append(math.hypot(run["l2_u"], run["l2_rho"]))
     assert abs(errs[1] - errs[0]) <= 0.01 * errs[1]
@@ -337,8 +353,8 @@ def test_sweep_run_is_within_the_stop_tolerance_of_a_tight_solve(
     # (872 from y = x with the plain stop)
     import varwave.asymptotic as asy
     import varwave.quasilinear as ql
-    p, u0, rho0, du0 = _criterion_10_inputs()
-    cfg = _background(0.2, u0, rho0, du0)
+    p, u0, rho0 = _criterion_10_inputs()
+    cfg = _background(0.2)
     y_grid = np.linspace(-5.0, 5.0, 400)
     no_ref = np.zeros_like(y_grid)
     finals, passes = [], []
@@ -351,8 +367,8 @@ def test_sweep_run_is_within_the_stop_tolerance_of_a_tight_solve(
     monkeypatch.setattr(asy, "advance", keeping)
     for tol in (asy._FIXPOINT_TOL, 1e-12):
         monkeypatch.setattr(asy, "_FIXPOINT_TOL", tol)
-        run = asy._sweep_run(p, cfg, rescaling_map(cfg), 0.5, y_grid, no_ref,
-                             no_ref, (-6.0, 6.0), 0.05, 8.0)
+        run = asy._sweep_run(p, cfg, rescaling_map(cfg), u0, rho0, 0.5,
+                             y_grid, no_ref, no_ref, (-6.0, 6.0), 0.05)
         assert not run["failed"]
         passes.append(run["fixpoint_passes"])
     loose, tight = finals
@@ -364,8 +380,8 @@ def test_moving_frame_energy_residuals_carry_the_frame_flux():
     # epsilon = 0.2 to t = 4 in both frames, on the sweep's grids: with the
     # flux V E (and V F) the moving-frame residuals are no larger than the
     # fixed frame's; without it they measure the frame drift instead
-    p, u0, rho0, du0 = _criterion_10_inputs()
-    cfg = _background(0.2, u0, rho0, du0)
+    p, u0, rho0 = _criterion_10_inputs()
+    cfg = _background(0.2)
     ws, V, T = cfg.ws, cfg.c0, 4.0
     reports = {}
     for frame, x_hi in ((0.0, 6.0 + V * T + 8.0), (V, 14.0)):
@@ -373,8 +389,8 @@ def test_moving_frame_energy_residuals_carry_the_frame_flux():
         steps = int(math.ceil(T / (0.8 * g.dx / ws.c_max)))
         qcfg = QuasilinearConfig(dt=T / steps, frame_speed=frame)
         levels = []
-        res = advance(embed(cfg, g, p=p), p, ws, qcfg, T,
-                      observer=levels.append)
+        init = embed(cfg, g, p, u0, u0.derivative, rho0)
+        res = advance(init, p, ws, qcfg, T, observer=levels.append)
         reports[frame] = res.energy_reports
     # the moving-frame levels (the loop's last run) logged as if fixed
     blind = EnergyLog(g, qcfg.dt)

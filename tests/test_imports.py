@@ -39,8 +39,7 @@ codes = [
 ]
 after_runs = sorted(m for m in HEAVY if m in sys.modules)
 
-st = varwave.make_markers((-1.0, 1.0), 33, lambda x: np.sin(x),
-                          lambda x: np.ones_like(x))
+st = varwave.make_markers((-1.0, 1.0), 33, np.sin, np.ones_like, np.cos)
 xq = np.linspace(-1.0, 1.0, 9)
 u, rho = varwave.sample_eulerian(st, xq)
 print(json.dumps({

@@ -55,7 +55,8 @@ def _advance(observer):
 
 
 def _markers(observer):
-    st = make_markers((-2.0, 2.0), 32, gaussian(0.2), constant(0.5))
+    u0 = gaussian(0.2)
+    st = make_markers((-2.0, 2.0), 32, u0, constant(0.5), du0=u0.derivative)
     res = evolve_markers(st, t_final=0.5, dt=0.01, observer=observer)
     assert not res.broke and res.state.time == pytest.approx(0.5)
     return 50, [t for t, _ in res.energy_history], res.state

@@ -1,6 +1,7 @@
 """Constant-speed complex solver: d'Alembert, Duhamel, Picard windows."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import erf
 
 from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      Grid1D, SemilinearConfig, apriori_constants,
-                     contraction_window, duhamel_apply, ensure_valid,
+                     contraction_window, ensure_valid,
                      flat_point_potential, free_wave, picard_solve,
                      reference_potential, source_term, state_distance,
                      zero_potential)
@@ -205,7 +206,16 @@ def test_free_wave_requires_aligned_time():
         free_wave(f0, 1.0, -g.dx)
 
 
-# --- duhamel_apply -----------------------------------------------------------
+# --- Duhamel cone corrections -----------------------------------------------
+
+
+def _duhamel_last(g, hist, p, c, dt, far_field=0.0 + 0.0j):
+    """Cone corrections to (zeta, zeta_t) at the last level of a history."""
+    q_ff = complex(source_term(p, np.asarray([far_field]))[0])
+    corr_z, corr_zt = np.empty((2,) + hist.shape, dtype=complex)
+    _cone_corrections(g, hist, partial(source_term, p), q_ff, c, dt,
+                      corr_z, corr_zt)
+    return corr_z[-1], corr_zt[-1]
 
 
 def test_duhamel_zero_potential_is_inert():
@@ -213,7 +223,7 @@ def test_duhamel_zero_potential_is_inert():
     p = zero_potential()
     hist = np.stack([0.3 * np.exp(-g.nodes ** 2) * (1.0 + 0.1 * l)
                      for l in range(5)]).astype(complex)
-    dz, dzt = duhamel_apply(g, hist, p, 1.0, g.dx)
+    dz, dzt = _duhamel_last(g, hist, p, 1.0, g.dx)
     assert np.max(np.abs(dz)) == 0.0
     assert np.max(np.abs(dzt)) == 0.0
 
@@ -227,7 +237,7 @@ def test_duhamel_constant_history_closed_form():
     c = 1.0
     dt = g.dx / c
     hist = np.full((m + 1, g.n), zstar, dtype=complex)
-    dz, dzt = duhamel_apply(g, hist, p, c, dt, far_field=zstar)
+    dz, dzt = _duhamel_last(g, hist, p, c, dt, far_field=zstar)
     q = source_term(p, np.array([zstar]))[0]
     t = m * dt
     assert np.max(np.abs(dz - (-q * t * t / 2.0))) < 1e-14
@@ -244,7 +254,7 @@ def test_duhamel_self_convergence_second_order():
         dt = g.dx / c
         m = int(round(T / dt))
         hist = np.stack([h(g.nodes, l * dt) for l in range(m + 1)]).astype(complex)
-        dz, _ = duhamel_apply(g, hist, reference_potential(), c, dt)
+        dz, _ = _duhamel_last(g, hist, reference_potential(), c, dt)
         outs.append(dz)
     # compare on the shared coarse nodes, finest run as reference
     e_coarse = np.max(np.abs(outs[0] - outs[2][::4]))
@@ -427,24 +437,6 @@ def test_window_holds_at_most_ten_level_stacks():
     assert (peak - before) / stack <= 10.0
 
 
-@pytest.mark.parametrize("c, cells", [(1.0, 2.0), (2.0, 1.0)])
-def test_duhamel_refuses_a_misaligned_step(c, cells):
-    # the cone moves one cell per level; with c dt = 2 dx the constant
-    # history's correction came out half of -q t^2 / 2
-    g = Grid1D(-8.0, 8.0, 257)
-    hist = np.full((13, g.n), 0.4 + 0.0j)
-    with pytest.raises(ConfigError, match="dt must equal dx/c"):
-        duhamel_apply(g, hist, reference_potential(), c, cells * g.dx,
-                      far_field=0.4 + 0.0j)
-
-
-def test_duhamel_rejects_misshapen_history():
-    g = Grid1D(-8.0, 8.0, 257)
-    with pytest.raises(ConfigError):
-        duhamel_apply(g, np.zeros((3, 99), complex), reference_potential(),
-                      1.0, g.dx)
-
-
 # --- contraction_window ------------------------------------------------------
 
 
@@ -594,6 +586,30 @@ def test_picard_enforces_aligned_step_and_equilibrium_far_field():
                          far_field=0.3)
     with pytest.raises(ConfigError, match="far field"):
         picard_solve(f_bad, p, cfg, 0.5)
+
+
+@pytest.mark.parametrize("c, cells", [(1.0, 2.0), (2.0, 1.0)])
+def test_duhamel_refuses_a_misaligned_step(c, cells):
+    # the Duhamel cone moves one cell per level; with c dt = 2 dx the
+    # constant history's correction would come out half of -q t^2 / 2
+    g = Grid1D(-8.0, 8.0, 257)
+    f0 = ComplexField(g, np.full(g.n, 0.4 + 0.0j), np.zeros(g.n, complex),
+                      far_field=0.4)
+    cfg = SemilinearConfig(c=c, dt=cells * g.dx, T_window=0.25)
+    with pytest.raises(ConfigError, match="dt must equal dx/c"):
+        picard_solve(f0, flat_point_potential(0.4), cfg, 0.5)
+
+
+def test_picard_leaves_the_initial_state_untouched():
+    g, f0, cfg = _solve_setup(amp=0.1)
+    zeta, zeta_t, time = f0.zeta.tobytes(), f0.zeta_t.tobytes(), f0.time
+    levels = []
+    res = picard_solve(f0, ensure_valid(reference_potential()), cfg, 0.5,
+                       observer=levels.append)
+    assert len(levels) == 1 + round(0.5 / cfg.dt)
+    assert res.field.time == pytest.approx(0.5)
+    assert f0.zeta.tobytes() == zeta and f0.zeta_t.tobytes() == zeta_t
+    assert f0.time == time
 
 
 def test_picard_trips_certified_bound_when_over_energized():
