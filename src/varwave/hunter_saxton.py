@@ -17,9 +17,13 @@ bounded.  w = alpha + i rho obeys dw/dt = -w^2/2, so each marker is an exact
 Riccati flow; the solver exploits that only for blow-up prediction and for
 test oracles, and otherwise integrates with classical RK4.  Markers start
 from the exact slope du0 of the initial profile u0 (make_markers takes
-both), so no difference quotient enters the initial data.  A run hands
-each level to an optional observer and reports breaking on its result
-(broke, t_star, marker_index) instead of raising.
+both), so no difference quotient enters the initial data.  A run keeps the
+unknowns (x, u, alpha, rho, J) as one (5, m) stack and writes the four RK4
+stages and the stage states into buffers allocated once per run, so each
+step allocates only the (5, m) array of its new level.  A run hands each
+level to an optional observer as a MarkerState whose arrays are the rows
+of that level's array, and reports breaking on its result (broke, t_star,
+marker_index) instead of raising.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class MarkerState:
         """Half mass of u_x^2 + rho^2; constant cell by cell under the flow."""
         return 0.5 * float(np.sum((self.alpha ** 2 + self.rho ** 2) * self.J) * self.dxi)
 
-    def copy(self) -> "MarkerState":
-        return MarkerState(self.xi.copy(), self.x.copy(), self.u.copy(),
-                           self.alpha.copy(), self.rho.copy(), self.J.copy(),
-                           time=self.time)
-
 
 def make_markers(span: Tuple[float, float], m: int, u0: Callable,
                  rho0: Callable, du0: Callable) -> MarkerState:
@@ -100,27 +99,40 @@ def make_markers(span: Tuple[float, float], m: int, u0: Callable,
                        J=np.ones(m), time=0.0)
 
 
-def marker_rhs(x, u, alpha, rho, J, dxi):
-    """Time derivatives of the marker unknowns.
+def marker_rhs(y, dxi, out):
+    """Time derivatives of the marker unknowns y = (x, u, alpha, rho, J).
 
-    du/dt integrates the energy density strictly to the left of each marker
-    (left-endpoint cells in the label variable), which fixes the gauge: the
-    free additive constant of the velocity equation is identically zero.
-    A non-positive Jacobian means characteristics have crossed; evaluating
-    the flow past that point is meaningless, so it raises WavebreakingError.
+    y is a (5, m) stack; the derivatives fill the rows of the (5, m) array
+    out, which is returned.  du/dt integrates
+    the energy density strictly to the left of each marker (left-endpoint
+    cells in the label variable), which fixes the gauge: the free additive
+    constant of the velocity equation is identically zero.  A non-positive
+    Jacobian means characteristics have crossed; evaluating the flow past
+    that point is meaningless, so it raises WavebreakingError and leaves
+    out unwritten.
     """
-    J = np.asarray(J, dtype=float)
+    _, u, alpha, rho, J = y
     if np.min(J) <= 0.0:
         raise WavebreakingError(
             f"Jacobian hit {np.min(J):.3e}: characteristics crossed",
             marker_index=int(np.argmin(J)))
-    cell = (alpha ** 2 + rho ** 2) * J * dxi
-    left_mass = np.concatenate(([0.0], np.cumsum(cell)[:-1]))
-    return (u,
-            0.5 * left_mass,
-            0.5 * (rho ** 2 - alpha ** 2),
-            -alpha * rho,
-            alpha * J)
+    dx, du, da, dr, dJ = out
+    np.multiply(alpha, alpha, out=da)
+    np.multiply(rho, rho, out=dr)
+    # the mass cells (alpha^2 + rho^2) J dxi, formed in the dJ row
+    cell = np.add(da, dr, out=dJ)
+    cell *= J
+    cell *= dxi
+    du[0] = 0.0
+    np.cumsum(cell[:-1], out=du[1:])
+    du *= 0.5
+    np.subtract(dr, da, out=da)
+    da *= 0.5
+    np.multiply(alpha, rho, out=dr)
+    np.negative(dr, out=dr)
+    np.multiply(alpha, J, out=dJ)
+    dx[:] = u
+    return out
 
 
 def breaking_time_riccati(alpha, rho, J) -> Tuple[float, int]:
@@ -151,18 +163,29 @@ class HSResult:
     sup_alpha: float
 
 
-def _rk4_step(st: MarkerState, dt: float) -> MarkerState:
-    y = (st.x, st.u, st.alpha, st.rho, st.J)
-    k1 = marker_rhs(*y, st.dxi)
-    y2 = tuple(a + 0.5 * dt * k for a, k in zip(y, k1))
-    k2 = marker_rhs(*y2, st.dxi)
-    y3 = tuple(a + 0.5 * dt * k for a, k in zip(y, k2))
-    k3 = marker_rhs(*y3, st.dxi)
-    y4 = tuple(a + dt * k for a, k in zip(y, k3))
-    k4 = marker_rhs(*y4, st.dxi)
-    new = tuple(a + (dt / 6.0) * (p + 2 * q + 2 * r_ + s_)
-                for a, p, q, r_, s_ in zip(y, k1, k2, k3, k4))
-    return MarkerState(st.xi, *new, time=st.time + dt)
+def _rk4_step(y, dt, dxi, k, tmp):
+    """One classical RK4 step from the (5, m) stack y, returned as a fresh
+    (5, m) array.  The stages go into the (4, 5, m) buffer k and the stage
+    states into the (5, m) buffer tmp; y is only read."""
+    marker_rhs(y, dxi, out=k[0])
+    np.multiply(k[0], 0.5 * dt, out=tmp)
+    tmp += y
+    marker_rhs(tmp, dxi, out=k[1])
+    np.multiply(k[1], 0.5 * dt, out=tmp)
+    tmp += y
+    marker_rhs(tmp, dxi, out=k[2])
+    np.multiply(k[2], dt, out=tmp)
+    tmp += y
+    marker_rhs(tmp, dxi, out=k[3])
+    # (dt/6) (((k1 + 2 k2) + 2 k3) + k4) + y
+    np.multiply(k[1], 2, out=tmp)
+    tmp += k[0]
+    np.multiply(k[2], 2, out=k[2])
+    tmp += k[2]
+    tmp += k[3]
+    new = np.multiply(tmp, dt / 6.0)
+    new += y
+    return new
 
 
 def evolve_markers(st: MarkerState, t_final: float, dt: float,
@@ -181,6 +204,11 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
     |alpha| has grown by ~100x) rather than resolving the collapse itself,
     and leaves t_star to the exact per-marker prediction.
 
+    The unknowns travel as one (5, m) stack, a copy of st's arrays (st is
+    never written); the stages and stage states live in buffers allocated
+    once per run, and each accepted level is a fresh (5, m) array whose
+    rows become the arrays of that level's MarkerState.
+
     `observer(state)` is called with the initial state and then with each
     accepted step, in time order; the solver never changes a MarkerState
     after handing it over.
@@ -192,12 +220,19 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
         raise ConfigError(
             f"dt = {dt:.3e} too large for initial slopes: dt * sup|alpha| = "
             f"{dt * a0:.3f} > 0.1")
-    steps = int(round(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"t_final / dt = {ratio} must be finite")
+    steps = int(round(ratio))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be a whole number of steps")
     if steps == 0:
         raise ConfigError("t_final shorter than one step")
-    cur = st.copy()
+    xi, dxi = st.xi.copy(), st.dxi
+    y = np.array([st.x, st.u, st.alpha, st.rho, st.J], dtype=float)
+    k = np.empty((4,) + y.shape)
+    tmp = np.empty_like(y)
+    cur = MarkerState(xi, *y, time=st.time)
     hist = [(cur.time, cur.energy)]
     sup_alpha = float(np.max(np.abs(cur.alpha)))
     if observer is not None:
@@ -205,23 +240,24 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
 
     for _ in range(steps):
         try:
-            nxt = _rk4_step(cur, dt)
-            collapsed = bool(np.min(nxt.J) <= _J_FLOOR)
+            nxt = _rk4_step(y, dt, dxi, k, tmp)
+            collapsed = bool(np.min(nxt[4]) <= _J_FLOOR)
         except WavebreakingError:
-            nxt = cur
+            nxt = y
             collapsed = True
         if collapsed:
             remaining, idx = breaking_time_riccati(cur.alpha, cur.rho, cur.J)
             if not math.isfinite(remaining):
                 # collapse without a clean rho = 0 marker: report the step end
-                idx = int(np.argmin(nxt.J))
+                idx = int(np.argmin(nxt[4]))
                 t_star = cur.time + dt
             else:
                 t_star = cur.time + remaining
             return HSResult(state=cur, broke=True, t_star=t_star,
                             marker_index=idx, energy_history=hist,
                             sup_alpha=sup_alpha)
-        cur = nxt
+        y = nxt
+        cur = MarkerState(xi, *y, time=cur.time + dt)
         hist.append((cur.time, cur.energy))
         sup_alpha = max(sup_alpha, float(np.max(np.abs(cur.alpha))))
         if observer is not None:

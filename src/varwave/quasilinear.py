@@ -470,7 +470,10 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
 
     if not t_final > 0.0:
         raise ConfigError(f"t_final = {t_final} must be positive")
-    total_steps = int(round(t_final / cfg.dt))
+    ratio = t_final / cfg.dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"t_final / dt = {ratio} must be finite")
+    total_steps = int(round(ratio))
     if abs(total_steps * cfg.dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigError("t_final must be a whole number of steps")
     if total_steps == 0:

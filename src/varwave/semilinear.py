@@ -71,6 +71,8 @@ def source_term(p: PotentialSpec, z):
 
 def _aligned_steps(grid: Grid1D, c: float, t: float) -> int:
     shift = c * t / grid.dx
+    if not math.isfinite(shift):
+        raise ConfigError(f"c*t/dx = {shift} must be finite")
     m = int(round(shift))
     if abs(shift - m) > 1e-9:
         raise ConfigError(

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from varwave import (ConfigError, DomainError, WavebreakingError,
-                     breaking_time_riccati, bump_slope, constant,
-                     evolve_markers, gaussian, make_markers, marker_rhs,
-                     sample_eulerian)
+from varwave import (ConfigError, DomainError, MarkerState,
+                     WavebreakingError, breaking_time_riccati, bump_slope,
+                     constant, evolve_markers, gaussian, make_markers,
+                     marker_rhs, sample_eulerian)
 from varwave.profiles import zero
 
 
@@ -47,7 +47,8 @@ def test_rhs_rest_state_is_stationary():
     m = 16
     z = np.zeros(m)
     xi = np.linspace(-1.0, 1.0, m)
-    dx, du, da, dr, dJ = marker_rhs(xi, z, z, z, np.ones(m), xi[1] - xi[0])
+    dx, du, da, dr, dJ = marker_rhs(np.stack([xi, z, z, z, np.ones(m)]),
+                                    xi[1] - xi[0], np.empty((5, m)))
     for arr in (dx, du, da, dr, dJ):
         assert np.max(np.abs(arr)) == 0.0
 
@@ -60,8 +61,9 @@ def test_rhs_uniform_density_drives_slope_and_velocity():
     xi = np.linspace(0.0, 1.0, m)
     dxi = xi[1] - xi[0]
     z = np.zeros(m)
-    _, du, da, dr, dJ = marker_rhs(xi, z, z, np.full(m, rho_bar), np.ones(m),
-                                   dxi)
+    _, du, da, dr, dJ = marker_rhs(
+        np.stack([xi, z, z, np.full(m, rho_bar), np.ones(m)]), dxi,
+        np.empty((5, m)))
     assert np.allclose(da, 0.5 * rho_bar ** 2, rtol=1e-15)
     assert np.allclose(dr, 0.0, atol=1e-15)
     assert np.allclose(dJ, 0.0, atol=1e-15)
@@ -77,8 +79,30 @@ def test_rhs_refuses_crossed_characteristics():
     J = np.ones(m)
     J[5] = -0.01
     with pytest.raises(WavebreakingError) as err:
-        marker_rhs(xi, z, z, z, J, xi[1] - xi[0])
+        marker_rhs(np.stack([xi, z, z, z, J]), xi[1] - xi[0],
+                   np.empty((5, m)))
     assert err.value.marker_index == 5
+
+
+def test_rhs_fills_the_given_buffer_row_by_row():
+    m = 16
+    xi = np.linspace(0.0, 1.0, m)
+    dxi = xi[1] - xi[0]
+    u = 0.3 * xi
+    alpha = np.full(m, -0.2)
+    rho = 0.5 + 0.1 * xi
+    J = 1.0 + 0.5 * xi
+    buf = np.full((5, m), np.nan)
+    out = marker_rhs(np.stack([xi, u, alpha, rho, J]), dxi, out=buf)
+    assert out is buf
+    dx, du, da, dr, dJ = buf
+    cell = (alpha ** 2 + rho ** 2) * J * dxi
+    assert np.array_equal(dx, u)
+    assert np.array_equal(du, 0.5 * np.concatenate(([0.0],
+                                                    np.cumsum(cell)[:-1])))
+    assert np.array_equal(da, 0.5 * (rho ** 2 - alpha ** 2))
+    assert np.array_equal(dr, -alpha * rho)
+    assert np.array_equal(dJ, alpha * J)
 
 
 # --- Riccati closed forms ----------------------------------------------------
@@ -194,6 +218,9 @@ def test_evolve_entry_checks():
         evolve_markers(st, t_final=1.0, dt=0.1)
     with pytest.raises(ConfigError):
         evolve_markers(st, t_final=1.0, dt=-0.01)
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            evolve_markers(st, t_final=1.0, dt=dt)
     with pytest.raises(ConfigError, match="whole number"):
         evolve_markers(st, t_final=1.0, dt=0.0003)
     with pytest.raises(ConfigError, match="shorter than one step"):
@@ -201,6 +228,87 @@ def test_evolve_entry_checks():
     for t_final in (-1.0, math.nan):
         with pytest.raises(ConfigError, match="t_final > 0"):
             evolve_markers(st, t_final=t_final, dt=0.01)
+
+
+# --- bit for bit against the tuple RK4 ----------------------------------------
+# evolve_markers keeps (x, u, alpha, rho, J) as one (5, m) stack and writes
+# the RK4 stages into buffers kept for the run; the oracle below is the
+# tuple form it replaced, with the same operations in the same order.
+
+
+def _oracle_rhs(x, u, alpha, rho, J, dxi):
+    if np.min(J) <= 0.0:
+        raise WavebreakingError("characteristics crossed",
+                                marker_index=int(np.argmin(J)))
+    cell = (alpha ** 2 + rho ** 2) * J * dxi
+    left_mass = np.concatenate(([0.0], np.cumsum(cell)[:-1]))
+    return (u,
+            0.5 * left_mass,
+            0.5 * (rho ** 2 - alpha ** 2),
+            -alpha * rho,
+            alpha * J)
+
+
+def _oracle_rk4(y, dt, dxi):
+    k1 = _oracle_rhs(*y, dxi)
+    y2 = tuple(a + 0.5 * dt * k for a, k in zip(y, k1))
+    k2 = _oracle_rhs(*y2, dxi)
+    y3 = tuple(a + 0.5 * dt * k for a, k in zip(y, k2))
+    k3 = _oracle_rhs(*y3, dxi)
+    y4 = tuple(a + dt * k for a, k in zip(y, k3))
+    k4 = _oracle_rhs(*y4, dxi)
+    return tuple(a + (dt / 6.0) * (p + 2 * q + 2 * r_ + s_)
+                 for a, p, q, r_, s_ in zip(y, k1, k2, k3, k4))
+
+
+def _oracle_run(st, t_final, dt):
+    """Tuple RK4 to t_final, stopping where evolve_markers stops: returns
+    the last healthy level, the energy history and, on breaking, the
+    Riccati prediction (t_star, marker_index)."""
+    y, t = (st.x, st.u, st.alpha, st.rho, st.J), st.time
+
+    def energy(y):
+        return MarkerState(st.xi, *y).energy
+
+    hist = [(t, energy(y))]
+    for _ in range(int(round(t_final / dt))):
+        try:
+            nxt = _oracle_rk4(y, dt, st.dxi)
+            collapsed = np.min(nxt[4]) <= 1e-4
+        except WavebreakingError:
+            collapsed = True
+        if collapsed:
+            remaining, idx = breaking_time_riccati(*y[2:])
+            return y, hist, (t + remaining, idx)
+        y, t = nxt, t + dt
+        hist.append((t, energy(y)))
+    return y, hist, (None, None)
+
+
+def _assert_matches_oracle(st, t_final, dt):
+    y, hist, (t_star, idx) = _oracle_run(st, t_final, dt)
+    res = evolve_markers(st, t_final=t_final, dt=dt)
+    for name, want in zip(("x", "u", "alpha", "rho", "J"), y):
+        assert np.array_equal(getattr(res.state, name), want), name
+    assert np.array_equal(np.array(res.energy_history), np.array(hist))
+    assert res.state.time == hist[-1][0]
+    assert (res.t_star, res.marker_index) == (t_star, idx)
+    return res
+
+
+def test_stacked_rk4_matches_the_tuple_oracle_with_density():
+    u0 = gaussian(0.5)
+    st = make_markers((-4.0, 4.0), 256, u0, constant(1.2), du0=u0.derivative)
+    res = _assert_matches_oracle(st, 2.0, 0.01)
+    assert not res.broke and len(res.energy_history) == 201
+
+
+def test_stacked_rk4_matches_the_tuple_oracle_through_breaking():
+    amp = math.sqrt(2.0) * math.exp(0.5)
+    u0 = gaussian(amp, 0.0, 1.0)
+    st = make_markers((-4.5, 4.5), 256, u0, zero(), du0=u0.derivative)
+    res = _assert_matches_oracle(st, 2.0, 5e-3)
+    assert res.broke and res.state.time < res.t_star < 2.0
 
 
 # --- sample_eulerian ---------------------------------------------------------

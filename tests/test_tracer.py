@@ -95,3 +95,7 @@ def test_notes_match_the_results_of_traced_runs():
     assert notes["semilinear.windows"] == len(sres.trace.diff_norms) == 3
     assert notes["semilinear.picard_iters"] == sres.trace.iterate_count
     assert notes["hunter_saxton.steps"] == len(mres.energy_history) - 1 == 10
+    # each RK4 step evaluates the right-hand side through the wrapped
+    # module binding, once per stage
+    rhs = store.names.index("hunter_saxton.marker_rhs")
+    assert sum(nid == rhs for nid in store.name_id) == 4 * 10
