@@ -33,7 +33,7 @@ for p in candidates:
 p = ensure_valid(reference_potential())
 print("\nreference well against the alignment wall")
 for delta in (1e-1, 1e-2, 1e-3, 1e-4):
-    val = float(p.w0(1.0 - delta))
+    val = float(p.eval_0(1.0 - delta))
     print(f"  W0(1 - {delta:7.0e}) = {val:12.4f}")
 
 # Energy-indexed constants. cE is the certified amplitude ceiling for any

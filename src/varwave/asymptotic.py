@@ -42,8 +42,8 @@ from .errors import ConfigError, VarwaveError
 # centered_derivative and interpolate are not called here (embed takes the
 # exact slope, extract builds one stencil); the names stay bound because
 # perfbench/tracing.py wraps these module attributes
-from .fields import (Grid1D, centered_derivative, interpolate, l2_norm,
-                     stencil, trapezoid_weights)
+from .fields import (Grid1D, centered_derivative, fit_steps, interpolate,
+                     l2_norm, stencil, trapezoid_weights)
 from .hunter_saxton import evolve_markers, make_markers, sample_eulerian
 from .potentials import PotentialSpec, WaveSpeed
 from .profiles import Profile
@@ -390,8 +390,7 @@ def _marker_reference(mapping: RescalingMap, u0: Profile, rho0: Callable,
         return mapping.rho_scale * np.asarray(rho0(y), dtype=float)
 
     mk = make_markers(y_span, _N_MARKERS, u0, rho_std0, u0.derivative)
-    steps_tau = int(math.ceil(tau_final / marker_dt))
-    res = evolve_markers(mk, tau_final, tau_final / steps_tau)
+    res = evolve_markers(mk, tau_final, fit_steps(tau_final, marker_dt)[1])
     if res.broke:
         raise ConfigError(f"reference solution breaks before tau = {tau_final}")
     # the left-pinned reference moves into the other gauge: constant drop
@@ -415,9 +414,8 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
     x_lo = y_span[0] - _PAD
     n_nodes = int(round((y_span[1] + _PAD - x_lo) / dx)) + 1
     grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
-    n_steps = int(math.ceil(t_fast / (_CFL * grid.dx / cfg.ws.c_max)))
-    qcfg = QuasilinearConfig(dt=t_fast / n_steps, fixpoint_tol=_FIXPOINT_TOL,
-                             frame_speed=V)
+    n_steps, dt = fit_steps(t_fast, _CFL * grid.dx / cfg.ws.c_max)
+    qcfg = QuasilinearConfig(dt=dt, fixpoint_tol=_FIXPOINT_TOL, frame_speed=V)
     try:
         out = advance(embed(cfg, grid, p, u0, u0.derivative, rho0), p,
                       cfg.ws, qcfg, t_fast)

@@ -35,8 +35,9 @@ from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
                      DomainError, NonContractionError, StateEscapeError,
                      VarwaveError, WavebreakingError)
 from .diagnostics import energy_density_complex, fit_order, write_energy_csv
-from .fields import (ComplexField, centered_derivative, integrate,
-                     read_snapshot_csv, write_csv_rows, write_snapshot_csv)
+from .fields import (ComplexField, centered_derivative, fit_steps, integrate,
+                     read_snapshot_csv, step_count, write_csv_rows,
+                     write_snapshot_csv)
 from .potentials import apriori_constants, ensure_valid, validate_potential
 from .profiles import constant, make_profile, zero
 from .semilinear import SemilinearConfig, contraction_window, picard_solve
@@ -239,7 +240,7 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
         warn(f"no a priori bound ({exc}); the sup|zeta| monitor is off")
 
     scfg = SemilinearConfig(c=c, dt=dt, T_window=T_window)
-    observer, snapshots = _snapshot_keeper(cfg, dt, int(round(t_final / dt)))
+    observer, snapshots = _snapshot_keeper(cfg, dt, step_count(t_final, dt))
     result = picard_solve(f0, p, scfg, t_final, apriori=apriori,
                           observer=observer)
     _write_solver_run(cfg, args, result, snapshots, write_snapshot_csv,
@@ -279,11 +280,10 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
                                            np.zeros(grid.n), ws,
                                            far_field=(psi_base, s_base))
 
-    # round the step count up, so the step taken never exceeds the one asked
-    # for and a cfl within advance's limit stays within it
-    dt = cfg.time.get("dt", cfg.time.get("cfl", 0.8) * grid.dx / ws.c_max)
-    steps = max(1, math.ceil(t_final / dt - 1e-9))
-    dt = t_final / steps
+    # the step taken never exceeds the one asked for, so a cfl within
+    # advance's limit stays within it
+    steps, dt = fit_steps(t_final, cfg.time.get(
+        "dt", cfg.time.get("cfl", 0.8) * grid.dx / ws.c_max))
 
     qcfg = QuasilinearConfig(dt=dt)
     observer, snapshots = _snapshot_keeper(cfg, dt, steps)
@@ -304,11 +304,9 @@ def _cmd_run_hs2(cfg: RunConfig, args) -> int:
     markers = make_markers((grid_cfg["x_min"], grid_cfg["x_max"]),
                            grid_cfg["n"], u0, rho0, du0=u0.derivative)
     t_final = cfg.time["t_final"]
-    # round the step count up, so the step taken never exceeds the one asked
-    # for and evolve_markers' dt * sup|alpha| gate judges at most that step
-    dt = cfg.time.get("dt", 1e-3)
-    steps = max(1, math.ceil(t_final / dt - 1e-9))
-    dt = t_final / steps
+    # the step taken never exceeds the one asked for, so evolve_markers'
+    # dt * sup|alpha| gate judges at most that step
+    _, dt = fit_steps(t_final, cfg.time.get("dt", 1e-3))
 
     every = cfg.outputs["energy_every"]
     frames = itertools.count()

@@ -1,15 +1,18 @@
-"""Uniform 1-d grids, sampled fields, interpolation, quadrature, distances.
+"""Uniform 1-d grids, sampled fields, interpolation, quadrature, distances,
+and the clock.
 
 Everything downstream (both wave solvers, the marker resampler, the
 diagnostics) flows through these primitives, so their contracts are narrow
 and heavily tested: cubic interpolation is exact on cubics and at nodes,
-quadrature is the whole-grid trapezoid rule along the last axis, and
+quadrature is the whole-grid trapezoid rule along the last axis,
 state_distance is the solution-space metric of the semilinear fixed-point
-solver.
+solver, and step_count / fit_steps are the one rule by which every solver,
+the CLI and the epsilon sweep turn a duration into whole steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "Grid1D",
+    "step_count",
+    "fit_steps",
     "ComplexField",
     "Stencil",
     "stencil",
@@ -62,6 +67,35 @@ class Grid1D:
         """Mask of the points in the grid, ends widened by 1e-12 cells."""
         tol = 1e-12 * self.dx
         return (x >= self.x_min - tol) & (x <= self.x_max + tol)
+
+
+def step_count(t: float, dt: float) -> int:
+    """The number of steps dt that make up the time t, round(t / dt).
+
+    ConfigError unless t > 0 and dt > 0, t / dt is finite, the steps land
+    on t to within 1e-9 max(1, t), and there is at least one of them.
+    """
+    if not (t > 0.0 and dt > 0.0):
+        raise ConfigError(f"time {t} and step dt = {dt} must be positive")
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"time / dt = {t} / {dt} must be finite")
+    steps = int(round(ratio))
+    if abs(steps * dt - t) > 1e-9 * max(1.0, t):
+        raise ConfigError(f"time {t} is not a whole number of steps dt = {dt}")
+    if steps == 0:
+        raise ConfigError(f"time {t} is shorter than one step dt = {dt}")
+    return steps
+
+
+def fit_steps(t: float, dt_max: float) -> tuple[int, float]:
+    """(steps, t / steps) for the fewest equal steps of t no longer than
+    dt_max, to 1e-9 of a step; ConfigError when t / dt_max is not finite."""
+    ratio = t / dt_max
+    if not math.isfinite(ratio):
+        raise ConfigError(f"time / dt = {t} / {dt_max} must be finite")
+    steps = max(1, math.ceil(ratio - 1e-9))
+    return steps, t / steps
 
 
 @dataclass(frozen=True)
@@ -329,9 +363,10 @@ def write_snapshot_csv(path, f: ComplexField):
                                       f.zeta_t.real, f.zeta_t.imag))
 
 
-def read_snapshot_csv(path, far_field=0.0 + 0.0j, time=0.0) -> ComplexField:
-    """Inverse of write_snapshot_csv; grid rebuilt from the x column."""
+def read_snapshot_csv(path, far_field=0.0 + 0.0j) -> ComplexField:
+    """Inverse of write_snapshot_csv at time 0; grid rebuilt from the x
+    column."""
     grid, cols = read_grid_csv(path, 5, "snapshot csv")
     # each (re, im) column pair viewed as one complex column, bit for bit
     zeta, zeta_t = np.ascontiguousarray(cols.T).view(complex).T
-    return ComplexField(grid, zeta, zeta_t, far_field=far_field, time=time)
+    return ComplexField(grid, zeta, zeta_t, far_field=far_field)

@@ -35,6 +35,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, WavebreakingError
+from .fields import step_count
 
 __all__ = [
     "MarkerState",
@@ -190,7 +191,8 @@ def _rk4_step(y, dt, dxi, k, tmp):
 
 def evolve_markers(st: MarkerState, t_final: float, dt: float,
                    observer: Optional[Callable] = None) -> HSResult:
-    """March the markers to t_final with RK4, watching for breaking.
+    """March the markers to t_final, a whole number of steps dt
+    (fields.step_count), with RK4, watching for breaking.
 
     A step that drives any Jacobian to the floor 1e-4 or below stops the
     run; the breaking time is then predicted from the Riccati structure of
@@ -213,21 +215,12 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
     accepted step, in time order; the solver never changes a MarkerState
     after handing it over.
     """
-    if not (dt > 0.0 and t_final > 0.0):
-        raise ConfigError(f"need dt > 0 and t_final > 0, got {dt}, {t_final}")
+    steps = step_count(t_final, dt)
     a0 = float(np.max(np.abs(st.alpha)))
     if dt * a0 > 0.1:
         raise ConfigError(
             f"dt = {dt:.3e} too large for initial slopes: dt * sup|alpha| = "
             f"{dt * a0:.3f} > 0.1")
-    ratio = t_final / dt
-    if not math.isfinite(ratio):
-        raise ConfigError(f"t_final / dt = {ratio} must be finite")
-    steps = int(round(ratio))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError("t_final must be a whole number of steps")
-    if steps == 0:
-        raise ConfigError("t_final shorter than one step")
     xi, dxi = st.xi.copy(), st.dxi
     y = np.array([st.x, st.u, st.alpha, st.rho, st.J], dtype=float)
     k = np.empty((4,) + y.shape)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 __all__ = [
     "PotentialSpec",
@@ -56,13 +56,6 @@ class PotentialSpec:
     zeros: tuple = ()
     flat_point: Optional[float] = None
     name: str = ""
-
-    def w0(self, s, order: int = 0):
-        """Evaluate the order-th derivative with domain checking (s in [0,1))."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s >= 1.0):
-            raise DomainError("potential evaluated outside [0, 1)")
-        return (self.eval_0, self.eval_1, self.eval_2, self.eval_3, self.eval_4)[order](s)
 
     @cached_property
     def origin_derivatives(self):

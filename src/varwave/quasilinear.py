@@ -57,7 +57,8 @@ from .errors import (AprioriViolationError, ConfigError, DegeneracyError,
 # interpolate is not called here (transport_step builds stencils); the name
 # stays bound because perfbench/tracing.py wraps this module attribute
 from .fields import (Grid1D, centered_derivative, contraction_stop,
-                     integrate, interpolate, read_grid_csv, stencil, write_csv)
+                     integrate, interpolate, read_grid_csv, stencil,
+                     step_count, write_csv)
 from .potentials import PotentialSpec, WaveSpeed
 
 __all__ = [
@@ -430,9 +431,10 @@ def _first_guess(prev: PolarState, cur: PolarState) -> PolarState:
 def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
             cfg: QuasilinearConfig, t_final: float,
             observer: Optional[Callable] = None) -> QuasilinearResult:
-    """March the state to t_final one step at a time (see fixpoint_solve:
-    each level is checked as soon as it is solved, and the first step that
-    fails raises from the level before it).  The first step's iteration
+    """March the state to t_final, a whole number of steps cfg.dt
+    (fields.step_count), one step at a time (see fixpoint_solve: each level
+    is checked as soon as it is solved, and the first step that fails
+    raises from the level before it).  The first step's iteration
     starts from the initial state, every later one from the extrapolation
     of the last two levels (_first_guess); the fixed point, and so each
     level up to the stop tolerance, does not depend on where it starts.
@@ -468,16 +470,7 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
         raise ConfigError("far-field order parameter must be an equilibrium "
                           f"of the potential (W0'({s_inf}) != 0)")
 
-    if not t_final > 0.0:
-        raise ConfigError(f"t_final = {t_final} must be positive")
-    ratio = t_final / cfg.dt
-    if not math.isfinite(ratio):
-        raise ConfigError(f"t_final / dt = {ratio} must be finite")
-    total_steps = int(round(ratio))
-    if abs(total_steps * cfg.dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError("t_final must be a whole number of steps")
-    if total_steps == 0:
-        raise ConfigError("t_final shorter than one step")
+    total_steps = step_count(t_final, cfg.dt)
 
     log = EnergyLog(grid, cfg.dt, frame_speed=cfg.frame_speed)
     w2_sup: List[float] = []
@@ -514,7 +507,8 @@ def write_polar_snapshot_csv(path, st: PolarState):
     write_csv(path, POLAR_SNAPSHOT_HEADER, (st.grid.nodes, *st.U))
 
 
-def read_polar_snapshot_csv(path, time: float = 0.0) -> PolarState:
-    """Inverse of write_polar_snapshot_csv; grid rebuilt from the x column."""
+def read_polar_snapshot_csv(path) -> PolarState:
+    """Inverse of write_polar_snapshot_csv at time 0; grid rebuilt from the
+    x column."""
     grid, fields = read_grid_csv(path, 7, "polar snapshot csv")
-    return PolarState(grid, *fields, time=time)
+    return PolarState(grid, *fields)

@@ -219,6 +219,24 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, solver, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver", ["hs2", "quasilinear", "asymptotic"])
+def test_step_count_beyond_a_float_exits_2(tmp_path, capsys, solver):
+    # both numbers are finite, but t_final / dt overflows to inf: the step
+    # count is refused as configuration before any run starts
+    out = tmp_path / "o"
+    doc = _asymptotic_doc() if solver == "asymptotic" else {"solver": solver}
+    if solver == "quasilinear":
+        doc["potential"] = {"name": "flat4"}
+    doc["time"] = {"t_final": 1e300, "dt": 1e-10}
+    doc["outputs"] = {"out_dir": str(out)}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "must be finite" in err and "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_non_finite_snapshot_time_exits_2(tmp_path, capsys, token):
     path = tmp_path / "cfg.json"

@@ -251,7 +251,7 @@ def test_semilinear_reports_match_reference_recorder():
     p = reference_potential()
     zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
     f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=0.5)
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=0.5)
     E0 = float(integrate(g, energy_density_complex(
         f0.zeta, f0.zeta_t, centered_derivative(g, f0.zeta), p, 1.0)[0]))
     apriori = apriori_constants(p, E0)

@@ -16,11 +16,22 @@ from varwave import (ComplexField, ConfigError, DomainError, Grid1D,
                      read_polar_snapshot_csv, read_snapshot_csv,
                      reference_potential, state_distance, write_snapshot_csv,
                      write_polar_snapshot_csv, zero_potential)
-from varwave.fields import contraction_stop, stencil, trapezoid_weights
+from varwave.fields import (contraction_stop, fit_steps, step_count, stencil,
+                            trapezoid_weights)
 from varwave.quasilinear import PolarState
 
 
 # --- Grid1D ------------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(t=st.floats(1e-6, 1e6), dt_max=st.floats(1e-6, 1e3))
+def test_fitted_steps_pass_the_step_count_rule(t, dt_max):
+    # the CLI and the epsilon sweep fit their steps, the solvers count them:
+    # a fitted step must be whole steps of t, no longer than the one asked
+    steps, dt = fit_steps(t, dt_max)
+    assert step_count(t, dt) == steps
+    assert dt <= dt_max * (1.0 + 1e-9)
 
 
 def test_grid_basic_geometry():

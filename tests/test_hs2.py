@@ -226,7 +226,7 @@ def test_evolve_entry_checks():
     with pytest.raises(ConfigError, match="shorter than one step"):
         evolve_markers(st, t_final=1e-12, dt=0.01)
     for t_final in (-1.0, math.nan):
-        with pytest.raises(ConfigError, match="t_final > 0"):
+        with pytest.raises(ConfigError, match="must be positive"):
             evolve_markers(st, t_final=t_final, dt=0.01)
 
 

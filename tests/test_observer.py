@@ -2,10 +2,12 @@
 
 Each solver calls `observer` with the initial state and then with each
 accepted level, in time order, and never changes a state it handed over.
-Each refuses a t_final it cannot reach in whole steps with ConfigError.
+Each, and free_wave, refuses a time it cannot reach in whole steps with
+the ConfigError of fields.step_count.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ import pytest
 from varwave import (ComplexField, ConfigError, Grid1D, PolarState,
                      QuasilinearConfig, SemilinearConfig, advance, constant,
                      evolve_markers,
-                     flat_point_potential, gaussian, make_markers,
+                     flat_point_potential, free_wave, gaussian, make_markers,
                      picard_solve, reference_potential, wave_speed)
+from varwave.fields import step_count
 from varwave.profiles import zero
 
 
@@ -34,8 +37,8 @@ def _picard_inputs():
     g = Grid1D(-8.0, 8.0, 129)
     zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
     f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
-    return f0, reference_potential(), SemilinearConfig.aligned(g, 1.0,
-                                                               T_window=0.25)
+    return f0, reference_potential(), SemilinearConfig(c=1.0, dt=g.dx,
+                                                       T_window=0.25)
 
 
 def _picard(observer):
@@ -115,15 +118,56 @@ def test_observer_sees_every_level_once(run, parts):
         assert np.array_equal(last, end)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda t: picard_solve(*_picard_inputs(), t),
-    lambda t: advance(*_advance_inputs(), t),
-    lambda t: evolve_markers(_markers_inputs(), t, 0.01),
-], ids=["picard_solve", "advance", "evolve_markers"])
-@pytest.mark.parametrize("t_final", [math.inf, 1e308])
-def test_solvers_refuse_an_unbounded_step_count(solve, t_final):
-    # the step count is t_final / dt rounded to an integer: a t_final whose
-    # ratio is infinite (1e308 over a step below 1 overflows) must be
-    # refused as configuration, not overflow in the rounding
-    with pytest.raises(ConfigError, match="finite"):
-        solve(t_final)
+def _picard_stepper():
+    f0, p, cfg = _picard_inputs()
+    return partial(picard_solve, f0, p, cfg), cfg.dt
+
+
+def _advance_stepper():
+    st, p, ws, cfg = _advance_inputs()
+    return partial(advance, st, p, ws, cfg), cfg.dt
+
+
+def _markers_stepper():
+    return partial(evolve_markers, _markers_inputs(), dt=0.01), 0.01
+
+
+def _free_wave_stepper():
+    f0 = _picard_inputs()[0]
+    return partial(free_wave, f0, 1.0), f0.grid.dx
+
+
+# each entry point that counts steps, and the step it counts in
+_STEPPERS = {"picard_solve": _picard_stepper, "advance": _advance_stepper,
+             "evolve_markers": _markers_stepper,
+             "free_wave": _free_wave_stepper}
+
+# times as functions of the step, with the refusal each must meet; t = 0
+# is no refusal for free_wave, which returns the initial state there
+_REFUSED = {
+    "inf": (lambda dt: math.inf, "finite"),
+    # 1e308 over each step below 1 overflows to inf
+    "1e+308": (lambda dt: 1e308, "finite"),
+    "zero": (lambda dt: 0.0, "positive"),
+    "negative": (lambda dt: -1.0, "positive"),
+    "nan": (lambda dt: math.nan, "positive"),
+    "misaligned": (lambda dt: 2.5 * dt, "whole number"),
+    "under_one_step": (lambda dt: 1e-12, "shorter than one step"),
+}
+
+
+@pytest.mark.parametrize("stepper, when, match", [
+    pytest.param(_STEPPERS[name], *_REFUSED[case], id=f"{case}-{name}")
+    for case in _REFUSED for name in _STEPPERS
+    if (case, name) != ("zero", "free_wave")])
+def test_solvers_refuse_an_unbounded_step_count(stepper, when, match):
+    # every entry point counts its steps by fields.step_count, so each
+    # refuses a time that is not a positive whole number of its steps with
+    # that rule's own message, before any step
+    solve, dt = stepper()
+    t = when(dt)
+    with pytest.raises(ConfigError, match=match) as rule:
+        step_count(t, dt)
+    with pytest.raises(ConfigError) as refused:
+        solve(t)
+    assert str(refused.value) == str(rule.value)

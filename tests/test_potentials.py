@@ -64,8 +64,8 @@ def test_zero_potential_fails_only_where_expected():
 def test_flat_point_potential_passes_and_is_flat():
     p = flat_point_potential(0.5)
     assert validate_potential(p).valid
-    for order in (0, 1, 2, 3):
-        assert abs(float(p.w0(0.5, order))) <= 1e-10
+    for eval_k in (p.eval_0, p.eval_1, p.eval_2, p.eval_3):
+        assert abs(float(eval_k(0.5))) <= 1e-10
 
 
 def test_ensure_valid_returns_accepted_spec():

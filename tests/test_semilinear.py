@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from varwave import (AprioriViolationError, ComplexField, ConfigError,
-                     Grid1D, SemilinearConfig, apriori_constants,
+                     Grid1D, NonContractionError, SemilinearConfig,
+                     apriori_constants,
                      contraction_window, ensure_valid,
                      flat_point_potential, free_wave, picard_solve,
                      reference_potential, source_term, state_distance,
@@ -200,7 +201,7 @@ def test_free_wave_exact_on_aligned_shifts(case):
 def test_free_wave_requires_aligned_time():
     g = Grid1D(-8.0, 8.0, 257)
     f0 = _zero_velocity_bump(g)
-    with pytest.raises(ConfigError, match="grid aligned"):
+    with pytest.raises(ConfigError, match="whole number"):
         free_wave(f0, 1.0, 0.7 * g.dx)
     with pytest.raises(ConfigError):
         free_wave(f0, 1.0, -g.dx)
@@ -341,7 +342,7 @@ def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
     zeta = 0.1 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=32 * g.dx)
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=32 * g.dx)
     new = picard_solve(f0, p, cfg, 64 * g.dx)
     loop_calls = []
 
@@ -383,8 +384,8 @@ def _all_levels_window_iterate(grid, f0, p, cfg, q_ff, stacks, w0):
             grid, new_z, new_zt, hat_z, hat_zt, p))))
         hat_z, hat_zt = new_z, new_zt
         if semilinear.contraction_stop(diffs, cfg.picard_tol):
-            return hat_z, hat_zt, diffs, True
-    return hat_z, hat_zt, diffs, False
+            return hat_z, hat_zt, diffs
+    raise NonContractionError("window failed to contract", diff_norms=diffs)
 
 
 @pytest.mark.parametrize("amp, width, c, window_steps, steps, windows", [
@@ -403,7 +404,7 @@ def test_picard_distance_without_fixed_level_matches_all_levels(
     zeta = amp * np.exp(-(g.nodes / width) ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
-    cfg = SemilinearConfig.aligned(g, c, T_window=window_steps * g.dx / c)
+    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=window_steps * g.dx / c)
     new = picard_solve(f0, p, cfg, steps * g.dx / c)
     monkeypatch.setattr(semilinear, "_window_iterate",
                         _all_levels_window_iterate)
@@ -423,7 +424,7 @@ def test_window_holds_at_most_ten_level_stacks():
     zeta = 0.1 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=m * g.dx)
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx)
     picard_solve(f0, p, cfg, m * g.dx)  # first-call caches stay out of it
     tracemalloc.start()
     try:
@@ -467,7 +468,7 @@ def _solve_setup(n=257, amp=0.05, c=1.0):
     g = Grid1D(-8.0, 8.0, n)
     zeta = amp * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
-    cfg = SemilinearConfig.aligned(g, c, T_window=0.25)
+    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=0.25)
     return g, f0, cfg
 
 
@@ -477,7 +478,7 @@ def test_picard_zero_potential_reduces_to_free_wave():
     zeta = 0.05 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     T = 0.5
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=T)
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=T)
     res = picard_solve(f0, zero_potential(), cfg, T)
     fw = free_wave(f0, cfg.c, T)
     assert np.max(np.abs(res.field.zeta - fw.zeta)) < 1e-14
@@ -487,12 +488,27 @@ def test_picard_zero_potential_reduces_to_free_wave():
     assert res.trace.iterate_count == len(res.trace.diff_norms)
 
 
+def test_picard_window_that_does_not_stop_raises(monkeypatch):
+    # picard_tol = 0 never accepts a nonzero change, so the first window
+    # runs out of iterations and raises with its diffs
+    monkeypatch.setattr(semilinear, "_PICARD_MAX", 3)
+    g = Grid1D(-8.0, 8.0, 129)
+    zeta = 0.1 * np.exp(-g.nodes ** 2)
+    f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=0.5, picard_tol=0.0)
+    with pytest.raises(NonContractionError,
+                       match="starting at t = 0.000000") as err:
+        picard_solve(f0, reference_potential(), cfg, 1.0)
+    assert len(err.value.diff_norms) == 3
+    assert all(d > 0.0 for d in err.value.diff_norms)
+
+
 def test_picard_constant_equilibrium_is_a_fixed_point():
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
     f0 = ComplexField(g, np.full(g.n, 0.5 + 0.0j), np.zeros(g.n, complex),
                       far_field=0.5)
-    cfg = SemilinearConfig.aligned(g, 1.0, T_window=0.25)
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=0.25)
     res = picard_solve(f0, p, cfg, 0.5)
     assert np.max(np.abs(res.field.zeta - 0.5)) < 1e-14
     assert np.max(np.abs(res.field.zeta_t)) < 1e-14
@@ -536,7 +552,7 @@ def test_picard_small_amplitude_matches_linear_dispersion():
     a, k, c = 1e-3, math.pi / 4.0, 1.0
     zeta = a * np.sin(k * g.nodes)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
-    cfg = SemilinearConfig.aligned(g, c, T_window=0.25)
+    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=0.25)
     T = 31 * g.dx / c  # near a quarter period, where sensitivity to omega peaks
     res = picard_solve(f0, reference_potential(), cfg, T)
     omega = math.sqrt(c * c * k * k + 2.0)
@@ -557,7 +573,7 @@ def test_picard_energy_drift_second_order():
         g = Grid1D(-8.0, 8.0, n)
         zeta = 0.1 * np.exp(-g.nodes ** 2)
         f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
-        cfg = SemilinearConfig.aligned(g, 1.0, T_window=0.25)
+        cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=0.25)
         res = picard_solve(f0, p, cfg, 0.5)
         E = np.array([r.total_E for r in res.energy_reports])
         drifts.append(float(np.max(np.abs(E - E[0]))))

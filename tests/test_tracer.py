@@ -70,7 +70,7 @@ def test_notes_match_the_results_of_traced_runs():
                            12 * qcfg.dt)
         f0 = ComplexField(g, (0.1 * bump).astype(complex),
                           np.zeros(g.n, complex))
-        scfg = SemilinearConfig.aligned(g, 1.0, T_window=4 * g.dx)
+        scfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=4 * g.dx)
         sres = cli.picard_solve(f0, ensure_valid(reference_potential()), scfg,
                                 12 * g.dx)
         markers = make_markers((-4.0, 4.0), 65, lambda x: -0.5 * x,
