@@ -127,12 +127,18 @@ def _snapshot_keeper(cfg: RunConfig, dt: float, steps: int):
     return a solver observer keeping the states at those levels and the
     list they land in, in configured order, as the run goes."""
     times = cfg.outputs["snapshot_times"]
-    levels = [int(round(t / dt)) for t in times]
-    for t, lev in zip(times, levels):
-        if abs(t - lev * dt) > 1e-9 * max(1.0, abs(t)) or not 0 <= lev <= steps:
+    levels = []
+    for t in times:
+        # time 0 is the initial level; any other time counts by the run's clock
+        try:
+            lev = step_count(t, dt) if t else 0
+        except ConfigError:
+            lev = -1
+        if not 0 <= lev <= steps:
             raise ConfigError(
                 f"snapshot time {t} is not an integer number of steps "
                 f"(dt = {dt}) inside the run")
+        levels.append(lev)
     snapshots = [None] * len(levels)
     frames = itertools.count()
 

@@ -15,15 +15,18 @@ with du/dt constant per marker because (alpha^2 + rho^2) J is.  Wave
 breaking is the Jacobian touching zero: alpha = u_x blows down while u stays
 bounded.  w = alpha + i rho obeys dw/dt = -w^2/2, so each marker is an exact
 Riccati flow; the solver exploits that only for blow-up prediction and for
-test oracles, and otherwise integrates with classical RK4.  Markers start
-from the exact slope du0 of the initial profile u0 (make_markers takes
-both), so no difference quotient enters the initial data.  A run keeps the
-unknowns (x, u, alpha, rho, J) as one (5, m) stack and writes the four RK4
-stages and the stage states into buffers allocated once per run, so each
-step allocates only the (5, m) array of its new level.  A run hands each
-level to an optional observer as a MarkerState whose arrays are the rows
-of that level's array, and reports breaking on its result (broke, t_star,
-marker_index) instead of raising.
+test oracles, and integrates (alpha, rho, J) with classical RK4.  Position
+and velocity need no integrator: the mass L to the left of a marker is
+constant, so u = u0 + L t / 2 and x = x0 + u0 t + L t^2 / 4 exactly (Hunter
+& Saxton, SIAM J. Appl. Math. 51, 1991).  Markers start from the exact slope
+du0 of the initial profile u0 (make_markers takes both), so no difference
+quotient enters the initial data.  A run keeps (alpha, rho, J) as one (3, m)
+stack and writes the four RK4 stages and the stage states into buffers
+allocated once per run, so each step allocates only the (5, m) array of its
+new level, (x, u, alpha, rho, J).  A run hands each level to an optional
+observer as a MarkerState whose arrays are the rows of that level's array,
+and reports breaking on its result (broke, t_star, marker_index) instead of
+raising.
 """
 
 from __future__ import annotations
@@ -100,39 +103,29 @@ def make_markers(span: Tuple[float, float], m: int, u0: Callable,
                        J=np.ones(m), time=0.0)
 
 
-def marker_rhs(y, dxi, out):
-    """Time derivatives of the marker unknowns y = (x, u, alpha, rho, J).
+def marker_rhs(y, out):
+    """Time derivatives of the marker unknowns y = (alpha, rho, J).
 
-    y is a (5, m) stack; the derivatives fill the rows of the (5, m) array
-    out, which is returned.  du/dt integrates
-    the energy density strictly to the left of each marker (left-endpoint
-    cells in the label variable), which fixes the gauge: the free additive
-    constant of the velocity equation is identically zero.  A non-positive
-    Jacobian means characteristics have crossed; evaluating the flow past
-    that point is meaningless, so it raises WavebreakingError and leaves
-    out unwritten.
+    y is a (3, m) stack; the derivatives fill the rows of the (3, m) array
+    out, which is returned.  x and u are not among the unknowns: along
+    markers du/dt is the constant half mass to the left (see
+    evolve_markers).  A non-positive Jacobian means characteristics have
+    crossed; evaluating the flow past that point is meaningless, so it
+    raises WavebreakingError and leaves out unwritten.
     """
-    _, u, alpha, rho, J = y
-    if np.min(J) <= 0.0:
+    alpha, rho, J = y
+    if J.min() <= 0.0:
         raise WavebreakingError(
             f"Jacobian hit {np.min(J):.3e}: characteristics crossed",
             marker_index=int(np.argmin(J)))
-    dx, du, da, dr, dJ = out
+    da, dr, dJ = out
     np.multiply(alpha, alpha, out=da)
     np.multiply(rho, rho, out=dr)
-    # the mass cells (alpha^2 + rho^2) J dxi, formed in the dJ row
-    cell = np.add(da, dr, out=dJ)
-    cell *= J
-    cell *= dxi
-    du[0] = 0.0
-    np.cumsum(cell[:-1], out=du[1:])
-    du *= 0.5
     np.subtract(dr, da, out=da)
     da *= 0.5
     np.multiply(alpha, rho, out=dr)
     np.negative(dr, out=dr)
     np.multiply(alpha, J, out=dJ)
-    dx[:] = u
     return out
 
 
@@ -164,35 +157,39 @@ class HSResult:
     sup_alpha: float
 
 
-def _rk4_step(y, dt, dxi, k, tmp):
-    """One classical RK4 step from the (5, m) stack y, returned as a fresh
-    (5, m) array.  The stages go into the (4, 5, m) buffer k and the stage
-    states into the (5, m) buffer tmp; y is only read."""
-    marker_rhs(y, dxi, out=k[0])
+def _rk4_step(y, dt, k, tmp, new):
+    """One classical RK4 step from the (3, m) stack y into the (3, m) array
+    new.  The stages go into the (4, 3, m) buffer k and the stage states
+    into the (3, m) buffer tmp; y is only read."""
+    marker_rhs(y, out=k[0])
     np.multiply(k[0], 0.5 * dt, out=tmp)
     tmp += y
-    marker_rhs(tmp, dxi, out=k[1])
+    marker_rhs(tmp, out=k[1])
     np.multiply(k[1], 0.5 * dt, out=tmp)
     tmp += y
-    marker_rhs(tmp, dxi, out=k[2])
+    marker_rhs(tmp, out=k[2])
     np.multiply(k[2], dt, out=tmp)
     tmp += y
-    marker_rhs(tmp, dxi, out=k[3])
+    marker_rhs(tmp, out=k[3])
     # (dt/6) (((k1 + 2 k2) + 2 k3) + k4) + y
     np.multiply(k[1], 2, out=tmp)
     tmp += k[0]
     np.multiply(k[2], 2, out=k[2])
     tmp += k[2]
     tmp += k[3]
-    new = np.multiply(tmp, dt / 6.0)
+    np.multiply(tmp, dt / 6.0, out=new)
     new += y
-    return new
 
 
 def evolve_markers(st: MarkerState, t_final: float, dt: float,
                    observer: Optional[Callable] = None) -> HSResult:
     """March the markers to t_final, a whole number of steps dt
-    (fields.step_count), with RK4, watching for breaking.
+    (fields.step_count), watching for breaking.
+
+    (alpha, rho, J) advance by RK4.  x and u follow their exact map: each
+    cell's (alpha^2 + rho^2) J is invariant, so the mass L to the left of a
+    marker keeps its value at entry and, s after the start,
+    u = u0 + (s/2) L and x = x0 + s u0 + (s^2/4) L.
 
     A step that drives any Jacobian to the floor 1e-4 or below stops the
     run; the breaking time is then predicted from the Riccati structure of
@@ -206,10 +203,10 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
     |alpha| has grown by ~100x) rather than resolving the collapse itself,
     and leaves t_star to the exact per-marker prediction.
 
-    The unknowns travel as one (5, m) stack, a copy of st's arrays (st is
-    never written); the stages and stage states live in buffers allocated
-    once per run, and each accepted level is a fresh (5, m) array whose
-    rows become the arrays of that level's MarkerState.
+    RK4 works on a (3, m) stack, a copy of st's arrays (st is never
+    written); the stages and stage states live in buffers allocated once
+    per run, and each accepted level is a fresh (5, m) array whose rows
+    become the arrays of that level's MarkerState.
 
     `observer(state)` is called with the initial state and then with each
     accepted step, in time order; the solver never changes a MarkerState
@@ -221,20 +218,32 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
         raise ConfigError(
             f"dt = {dt:.3e} too large for initial slopes: dt * sup|alpha| = "
             f"{dt * a0:.3f} > 0.1")
-    xi, dxi = st.xi.copy(), st.dxi
-    y = np.array([st.x, st.u, st.alpha, st.rho, st.J], dtype=float)
+    xi, t0 = st.xi.copy(), st.time
+    lev = np.array([st.x, st.u, st.alpha, st.rho, st.J], dtype=float)
+    x0, u0, y = lev[0], lev[1], lev[2:]
+    # L[i]: the mass (alpha^2 + rho^2) J dxi of the cells strictly to the
+    # left of marker i (left-endpoint cells in the label variable); L[0] = 0
+    # fixes the gauge, the free additive constant of du/dt = L / 2
+    alpha, rho, J = y
+    cell = alpha * alpha + rho * rho
+    cell *= J
+    cell *= st.dxi
+    L = np.zeros_like(cell)
+    np.cumsum(cell[:-1], out=L[1:])
     k = np.empty((4,) + y.shape)
     tmp = np.empty_like(y)
-    cur = MarkerState(xi, *y, time=st.time)
+    cur = MarkerState(xi, *lev, time=t0)
     hist = [(cur.time, cur.energy)]
     sup_alpha = float(np.max(np.abs(cur.alpha)))
     if observer is not None:
         observer(cur)
 
     for _ in range(steps):
+        lev = np.empty_like(lev)
+        x, u, nxt = lev[0], lev[1], lev[2:]
         try:
-            nxt = _rk4_step(y, dt, dxi, k, tmp)
-            collapsed = bool(np.min(nxt[4]) <= _J_FLOOR)
+            _rk4_step(y, dt, k, tmp, nxt)
+            collapsed = bool(nxt[2].min() <= _J_FLOOR)
         except WavebreakingError:
             nxt = y
             collapsed = True
@@ -242,15 +251,24 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
             remaining, idx = breaking_time_riccati(cur.alpha, cur.rho, cur.J)
             if not math.isfinite(remaining):
                 # collapse without a clean rho = 0 marker: report the step end
-                idx = int(np.argmin(nxt[4]))
+                idx = int(np.argmin(nxt[2]))
                 t_star = cur.time + dt
             else:
                 t_star = cur.time + remaining
             return HSResult(state=cur, broke=True, t_star=t_star,
                             marker_index=idx, energy_history=hist,
                             sup_alpha=sup_alpha)
+        t = cur.time + dt
+        s = t - t0
+        # x = (x0 + s u0) + (s^2/4) L and u = (s/2) L + u0, no temporaries
+        np.multiply(u0, s, out=x)
+        x += x0
+        np.multiply(L, 0.25 * s * s, out=u)
+        x += u
+        np.multiply(L, 0.5 * s, out=u)
+        u += u0
         y = nxt
-        cur = MarkerState(xi, *y, time=cur.time + dt)
+        cur = MarkerState(xi, *lev, time=t)
         hist.append((cur.time, cur.energy))
         sup_alpha = max(sup_alpha, float(np.max(np.abs(cur.alpha))))
         if observer is not None:

@@ -162,6 +162,20 @@ def test_bad_snapshot_time_exits_2_before_writing(tmp_path, capsys, solver,
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("solver", ["semilinear", "quasilinear"])
+def test_snapshot_time_beyond_a_float_step_count_exits_2(tmp_path, capsys,
+                                                        solver):
+    # 1e308 / dt overflows: counted by step_count, not rounded on its own
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, _small_run_doc(
+        solver, str(out), snapshot_times=[0.0, 1e308]))
+    assert main(["run-" + solver, "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "snapshot time" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_cell", [None, "abc", "nan"],
                          ids=["missing", "non_numeric", "non_finite"])
 @pytest.mark.parametrize("solver", ["semilinear", "quasilinear"])
