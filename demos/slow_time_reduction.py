@@ -43,9 +43,9 @@ print(f"\nreference marker energy = {out['reference_energy']:.6f}")
 print(f"gauge convention '{out['gauge']}': the reference is shifted by "
       f"{out['gauge_drop']:.5f} in u")
 print(f"frame speed c0 = {out['c0']:.6f}")
-print("\n  epsilon   fast time   grid nodes   steps   passes   error")
+print("\n  epsilon   fast time   grid nodes   steps        dt   passes   error")
 for run, err in zip(out["runs"], out["errors"]):
     print(f"  {run['epsilon']:7.2f}   {run['t_fast']:9.3f}   "
-          f"{run['grid_nodes']:10d}   {run['steps']:5d}   "
+          f"{run['grid_nodes']:10d}   {run['steps']:5d}   {run['dt']:.5f}   "
           f"{run['fixpoint_passes']:6d}   {err:.5f}")
 print(f"\nfitted order in epsilon: {out['fitted_order']:.3f}")

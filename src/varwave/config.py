@@ -22,6 +22,7 @@ from .fields import Grid1D
 from .potentials import (PotentialSpec, WaveSpeed, flat_point_potential,
                          quadratic_potential, reference_potential, wave_speed,
                          zero_potential)
+from .quasilinear import _CFL_LIMIT
 
 __all__ = [
     "RunConfig",
@@ -197,8 +198,8 @@ def parse_config(doc: Dict) -> RunConfig:
         if solver != "quasilinear":
             raise ConfigError("time.cfl applies to quasilinear runs only")
         cfl = _require_number(time["cfl"], "time.cfl", positive=True)
-        if cfl > 0.9:
-            raise ConfigError("time.cfl must not exceed 0.9")
+        if cfl > _CFL_LIMIT:
+            raise ConfigError(f"time.cfl must not exceed {_CFL_LIMIT}")
         time["cfl"] = cfl
 
     init = merged["initial_data"]

@@ -76,7 +76,10 @@ __all__ = [
 
 _S_FLOOR = 1e-12
 _FIXPOINT_MAX = 40  # fixed-point passes per step before the step fails
-_CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts
+_CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts, fixed frame
+# largest (c_max + |V|) dt / dx, the cells a foot may travel in one step,
+# that advance accepts in a frame moving at V: the four-point stencil's width
+_FOOT_CELLS = 4.0
 _FIELDS = ("psi", "s", "phi", "v", "omega", "r")
 
 
@@ -451,19 +454,29 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     accepted level, in time order; the solver never changes a PolarState
     after handing it over.
 
-    The entry gate dt <= 0.9 dx / c_max bounds the speeds of the fixed
-    frame.  In a frame moving at V the speeds relative to the grid reach
-    c_max + |V|, so a foot may travel up to (c_max + |V|) dt / dx cells in
-    one step: about 1.5 cells on the epsilon sweep (V = c0, dt = 0.8 dx /
-    c_max).  The four-point stencil reads a foot at any distance; what the
-    step needs is a contracting fixed point, which every step checks (the
-    sweep's passes contract by a factor below 0.02).
+    Entry gates, checked before any step.  In the fixed frame (V = 0)
+    dt <= 0.9 dx / c_max (_CFL_LIMIT, which time.cfl mirrors).  In a frame
+    moving at V != 0 the speeds relative to the grid reach c_max + |V|, and
+    the gate bounds the cells a foot travels in one step instead:
+    (c_max + |V|) dt / dx <= 4 (_FOOT_CELLS, the four-point stencil's
+    width).  The contraction check alone cannot replace it: on the
+    epsilon sweep's inputs steps of dt = 25.6 dx / c_max, whose feet
+    travel about 48 cells, still contract.  The sweep steps at
+    dt = 1.6 dx / c_max with V = c0 <= c_max, so its feet travel at most
+    3.2 cells, and its passes contract by a factor below 0.05.
     """
-    grid = state.grid
-    if cfg.dt > _CFL_LIMIT * grid.dx / ws.c_max + 1e-15:
+    grid, V = state.grid, cfg.frame_speed
+    if V == 0.0:
+        if cfg.dt > _CFL_LIMIT * grid.dx / ws.c_max + 1e-15:
+            raise ConfigError(
+                f"dt = {cfg.dt:.3e} exceeds {_CFL_LIMIT} * dx / c_max "
+                f"= {_CFL_LIMIT * grid.dx / ws.c_max:.3e}")
+    elif cfg.dt > _FOOT_CELLS * grid.dx / (ws.c_max + abs(V)) + 1e-15:
         raise ConfigError(
-            f"dt = {cfg.dt:.3e} exceeds {_CFL_LIMIT} * dx / c_max "
-            f"= {_CFL_LIMIT * grid.dx / ws.c_max:.3e}")
+            f"dt = {cfg.dt:.3e} exceeds {_FOOT_CELLS} * dx / (c_max + |V|) "
+            f"= {_FOOT_CELLS * grid.dx / (ws.c_max + abs(V)):.3e}: a foot "
+            f"would travel more than {_FOOT_CELLS} cells per step in the "
+            f"frame moving at V = {V:.6g}")
     state.check()
     s_inf = state.far_field[1]
     if abs(float(p.eval_1(np.asarray([s_inf]))[0])) > 1e-8:

@@ -785,6 +785,52 @@ def test_advance_entry_validation():
 # --- moving frame ------------------------------------------------------------
 
 
+def test_moving_frame_gate_bounds_the_foot_travel(monkeypatch):
+    # in a frame moving at V the gate is (c_max + |V|) dt / dx <= 4 cells,
+    # checked before any step; the fixed frame's 0.9 dx / c_max does not
+    # apply there
+    import varwave.quasilinear as ql
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    st = _bump_state(g, ws)
+    V = 1.1
+    limit = ql._FOOT_CELLS * g.dx / (ws.c_max + V)
+    assert limit > ql._CFL_LIMIT * g.dx / ws.c_max
+    out = advance(st, p, ws, QuasilinearConfig(dt=limit, frame_speed=V),
+                  2 * limit)
+    assert len(out.traces) == 2
+
+    def no_step(*args, **kw):
+        raise AssertionError("a step started")
+
+    monkeypatch.setattr(ql, "fixpoint_solve", no_step)
+    for frame in (V, -V):
+        with pytest.raises(ConfigError, match="cells per step"):
+            advance(st, p, ws, QuasilinearConfig(dt=1.01 * limit,
+                                                 frame_speed=frame),
+                    2.02 * limit)
+
+
+def test_sweep_step_passes_the_moving_frame_gate():
+    # the epsilon sweep's step on the criterion-10 background: V = c0 <=
+    # c_max, so its feet travel at most 2 _CFL cells, inside the gate
+    import varwave.asymptotic as asy
+    import varwave.quasilinear as ql
+    from varwave import AsymptoticConfig, embed, gaussian, bump_slope
+    cfg = AsymptoticConfig(ws=wave_speed(2.0, 1.0), psi0=math.pi / 4.0,
+                           s0=0.5, epsilon=0.2)
+    ws, V = cfg.ws, cfg.c0
+    g = Grid1D(-14.0, 14.0, 561)
+    dt = asy._CFL * g.dx / ws.c_max
+    assert V <= ws.c_max
+    assert (ws.c_max + V) * dt / g.dx <= 2.0 * asy._CFL <= ql._FOOT_CELLS
+    p, u0 = flat_point_potential(0.5), gaussian(1.0, 0.0, 1.0)
+    init = embed(cfg, g, p, u0, u0.derivative, bump_slope(0.5, 0.0, 1.0))
+    out = advance(init, p, ws, QuasilinearConfig(dt=dt, frame_speed=V), dt)
+    assert out.achieved_T == dt
+
+
 def test_fixed_frame_levels_match_the_per_field_reference_bitwise(
         monkeypatch):
     # at frame_speed 0 a whole run takes the fixed-frame step: with the
