@@ -234,7 +234,6 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
     if not math.isfinite(T_window):
         warn(f"no finite contraction window ({why}); the run is one window "
              f"of length t_final = {t_final:g}")
-        T_window = t_final
     elif T_window / dt + 1e-9 < 1.0:
         warn(f"certified window {T_window:.6g} is shorter than one step "
              f"dt = {dt:.6g}; the run takes one-step windows")

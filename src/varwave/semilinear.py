@@ -1,20 +1,15 @@
 """Constant-speed complex wave solver: zeta_tt - c^2 zeta_xx + g(zeta) = 0.
 
-The nonlinearity g(z) = (W0'(|z|)/|z|) z comes from the bulk potential; the
-solver is the integral-equation iteration behind the local well-posedness
-argument, made discrete:
-
-  * free propagation by the d'Alembert formula (the time step is locked to
-    dt = dx/c, so every characteristic trace lands on a grid node and free
-    transport is exact),
-  * a Duhamel correction integrating the source over the backward light cone
-    with trapezoid quadrature in both time and space,
-  * Picard iteration of whole time windows, window length chosen inside the
-    contraction regime dictated by the certified constants.
-
-Iterates converge geometrically in the metric of fields.state_distance;
-the iteration trace is part of the public result so contraction is checkable
-from the outside.
+g(z) = (W0'(|z|)/|z|) z comes from the bulk potential.  The solver is the
+integral-equation iteration behind the local well-posedness argument, made
+discrete on the lattice dt = dx/c: Picard iteration of whole time windows,
+inside the contraction regime of the certified constants, of free d'Alembert
+propagation plus the Duhamel integral of the source over the backward light
+cone (trapezoid weights in time and space).  On the lattice both parts obey
+the parallelogram rule of the 1-D wave equation, so each iterate is one
+forward march of a three-term recurrence (_Lattice).  Iterates converge
+geometrically in the metric of fields.state_distance; the iteration trace
+is part of the public result so contraction is checkable from the outside.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ __all__ = [
 ]
 
 _PICARD_MAX = 60  # Picard iterations per window before NonContractionError
-_BLOCK = 16  # levels per block of cone sources and prefixes and of distances
+_BLOCK = 16  # levels per block of lattice sources and of distances
 
 
 def source_term(p: PotentialSpec, z):
@@ -79,97 +74,101 @@ def free_wave(f0: ComplexField, c: float, t: float) -> ComplexField:
     perturbations.
     """
     steps = 0 if t == 0 else step_count(t, f0.grid.dx / c)
-    zeta, zeta_t = np.empty((2, 1, f0.grid.n), dtype=complex)
-    _free_levels(f0, c, [steps], zeta, zeta_t)
-    return ComplexField(f0.grid, zeta[0], zeta_t[0], far_field=f0.far_field,
+    zeta, zeta_t = _dalembert(f0, c, steps, 0)
+    return ComplexField(f0.grid, zeta, zeta_t, far_field=f0.far_field,
                         time=f0.time + t, validate=False)
 
 
-def _free_levels(f0: ComplexField, c: float, shifts, zeta: np.ndarray,
-                 zeta_t: np.ndarray):
-    """d'Alembert levels of f0 after each of the given whole-cell shifts,
-    written into the (k, n) arrays zeta and zeta_t, one row per shift.
-
-    The data are padded once: zeta by its far field, zeta_t and zeta_x by
-    zero, and the prefix integral of zeta_t by its end values.
-    """
+def _dalembert(f0: ComplexField, c: float, shift: int, width: int):
+    """d'Alembert level (zeta, zeta_t) of f0 after a whole-cell shift
+    (negative: back in time), on the grid widened by `width` cells a side;
+    off the grid zeta is its far field and zeta_t, zeta_x are zero."""
     g = f0.grid
-    n, pad = g.n, max(shifts)
-    if pad >= n:
-        raise DomainError("characteristics crossed the whole grid: "
-                          f"shift {pad} with {n} nodes")
+    n, pad = g.n, abs(shift) + width
+    if max(abs(shift), width) >= n:
+        raise DomainError(f"characteristics crossed the whole grid of {n} nodes")
     z = _padded(f0.zeta, f0.far_field, pad)
     zt = _padded(f0.zeta_t, 0.0, pad)
     zx = _padded(centered_derivative(g, f0.zeta), 0.0, pad)
-    pref = _padded_prefix(f0.zeta_t, 0.0, g.dx, pad)
-    for row, m in enumerate(shifts):
-        hi, lo = slice(pad + m, pad + m + n), slice(pad - m, pad - m + n)
-        zeta[row] = 0.5 * (z[hi] + z[lo]) + (pref[hi] - pref[lo]) / (2.0 * c)
-        zeta_t[row] = 0.5 * c * (zx[hi] - zx[lo]) + 0.5 * (zt[hi] + zt[lo])
-
-
-def _padded_prefix(q: np.ndarray, q_ff: complex, dx: float, pad: int):
-    """Trapezoid prefix integrals of source levels along the last axis,
-    linearly extended by the far-field source value on both sides; q is one
-    level (n,) or a stack of them (k, n)."""
-    n = q.shape[-1]
-    out = np.empty(q.shape[:-1] + (n + 2 * pad,), dtype=complex)
-    out[..., :pad] = 0.0j - q_ff * dx * np.arange(pad, 0, -1)
-    out[..., pad] = 0.0
-    # cumsum accumulates each row in order, as it does a single level
-    np.cumsum(0.5 * (q[..., 1:] + q[..., :-1]) * dx, axis=-1,
-              out=out[..., pad + 1:pad + n])
-    out[..., pad + n:] = (out[..., pad + n - 1:pad + n]
-                          + q_ff * dx * np.arange(1, pad + 1))
-    return out
+    cells = _padded(0.5 * (f0.zeta_t[1:] + f0.zeta_t[:-1]) * g.dx, 0.0, pad)
+    pref = np.concatenate(([0.0], np.cumsum(cells)))
+    hi = slice(pad + shift - width, pad + shift + width + n)
+    lo = slice(pad - shift - width, pad - shift + width + n)
+    return (0.5 * (z[hi] + z[lo]) + (pref[hi] - pref[lo]) / (2.0 * c),
+            0.5 * c * (zx[hi] - zx[lo]) + 0.5 * (zt[hi] + zt[lo]))
 
 
 def _padded(q: np.ndarray, q_ff: complex, pad: int):
-    """Source levels, one (n,) or a stack (k, n), extended by pad far-field
-    values on both sides of the last axis."""
-    n = q.shape[-1]
-    out = np.empty(q.shape[:-1] + (n + 2 * pad,), dtype=q.dtype)
-    out[..., :pad] = out[..., pad + n:] = q_ff
-    out[..., pad:pad + n] = q
-    return out
+    """One level extended by pad far-field values on both sides."""
+    return np.concatenate((np.full(pad, q_ff, dtype=q.dtype), q,
+                           np.full(pad, q_ff, dtype=q.dtype)))
 
 
-def _cone_corrections(grid: Grid1D, levels: np.ndarray, source: Callable,
-                      q_ff: complex, c: float, dt: float,
-                      corr_z: np.ndarray, corr_zt: np.ndarray):
-    """Duhamel corrections at every level of a window, written into the
-    (m+1, n) arrays corr_z and corr_zt; level 0 is zero.
+class _Lattice:
+    """A window's levels marched on the lattice c dt = dx, in lines kept for
+    a solve with windows of up to m levels on n nodes.
 
-    The source at time level l (0..m) is source(levels[l]); it and its
-    padded prefix integral are built for _BLOCK levels at a time.
-    Trapezoid in time over levels, trapezoid in space over the cone through
-    prefix integrals, linear far-field extension outside the grid.  The sums
-    over l run along the characteristics, R_j[i] = R_{j-1}[i+1] + P_j[i] and
-    L_j[i] = L_{j-1}[i-1] + P_j[i] for the prefixes P and the sources Q, less
-    half the l = 0 and l = j terms: O(m n) time; besides the outputs it holds
-    one block of levels and O(n + m) running sums.
+    Level j >= 1 of zeta and of zeta_t follows the parallelogram rule
+      u_j[i] = u_{j-1}[i+1] + u_{j-1}[i-1] - u_{j-2}[i] - s_j[i]
+    from the start state (level 0) and its free d'Alembert level -1.  With
+    Q_l the source of level l, s_j = (dt^2/2) T_{j-1} for zeta, T_l[i] the
+    sum of Q_l's averages over the two cells by node i, and s_j = (dt/2)
+    (Q_j - Q_{j-2}) for zeta_t; off the grid Q_l and its cell averages are
+    q_ff.  At j = 1 the T_0 term halves and Q_{-1} = -(Q_0[i+1] +
+    Q_0[i-1])/2.  That is exactly d'Alembert plus the trapezoid Duhamel sum
+    over the backward cone: zeta_j reads sources of levels below j, zeta_t,j
+    up to j.  Lines are padded by m + 1 cells a side, as each level spoils
+    one more end cell; sources come _BLOCK levels at a time.
     """
-    m = levels.shape[0] - 1
-    n, dx, pad = grid.n, grid.dx, m
-    mid = slice(pad, pad + n)
-    corr_z[0] = corr_zt[0] = 0.0
-    for b in range(0, m + 1, _BLOCK):
-        q_block = source(levels[b:b + _BLOCK])
-        prefs = _padded_prefix(q_block, q_ff, dx, pad)
-        qs = _padded(q_block, q_ff, pad)
-        if b == 0:
-            p0, q0 = prefs[0].copy(), qs[0].copy()
-            rp, lp, rq, lq = p0.copy(), p0.copy(), q0.copy(), q0.copy()
-        for j in range(max(b, 1), b + len(q_block)):
-            p, q = prefs[j - b], qs[j - b]
-            # j shifts leave j stale end entries; pad = m keeps them off the grid
-            rp[:-1] = rp[1:] + p[:-1]
-            lp[1:] = lp[:-1] + p[1:]
-            rq[:-1] = rq[1:] + q[:-1]
-            lq[1:] = lq[:-1] + q[1:]
-            hi, lo = slice(pad + j, pad + j + n), slice(pad - j, pad - j + n)
-            corr_z[j] = -dt / (2.0 * c) * (rp[mid] - lp[mid] - 0.5 * (p0[hi] - p0[lo]))
-            corr_zt[j] = -dt / 2.0 * (rq[mid] + lq[mid] - 0.5 * (q0[hi] + q0[lo]) - q[mid])
+
+    def __init__(self, n: int, m: int, q_ff: complex, dt: float,
+                 source: Callable):
+        self.pad, self.q_ff, self.dt, self.source = m + 1, q_ff, dt, source
+        width, rows = n + 2 * self.pad, min(_BLOCK, m + 1)
+        # (seed, work) x (level 0, -1) x (zeta, zeta_t); level j -> row j % 2
+        self.lines = np.zeros((2, 2, 2, width), dtype=complex)
+        # a block's sources after those of the two levels before, its s_j
+        self.q = np.full((rows + 2, width), q_ff, dtype=complex)
+        self.src = np.zeros((rows, 2, width), dtype=complex)
+
+    def seed(self, f0: ComplexField, c: float):
+        """Start the window's marches at f0."""
+        self.lines[0, 0] = (_padded(f0.zeta, f0.far_field, self.pad),
+                            _padded(f0.zeta_t, 0.0, self.pad))
+        self.lines[0, 1, :, 1:-1] = _dalembert(f0, c, -1, self.pad - 1)
+
+    def march(self, hat_z: Optional[np.ndarray], new_z: np.ndarray,
+              new_zt: np.ndarray):
+        """Levels 0..m of one Picard iterate into the (m+1, n) arrays new_z
+        and new_zt, unpinned, over the sources of the levels hat_z; with
+        hat_z None, the free levels."""
+        (levels, n), pad, h = new_z.shape, self.pad, self.dt / 2.0
+        q, src, (seed, work) = self.q, self.src, self.lines
+        work[:] = seed
+        new_z[0], new_zt[0] = work[0, :, pad:pad + n]
+        if hat_z is None:
+            src[:] = 0.0
+        for b in range(0, levels, _BLOCK):
+            k = min(_BLOCK, levels - b)
+            if hat_z is not None:
+                q[:2] = q[-2:]
+                q[2:k + 2, pad:pad + n] = self.source(hat_z[b:b + k])
+                # twice the cell averages of the levels before the block's
+                cells = q[1:k + 1, 1:] + q[1:k + 1, :-1]
+                cells[:, pad - 1] = cells[:, pad + n - 1] = 2.0 * self.q_ff
+                np.multiply(cells[:, 1:] + cells[:, :-1], h * self.dt / 2.0,
+                            out=src[:k, 0, 1:-1])
+                np.multiply(q[2:k + 2] - q[:k], h, out=src[:k, 1])
+                if b == 0:
+                    src[1, 0] *= 0.5
+                    src[1, 1, 1:-1] = h * (q[3, 1:-1]
+                                           + 0.5 * (q[2, 2:] + q[2, :-2]))
+            for j in range(max(b, 1), b + k):
+                now, last = work[j % 2], work[(j - 1) % 2]
+                np.subtract(last[:, 2:], now[:, 1:-1], out=now[:, 1:-1])
+                now[:, 1:-1] += last[:, :-2]
+                now[:, 1:-1] -= src[j - b, :, 1:-1]
+                new_z[j], new_zt[j] = now[:, pad:pad + n]
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,10 @@ class SemilinearConfig:
     picard_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.c <= 0.0 or self.dt <= 0.0 or self.T_window <= 0.0:
-            raise ConfigError("c, dt, T_window must be positive")
+        if not (0.0 < self.c < math.inf and 0.0 < self.dt < math.inf
+                and self.T_window > 0.0):  # inf: one window for the run
+            raise ConfigError("c, dt must be positive and finite, "
+                              "T_window positive")
 
 
 def contraction_window(p: PotentialSpec, E: float, c: float = 1.0) -> float:
@@ -223,40 +224,35 @@ class SemilinearResult:
 
 
 def _window_iterate(grid: Grid1D, f0: ComplexField, p: PotentialSpec,
-                    cfg: SemilinearConfig, q_ff: complex, stacks: np.ndarray,
-                    w0: np.ndarray):
+                    cfg: SemilinearConfig, lattice: _Lattice,
+                    stacks: np.ndarray, w0: np.ndarray):
     """Picard-iterate one window from its free levels until
     fields.contraction_stop accepts the state_distance changes at
     cfg.picard_tol; returns the level arrays and the diffs.  A window still
     moving after _PICARD_MAX iterations raises NonContractionError
     (diff_norms: its diffs).
 
-    The window works in the six (m+1, n) complex stacks of `stacks`: the
-    free levels and two iterates, each as zeta and zeta_t, every iterate
-    written over the one before the current one.  W0(|zeta|) of the
-    current iterate is carried into the next distance in the two real
-    stacks of `w0`.  The cone and the distance work through _BLOCK levels
-    at a time.
+    An iterate is the lattice marched over the iterate before, ends then
+    pinned; the free levels are the march with no source.  The four (m+1, n)
+    complex stacks hold two iterates, each written over the one before the
+    current one, and the two real ones of `w0` carry W0(|zeta|) of the
+    current iterate into the next distance, taken _BLOCK levels at a time.
     """
     m = stacks.shape[1] - 1
-    base_z, base_zt = stacks[0], stacks[1]
-    buffers = (stacks[2], stacks[3]), (stacks[4], stacks[5])
+    buffers = (stacks[0], stacks[1]), (stacks[2], stacks[3])
     hat_w, new_w = w0
-    _free_levels(f0, cfg.c, range(m + 1), base_z, base_zt)
-    source = partial(source_term, p)
-    hat_z, hat_zt = base_z, base_zt
+    lattice.seed(f0, cfg.c)
+    hat_z, hat_zt = buffers[1]
+    lattice.march(None, hat_z, hat_zt)
     for b in range(0, m + 1, _BLOCK):
-        hat_w[b:b + _BLOCK] = p.eval_0(np.abs(base_z[b:b + _BLOCK]))
+        hat_w[b:b + _BLOCK] = p.eval_0(np.abs(hat_z[b:b + _BLOCK]))
     diffs: List[float] = []
     # level 0 carries no correction: once the first iterate has pinned its
     # ends it is the same in every iterate, so later distances skip it
     lo = 0
     for k in range(_PICARD_MAX):
         new_z, new_zt = buffers[k % 2]
-        _cone_corrections(grid, hat_z, source, q_ff, cfg.c, cfg.dt,
-                          new_z, new_zt)
-        new_z += base_z
-        new_zt += base_zt
+        lattice.march(hat_z, new_z, new_zt)
         # boundary pinned to the (equilibrium) far field
         new_z[:, 0] = new_z[:, -1] = f0.far_field
         new_zt[:, 0] = new_zt[:, -1] = 0.0
@@ -284,20 +280,20 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     """Evolve the state to t_final, a whole number of steps cfg.dt = dx/c
     (fields.step_count), through contraction windows.
 
-    Each window is solved as a fixed point of free wave + Duhamel correction;
-    the windows concatenate exactly because the step is grid aligned.  When
-    certified constants are supplied, sup|zeta| is checked against cE + 1e-6
-    at every accepted level (the pinning bound is an invariant of the true
-    flow, so tripping it means the configuration lied about its energy).
-    Energy reports carry totals each step and centered conservation residuals
-    away from the ends.
+    Each window is solved as a fixed point of free wave + Duhamel correction,
+    one lattice march per Picard iterate; the windows concatenate exactly
+    because the step is grid aligned.  When certified constants are
+    supplied, sup|zeta| is checked against cE + 1e-6 at every accepted level
+    (the pinning bound is an invariant of the true flow, so tripping it
+    means the configuration lied about its energy).  Energy reports carry
+    totals each step and centered conservation residuals away from the ends.
 
     `observer(field)` is called with the initial state and then with each
     accepted level, in time order, as a ComplexField that is never changed
     afterwards.
     """
     grid = f0.grid
-    # the cone sums move one cell per level, so c dt must be dx
+    # the lattice moves one cell per level, so c dt must be dx
     if abs(cfg.dt * cfg.c / grid.dx - 1.0) > 1e-9:
         raise ConfigError("dt must equal dx/c for grid-aligned transport")
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
@@ -305,7 +301,8 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
         raise ConfigError("far field must be an equilibrium of the potential "
                           f"(|g(far_field)| = {abs(q_ff):.3e})")
     total_steps = step_count(t_final, cfg.dt)
-    win = max(1, int(math.floor(cfg.T_window / cfg.dt + 1e-9)))
+    win = max(1, int(math.floor(min(cfg.T_window / cfg.dt + 1e-9,
+                                    total_steps))))
 
     bound = apriori.cE + 1e-6 if apriori is not None else None
 
@@ -329,18 +326,20 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     state = f0
     record_level(state.zeta, state.zeta_t, state.time)
 
-    # the windows' level stacks, kept for the whole solve; a shorter last
-    # window works in their leading levels
-    levels = min(win, total_steps) + 1
-    stacks = np.empty((6, levels, grid.n), dtype=complex)
+    # the windows' level stacks and lattice lines, kept for the whole
+    # solve; a shorter last window works in their leading levels
+    levels = win + 1
+    stacks = np.empty((4, levels, grid.n), dtype=complex)
     w0 = np.empty((2, levels, grid.n))
+    lattice = _Lattice(grid.n, levels - 1, q_ff, cfg.dt,
+                       partial(source_term, p))
     windows: List[List[float]] = []
     iterate_count = 0
     done = 0
     while done < total_steps:
         m = min(win, total_steps - done)
         hat_z, hat_zt, diffs = _window_iterate(
-            grid, state, p, cfg, q_ff, stacks[:, :m + 1], w0[:, :m + 1])
+            grid, state, p, cfg, lattice, stacks[:, :m + 1], w0[:, :m + 1])
         windows.append(diffs)
         iterate_count += len(diffs)
         for j in range(1, m + 1):

@@ -17,8 +17,7 @@ from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      reference_potential, source_term, state_distance,
                      zero_potential)
 from varwave import semilinear
-from varwave.semilinear import (_cone_corrections, _free_levels, _padded,
-                                _padded_prefix)
+from varwave.semilinear import _Lattice, _padded
 
 
 # --- source_term -------------------------------------------------------------
@@ -189,13 +188,19 @@ def test_free_wave_exact_on_aligned_shifts(case):
     zeta, zeta_t = _reference_free_wave(f0, c, m)
     assert fw.zeta.tobytes() == zeta.tobytes()
     assert fw.zeta_t.tobytes() == zeta_t.tobytes()
-    # the window's free levels are the free_wave calls, row for row
+    # the lattice's free march gives the free_wave levels: row for row up
+    # to level 1, up to rounding after
     base_z, base_zt = np.empty((2, m + 1, f0.grid.n), dtype=complex)
-    _free_levels(f0, c, range(m + 1), base_z, base_zt)
+    lattice = _Lattice(f0.grid.n, m, 0.0, dt, None)
+    lattice.seed(f0, c)
+    lattice.march(None, base_z, base_zt)
     for j in range(m + 1):
         fw = free_wave(f0, c, j * dt)
-        assert base_z[j].tobytes() == fw.zeta.tobytes()
-        assert base_zt[j].tobytes() == fw.zeta_t.tobytes()
+        for got, want in ((base_z[j], fw.zeta), (base_zt[j], fw.zeta_t)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert base_z[0].tobytes() == f0.zeta.tobytes()
+    assert base_zt[0].tobytes() == f0.zeta_t.tobytes()
 
 
 def test_free_wave_requires_aligned_time():
@@ -210,12 +215,19 @@ def test_free_wave_requires_aligned_time():
 # --- Duhamel cone corrections -----------------------------------------------
 
 
+def _lattice_corrections(g, levels, source, q_ff, dt, corr_z, corr_zt):
+    """The lattice march's Duhamel corrections at every level: the march
+    from the zero state over the sources of the given levels, unpinned."""
+    lattice = _Lattice(g.n, levels.shape[0] - 1, q_ff, dt, source)
+    lattice.march(levels, corr_z, corr_zt)
+
+
 def _duhamel_last(g, hist, p, c, dt, far_field=0.0 + 0.0j):
     """Cone corrections to (zeta, zeta_t) at the last level of a history."""
     q_ff = complex(source_term(p, np.asarray([far_field]))[0])
     corr_z, corr_zt = np.empty((2,) + hist.shape, dtype=complex)
-    _cone_corrections(g, hist, partial(source_term, p), q_ff, c, dt,
-                      corr_z, corr_zt)
+    _lattice_corrections(g, hist, partial(source_term, p), q_ff, dt,
+                         corr_z, corr_zt)
     return corr_z[-1], corr_zt[-1]
 
 
@@ -263,13 +275,24 @@ def test_duhamel_self_convergence_second_order():
     assert e_coarse / e_mid == pytest.approx(4.0, rel=0.4)
 
 
+def _concatenated_prefix(q, q_ff, dx, pad):
+    """The one-level trapezoid prefix integral, linearly extended by the
+    far-field source value on both sides, built by concatenation."""
+    pref = np.concatenate(([0.0 + 0.0j], np.cumsum(0.5 * (q[1:] + q[:-1]) * dx)))
+    left = pref[0] - q_ff * dx * np.arange(pad, 0, -1)
+    right = pref[-1] + q_ff * dx * np.arange(1, pad + 1)
+    return np.concatenate((left, pref, right))
+
+
 def _loop_cone_corrections(grid, levels, source, q_ff, c, dt, corr_z, corr_zt):
     """The O(m^2 n) cone sum: every (level j, source level l) pair summed
-    directly, trapezoid weights 1/2 at l = 0 and l = j."""
+    directly, trapezoid weights 1/2 at l = 0 and l = j, in space through
+    prefix integrals of the sources."""
     q_levels = source(levels)
     m, n = q_levels.shape[0] - 1, grid.n
     pad = m + 1
-    prefs = np.stack([_padded_prefix(q, q_ff, grid.dx, pad) for q in q_levels])
+    prefs = np.stack([_concatenated_prefix(q, q_ff, grid.dx, pad)
+                      for q in q_levels])
     qs = np.stack([_padded(q, q_ff, pad) for q in q_levels])
     corr_z[0] = corr_zt[0] = 0.0
     for j in range(1, m + 1):
@@ -300,7 +323,7 @@ def test_cone_running_sums_match_double_loop(n, m):
     # NaN-filled outputs: every entry, level 0 included, must be written
     got = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
     want = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
-    _cone_corrections(g, q, _identity, q_ff, c, g.dx / c, *got)
+    _lattice_corrections(g, q, _identity, q_ff, g.dx / c, *got)
     _loop_cone_corrections(g, q, _identity, q_ff, c, g.dx / c, *want)
     for new, loop in zip(got, want):
         assert np.all(new[0] == 0.0)
@@ -308,52 +331,66 @@ def test_cone_running_sums_match_double_loop(n, m):
         assert np.max(np.abs(new - loop)) <= 1e-12 * scale
 
 
-def _concatenated_prefix(q, q_ff, dx, pad):
-    """The one-level padded prefix built by concatenation."""
-    pref = np.concatenate(([0.0 + 0.0j], np.cumsum(0.5 * (q[1:] + q[:-1]) * dx)))
-    left = pref[0] - q_ff * dx * np.arange(pad, 0, -1)
-    right = pref[-1] + q_ff * dx * np.arange(1, pad + 1)
-    return np.concatenate((left, pref, right))
+def _all_levels_window_iterate(picard_map):
+    """A Picard window with fresh arrays for every iterate (the solver's
+    kept stacks go unused), the distance taken by state_distance over every
+    level 0..m, stopped by the solver's rule; picard_map(lattice, f0, cfg,
+    hat_z, m) gives an iterate's unpinned levels, the free levels for hat_z
+    None."""
+    def window_iterate(grid, f0, p, cfg, lattice, stacks, w0):
+        m = stacks.shape[1] - 1
+        hat_z, hat_zt = picard_map(lattice, f0, cfg, None, m)
+        diffs = []
+        for _ in range(semilinear._PICARD_MAX):
+            new_z, new_zt = picard_map(lattice, f0, cfg, hat_z, m)
+            new_z[:, 0] = new_z[:, -1] = f0.far_field
+            new_zt[:, 0] = new_zt[:, -1] = 0.0
+            diffs.append(float(np.max(state_distance(
+                grid, new_z, new_zt, hat_z, hat_zt, p))))
+            hat_z, hat_zt = new_z, new_zt
+            if semilinear.contraction_stop(diffs, cfg.picard_tol):
+                return hat_z, hat_zt, diffs
+        raise NonContractionError("window failed to contract",
+                                  diff_norms=diffs)
+    return window_iterate
 
 
-@pytest.mark.parametrize("pad", [0, 1, 7, 40])
-def test_padded_stacks_match_single_levels(pad):
-    rng = np.random.default_rng(pad)
-    q = rng.normal(size=(17, 33)) + 1j * rng.normal(size=(17, 33))
-    dx = 0.37
-    for q_ff in (0.0 + 0.0j, 0.3 - 0.7j):
-        prefs = _padded_prefix(q, q_ff, dx, pad)
-        padded = _padded(q, q_ff, pad)
-        assert prefs.shape == padded.shape == (17, 33 + 2 * pad)
-        for l in range(17):
-            one = _padded_prefix(q[l], q_ff, dx, pad)
-            assert prefs[l].tobytes() == one.tobytes()
-            assert one.tobytes() == _concatenated_prefix(q[l], q_ff, dx,
-                                                         pad).tobytes()
-            full = np.full(pad, q_ff, dtype=complex)
-            assert padded[l].tobytes() == _padded(q[l], q_ff, pad).tobytes()
-            assert padded[l].tobytes() == np.concatenate((full, q[l],
-                                                          full)).tobytes()
+def _marched_iterate(lattice, f0, cfg, hat_z, m):
+    """An iterate by the solver's lattice march, into fresh arrays."""
+    new_z, new_zt = np.empty((2, m + 1, f0.grid.n), dtype=complex)
+    lattice.seed(f0, cfg.c)
+    lattice.march(hat_z, new_z, new_zt)
+    return new_z, new_zt
+
+
+def _cone_iterate(p):
+    """An iterate as free_wave levels plus the double-loop cone sum."""
+    def iterate(lattice, f0, cfg, hat_z, m):
+        levels = [free_wave(f0, cfg.c, j * cfg.dt) for j in range(m + 1)]
+        new_z = np.stack([f.zeta for f in levels])
+        new_zt = np.stack([f.zeta_t for f in levels])
+        if hat_z is not None:
+            corr = np.empty((2, m + 1, f0.grid.n), dtype=complex)
+            _loop_cone_corrections(f0.grid, hat_z, partial(source_term, p),
+                                   lattice.q_ff, cfg.c, cfg.dt, *corr)
+            new_z += corr[0]
+            new_zt += corr[1]
+        return new_z, new_zt
+    return iterate
 
 
 def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
-    # 32-step windows: the cone's blocks of levels meet inside each window
+    # the lattice march against free_wave plus the double-loop cone sum;
+    # 32-step windows: the blocks of sources meet inside each window
     g = Grid1D(-8.0, 8.0, 257)
     zeta = 0.1 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
     cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=32 * g.dx)
     new = picard_solve(f0, p, cfg, 64 * g.dx)
-    loop_calls = []
-
-    def loop_cone(*args):
-        loop_calls.append(args[1].shape)
-        _loop_cone_corrections(*args)
-
-    monkeypatch.setattr(semilinear, "_cone_corrections", loop_cone)
+    monkeypatch.setattr(semilinear, "_window_iterate",
+                        _all_levels_window_iterate(_cone_iterate(p)))
     old = picard_solve(f0, p, cfg, 64 * g.dx)
-    assert loop_calls and all(s == (33, g.n) for s in loop_calls)
-    assert len(loop_calls) == old.trace.iterate_count
     for a, b in ((new.field.zeta, old.field.zeta),
                  (new.field.zeta_t, old.field.zeta_t)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -361,31 +398,6 @@ def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
     assert len(new.trace.diff_norms) == 2
     assert ([len(d) for d in new.trace.diff_norms]
             == [len(d) for d in old.trace.diff_norms])
-
-
-def _all_levels_window_iterate(grid, f0, p, cfg, q_ff, stacks, w0):
-    """The Picard window with fresh arrays for every iterate (the solver's
-    kept stacks go unused), the source evaluated on the whole stack, and
-    the distance taken by state_distance over every level 0..m, stopped by
-    the solver's rule."""
-    m = stacks.shape[1] - 1
-    base_z, base_zt = np.empty((2, m + 1, grid.n), dtype=complex)
-    _free_levels(f0, cfg.c, range(m + 1), base_z, base_zt)
-    hat_z, hat_zt = base_z.copy(), base_zt.copy()
-    diffs = []
-    for _ in range(semilinear._PICARD_MAX):
-        corr_z, corr_zt = np.zeros_like(base_z), np.zeros_like(base_zt)
-        _cone_corrections(grid, source_term(p, hat_z), _identity, q_ff,
-                          cfg.c, cfg.dt, corr_z, corr_zt)
-        new_z, new_zt = base_z + corr_z, base_zt + corr_zt
-        new_z[:, 0] = new_z[:, -1] = f0.far_field
-        new_zt[:, 0] = new_zt[:, -1] = 0.0
-        diffs.append(float(np.max(state_distance(
-            grid, new_z, new_zt, hat_z, hat_zt, p))))
-        hat_z, hat_zt = new_z, new_zt
-        if semilinear.contraction_stop(diffs, cfg.picard_tol):
-            return hat_z, hat_zt, diffs
-    raise NonContractionError("window failed to contract", diff_norms=diffs)
 
 
 @pytest.mark.parametrize("amp, width, c, window_steps, steps, windows", [
@@ -407,7 +419,7 @@ def test_picard_distance_without_fixed_level_matches_all_levels(
     cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=window_steps * g.dx / c)
     new = picard_solve(f0, p, cfg, steps * g.dx / c)
     monkeypatch.setattr(semilinear, "_window_iterate",
-                        _all_levels_window_iterate)
+                        _all_levels_window_iterate(_marched_iterate))
     old = picard_solve(f0, p, cfg, steps * g.dx / c)
     assert len(new.trace.diff_norms) == windows
     assert new.trace.diff_norms == old.trace.diff_norms
@@ -415,7 +427,73 @@ def test_picard_distance_without_fixed_level_matches_all_levels(
     assert np.array_equal(new.field.zeta_t, old.field.zeta_t)
 
 
-def test_window_holds_at_most_ten_level_stacks():
+def _lattice_iterates(f0, p, m, count):
+    """Iterates 0..count-1 of an m-level window's Picard map, each as a
+    (zeta, zeta_t) stack of levels; as in the solver, iterate 0 is the free
+    march and every later iterate has its ends pinned."""
+    g = f0.grid
+    lattice = _Lattice(g.n, m, 0.0, g.dx, partial(source_term, p))
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx)
+    iterates = [np.stack(_marched_iterate(lattice, f0, cfg, None, m))]
+    for _ in range(1, count):
+        new = np.stack(_marched_iterate(lattice, f0, cfg, iterates[-1][0], m))
+        new[0, :, 0] = new[0, :, -1] = f0.far_field
+        new[1, :, 0] = new[1, :, -1] = 0.0
+        iterates.append(new)
+    return iterates
+
+
+def test_window_iterates_settle_one_level_per_iterate():
+    # iterate k's zeta level j reads the sources of iterate k-1's levels
+    # below j, its zeta_t level j those up to j: so iterate k has its final
+    # zeta on levels 0..k and zeta_t on 0..k-1, and iterate m+1 is the
+    # fixed point.  The start state's ends sit at the far field, so the
+    # pinning leaves level 0 of every iterate alike.
+    g = Grid1D(-8.0, 8.0, 129)
+    m = 8
+    zeta = 0.3 * np.exp(-g.nodes ** 2)
+    zeta[0] = zeta[-1] = 0.0
+    f0 = ComplexField(g, zeta.astype(complex), 0.2j * np.exp(-g.nodes ** 2))
+    p = ensure_valid(reference_potential())
+    iterates = _lattice_iterates(f0, p, m, m + 3)
+    final = iterates[m + 1]
+    scale = np.max(np.abs(final), axis=(1, 2))
+
+    def off(a, b, which, levels):
+        return np.max(np.abs(a[which, levels] - b[which, levels])) / scale[which]
+
+    # and no further: the next level still moves
+    for k in range(m + 1):
+        assert off(iterates[k], final, 0, slice(0, k + 1)) <= 1e-15
+        if k < m:
+            assert off(iterates[k], final, 0, slice(k + 1, k + 2)) > 1e-10
+        if k > 0:
+            assert off(iterates[k], final, 1, slice(0, k)) <= 1e-15
+            assert off(iterates[k], final, 1, slice(k, k + 1)) > 1e-10
+    assert off(iterates[m + 2], final, 0, slice(None)) <= 1e-15
+    assert off(iterates[m + 2], final, 1, slice(None)) <= 1e-15
+
+
+def test_picard_window_stops_within_its_tolerance_of_the_fixed_point():
+    # the fixed point of an m-level window is its iterate m+1; picard_solve
+    # stops before it, within picard_tol in state_distance at every level
+    g = Grid1D(-8.0, 8.0, 129)
+    m = 8
+    zeta = 0.1 * np.exp(-g.nodes ** 2)
+    zeta[0] = zeta[-1] = 0.0
+    f0 = ComplexField(g, zeta.astype(complex), 0.05j * np.exp(-g.nodes ** 2))
+    p = ensure_valid(reference_potential())
+    final = _lattice_iterates(f0, p, m, m + 2)[-1]
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx)
+    levels = []
+    res = picard_solve(f0, p, cfg, m * g.dx, observer=levels.append)
+    assert res.trace.iterate_count < m + 1
+    dist = state_distance(g, np.stack([f.zeta for f in levels]),
+                          np.stack([f.zeta_t for f in levels]), *final, p)
+    assert 0.0 < np.max(dist) <= cfg.picard_tol
+
+
+def test_window_holds_at_most_eight_level_stacks():
     # numpy reports its buffers to tracemalloc, so the peak is the arrays'
     # own bytes, whatever the allocator does with them
     import tracemalloc
@@ -435,7 +513,9 @@ def test_window_holds_at_most_ten_level_stacks():
         tracemalloc.stop()
     assert len(res.trace.diff_norms) == 1 and res.trace.iterate_count >= 3
     stack = (m + 1) * g.n * 16
-    assert (peak - before) / stack <= 10.0
+    # four complex stacks, two real ones and the lattice's lines: a return
+    # to the six complex stacks of free levels plus iterates would not fit
+    assert (peak - before) / stack <= 8.0
 
 
 # --- contraction_window ------------------------------------------------------
@@ -589,6 +669,28 @@ def test_picard_refuses_a_non_positive_t_final():
         with pytest.raises(ConfigError, match="must be positive"):
             picard_solve(f0, ensure_valid(reference_potential()), cfg,
                          t_final)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", math.nan), ("c", math.inf), ("dt", math.nan), ("dt", math.inf),
+    ("T_window", math.nan), ("c", 0.0), ("dt", -1.0), ("T_window", 0.0)])
+def test_semilinear_config_refuses_values_it_cannot_run(field, value):
+    kwargs = dict(c=1.0, dt=0.0625, T_window=0.25)
+    kwargs[field] = value
+    with pytest.raises(ConfigError):
+        SemilinearConfig(**kwargs)
+
+
+def test_picard_unbounded_window_is_one_window_over_the_run():
+    g, f0, _ = _solve_setup(amp=0.1)
+    p = ensure_valid(reference_potential())
+    T = 16 * g.dx
+    runs = [picard_solve(f0, p, SemilinearConfig(c=1.0, dt=g.dx, T_window=w), T)
+            for w in (math.inf, T)]
+    assert [len(r.trace.diff_norms) for r in runs] == [1, 1]
+    assert runs[0].trace.diff_norms == runs[1].trace.diff_norms
+    assert runs[0].field.zeta.tobytes() == runs[1].field.zeta.tobytes()
+    assert runs[0].field.zeta_t.tobytes() == runs[1].field.zeta_t.tobytes()
 
 
 def test_picard_enforces_aligned_step_and_equilibrium_far_field():
