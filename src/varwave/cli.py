@@ -285,8 +285,8 @@ def _cmd_run_quasilinear(cfg: RunConfig, args) -> int:
                                            np.zeros(grid.n), ws,
                                            far_field=(psi_base, s_base))
 
-    # the step taken never exceeds the one asked for, so a cfl within
-    # advance's limit stays within it
+    # the step taken never exceeds the one asked for, so a cfl of at most
+    # advance's 4 cells of foot travel passes its gate
     steps, dt = fit_steps(t_final, cfg.time.get(
         "dt", cfg.time.get("cfl", 0.8) * grid.dx / ws.c_max))
 

@@ -27,16 +27,18 @@ accepted level certifies that its linearization was taken inside the
 contraction regime, and the first step that fails ends the run.
 
 Both families in one pass: the six fields live in one (6, n) array, the
-two families' queries form one set of 2n points, and a step builds 2
+two families' queries form one set of 2n points, and a pass builds 2
 stencils, the midpoints sampling all six fields in one call and the feet
 the four Riemann fields in one call, and makes one rhs_sources call.
 
-A run may solve in the frame y = x - V t moving at V
-(QuasilinearConfig.frame_speed): the families then move at +c - V and
--c - V relative to the grid, psi and s at -V, and the grid follows a packet
-moving at about V instead of covering its whole path.  Each step samples
-the departure primitives once more, at the nodes shifted by V dt, with a
-stencil cached per grid and V dt.  V = 0 is the fixed frame, bit for bit.
+Every run solves in the frame y = x - V t moving at V
+(QuasilinearConfig.frame_speed; V = 0, the default, is the fixed frame):
+the families move at +c - V and -c - V relative to the grid, psi and s at
+-V, and the grid follows a packet moving at about V instead of covering its
+whole path.  Each step samples the departure primitives once more, at the
+nodes shifted by V dt, with a stencil cached per grid and V dt (at V = 0,
+the rows themselves, bit for bit), and one entry gate holds in every
+frame: a foot travels at most _FOOT_CELLS cells per step.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ __all__ = [
 
 _S_FLOOR = 1e-12
 _FIXPOINT_MAX = 40  # fixed-point passes per step before the step fails
-_CFL_LIMIT = 0.9  # largest dt * c_max / dx that advance accepts, fixed frame
 # largest (c_max + |V|) dt / dx, the cells a foot may travel in one step,
 # that advance accepts in a frame moving at V: the four-point stencil's width
 _FOOT_CELLS = 4.0
@@ -158,19 +159,23 @@ class PolarState:
                    omega, r, time=time, far_field=far_field)
 
 
-def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
-    """max(sup|U|, sup|centered_derivative(grid, U)|) along the last axis,
-    without building the derivative: dividing by the positive 2 dx after
-    the max gives the same number, and the ends use np.gradient's
-    second-order coefficients."""
+def _derivative_sup(grid: Grid1D, U: np.ndarray) -> float:
+    """sup|centered_derivative(grid, U)| along the last axis, without
+    building the derivative: dividing by the positive 2 dx after the max
+    gives the same number, and the ends use np.gradient's second-order
+    coefficients."""
     dx = grid.dx
     ends = ((-1.5 / dx) * U[..., 0] + (2.0 / dx) * U[..., 1]
             + (-0.5 / dx) * U[..., 2],
             (0.5 / dx) * U[..., -3] + (-2.0 / dx) * U[..., -2]
             + (1.5 / dx) * U[..., -1])
-    return max(float(np.max(np.abs(U))),
-               float(np.max(np.abs(U[..., 2:] - U[..., :-2]))) / (2.0 * dx),
+    return max(float(np.max(np.abs(U[..., 2:] - U[..., :-2]))) / (2.0 * dx),
                float(np.max(np.abs(ends))))
+
+
+def _w1_sup(grid: Grid1D, U: np.ndarray) -> float:
+    """max(sup|U|, sup|centered_derivative(grid, U)|) along the last axis."""
+    return max(float(np.max(np.abs(U))), _derivative_sup(grid, U))
 
 
 def rhs_sources(p: PotentialSpec, cp_over_c, s, phi, v, omega, r):
@@ -221,8 +226,9 @@ def _drift_stencil(grid: Grid1D, shift: float):
 def _drifted_rows(state: PolarState, shift: float) -> np.ndarray:
     """Rows (psi, s, phi, v) of state at the nodes shifted by shift = V dt,
     the far field beyond the grid: the departure values of the primitives'
-    ODEs in the frame moving at V.  They depend only on the departure level,
-    so a fixed point computes them once per step."""
+    ODEs in the frame moving at V (at shift 0, state.U[:4] bit for bit).
+    They depend only on the departure level, so a fixed point computes them
+    once per step."""
     far = np.array(state.far[:4])[:, None]
     return _drift_stencil(state.grid, shift).apply(state.U[:4], fill=far)
 
@@ -248,25 +254,21 @@ def transport_step(state: PolarState, p: PotentialSpec, ws: WaveSpeed, dt: float
     midpoint state at once, the foot stencil the four rows (phi, v, omega, r)
     of the departure state that the Riemann updates read.
 
-    In the moving frame the families travel at +c - V and -c - V, so the
-    half points shift by V dt / 2 and the feet by V dt; psi and s ride
+    In the frame moving at V the families travel at +c - V and -c - V, so
+    the half points shift by V dt / 2 and the feet by V dt; psi and s ride
     dy/dt = -V, so their ODEs start from the departure rows at the nodes
     shifted by V dt (`drifted`: the rows (psi, s, phi, v) there, from
-    _drifted_rows; a step with V dt != 0 raises ValueError without them).
-    The Riemann updates and the sources do not change.  V = 0 takes none of
-    this: 2 stencils, and the same bits as a step that knows no frame.
+    _drifted_rows, which the step samples itself when it is not given).
+    The Riemann updates and the sources do not change.  At V = 0 the
+    shifts vanish and the drifted rows are the departure rows, so the step
+    keeps the bits of a step that knows no frame.
     """
     g = state.grid
     mid = frozen_mid if frozen_mid is not None else state
     end = frozen_end if frozen_end is not None else state
     far = np.array(state.far)[:, None]
     shift = frame_speed * dt
-    if shift == 0.0:
-        dep0 = state.U
-    elif drifted is None:
-        raise ValueError("a step in a moving frame needs the drifted rows")
-    else:
-        dep0 = drifted
+    dep0 = drifted if drifted is not None else _drifted_rows(state, shift)
     x_half, x_foot, sign = _family_queries(g, shift)
 
     # feet, RK2 through frozen angles; the frozen midpoint state sampled at
@@ -319,8 +321,10 @@ class QuasilinearConfig:
     frame_speed: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not 0.0 <= self.fixpoint_tol < math.inf:
+            raise ConfigError("fixpoint_tol must be nonnegative and finite")
         if not math.isfinite(self.frame_speed):
             raise ConfigError("frame_speed must be finite")
 
@@ -357,10 +361,11 @@ def _measure(st: PolarState, p: PotentialSpec, ws: WaveSpeed):
     densities (E, F, c2F, EmW), the total energy, the budget norm
     max(W^{1,inf} norm, sup 1/s), and the gradient sup of phi, v, omega, r."""
     dens = energy_density_polar(*st.U, p, ws)
-    dU = np.abs(centered_derivative(st.grid, st.U))
-    norm = max(float(np.max(np.abs(st.U))), float(np.max(dU)),
-               float(np.max(1.0 / st.s)))
-    return dens, float(integrate(st.grid, dens[0])), norm, float(np.max(dU[2:]))
+    # rows (psi, s) and (phi, v, omega, r) apart: w2_sup reads the second
+    grad_sup = _derivative_sup(st.grid, st.U[2:])
+    norm = max(float(np.max(np.abs(st.U))), float(np.max(1.0 / st.s)),
+               _derivative_sup(st.grid, st.U[:2]), grad_sup)
+    return dens, float(integrate(st.grid, dens[0])), norm, grad_sup
 
 
 def resolve_budgets(U0: PolarState, p: PotentialSpec, ws: WaveSpeed,
@@ -396,7 +401,7 @@ def fixpoint_solve(x: PolarState, y0: PolarState, p: PotentialSpec,
     max(W^{1,inf}, sup 1/s) and the gradient sup of phi, v, omega, r.
     """
     V, y, diffs = cfg.frame_speed, y0, []
-    drifted = _drifted_rows(x, V * cfg.dt) if V != 0.0 else None
+    drifted = _drifted_rows(x, V * cfg.dt)
     for _ in range(_FIXPOINT_MAX):
         y_new = transport_step(x, p, ws, cfg.dt,
                                frozen_mid=_average_state(x, y), frozen_end=y,
@@ -454,29 +459,23 @@ def advance(state: PolarState, p: PotentialSpec, ws: WaveSpeed,
     accepted level, in time order; the solver never changes a PolarState
     after handing it over.
 
-    Entry gates, checked before any step.  In the fixed frame (V = 0)
-    dt <= 0.9 dx / c_max (_CFL_LIMIT, which time.cfl mirrors).  In a frame
-    moving at V != 0 the speeds relative to the grid reach c_max + |V|, and
-    the gate bounds the cells a foot travels in one step instead:
-    (c_max + |V|) dt / dx <= 4 (_FOOT_CELLS, the four-point stencil's
-    width).  The contraction check alone cannot replace it: on the
-    epsilon sweep's inputs steps of dt = 25.6 dx / c_max, whose feet
+    One entry gate, checked before any step and the same in every frame:
+    relative to the grid the speeds reach c_max + |V|, and a foot may
+    travel at most (c_max + |V|) dt / dx <= 4 cells in one step
+    (_FOOT_CELLS, the four-point stencil's width; in the fixed frame,
+    dt <= 4 dx / c_max).  The contraction check alone cannot replace it: on
+    the epsilon sweep's inputs steps of dt = 25.6 dx / c_max, whose feet
     travel about 48 cells, still contract.  The sweep steps at
     dt = 1.6 dx / c_max with V = c0 <= c_max, so its feet travel at most
     3.2 cells, and its passes contract by a factor below 0.05.
     """
     grid, V = state.grid, cfg.frame_speed
-    if V == 0.0:
-        if cfg.dt > _CFL_LIMIT * grid.dx / ws.c_max + 1e-15:
-            raise ConfigError(
-                f"dt = {cfg.dt:.3e} exceeds {_CFL_LIMIT} * dx / c_max "
-                f"= {_CFL_LIMIT * grid.dx / ws.c_max:.3e}")
-    elif cfg.dt > _FOOT_CELLS * grid.dx / (ws.c_max + abs(V)) + 1e-15:
+    dt_max = _FOOT_CELLS * grid.dx / (ws.c_max + abs(V))
+    if cfg.dt > dt_max + 1e-15:
         raise ConfigError(
             f"dt = {cfg.dt:.3e} exceeds {_FOOT_CELLS} * dx / (c_max + |V|) "
-            f"= {_FOOT_CELLS * grid.dx / (ws.c_max + abs(V)):.3e}: a foot "
-            f"would travel more than {_FOOT_CELLS} cells per step in the "
-            f"frame moving at V = {V:.6g}")
+            f"= {dt_max:.3e}: a foot would travel more than {_FOOT_CELLS} "
+            f"cells per step in the frame moving at V = {V:.6g}")
     state.check()
     s_inf = state.far_field[1]
     if abs(float(p.eval_1(np.asarray([s_inf]))[0])) > 1e-8:

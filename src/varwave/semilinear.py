@@ -186,6 +186,8 @@ class SemilinearConfig:
                 and self.T_window > 0.0):  # inf: one window for the run
             raise ConfigError("c, dt must be positive and finite, "
                               "T_window positive")
+        if not 0.0 <= self.picard_tol < math.inf:
+            raise ConfigError("picard_tol must be nonnegative and finite")
 
 
 def contraction_window(p: PotentialSpec, E: float, c: float = 1.0) -> float:

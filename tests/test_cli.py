@@ -391,7 +391,7 @@ def test_quasilinear_run_writes_artifacts(tmp_path):
 
 def test_quasilinear_default_step_is_within_the_cfl_limit(tmp_path, capsys):
     # a bump that does not reach the largest speed sqrt(max(K1, K3)): the
-    # default step must still satisfy advance's dt <= 0.9 dx / c_max
+    # default step is still 0.8 dx / c_max for that largest speed
     out = tmp_path / "runq"
     cfg = _write_config(tmp_path, {
         "solver": "quasilinear",
@@ -411,6 +411,36 @@ def test_quasilinear_default_step_is_within_the_cfl_limit(tmp_path, capsys):
     dx, c_max = 16.0 / 256, 2.0
     assert t[1] - t[0] <= 0.8 * dx / c_max
     assert t[-1] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("cfl, code", [(4.0, 0), (4.5, 2)])
+def test_quasilinear_cfl_is_gated_by_the_foot_travel(tmp_path, capsys, cfl,
+                                                     code):
+    # time.cfl has no ceiling of its own: advance refuses a step whose feet
+    # travel more than 4 cells, before any step and before anything is
+    # written; t_final is 9 steps at cfl 4 and 8 at cfl 4.5, so fit_steps
+    # takes the step asked for (dx = 1/8, c_max = 2)
+    out = tmp_path / "runq"
+    cfg = _write_config(tmp_path, {
+        "solver": "quasilinear",
+        "potential": {"name": "flat4", "params": {"s0": 0.5}},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 129},
+        "wave_speed": {"K1": 4.0, "K3": 1.0},
+        "time": {"t_final": 2.25, "cfl": cfl},
+        "initial_data": {"family": "gaussian", "psi_amplitude": 0.1,
+                         "width": 1.0},
+        "outputs": {"snapshot_times": [2.25], "out_dir": str(out)},
+    })
+    assert main(["run-quasilinear", "--config", cfg, "--quiet"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        rows = (out / "energy.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10 and (out / "snapshot_0000.csv").exists()
+    else:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "cells per step" in err
+        assert not out.exists()
+
 
 # --- marker runs -------------------------------------------------------------
 

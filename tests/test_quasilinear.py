@@ -8,7 +8,8 @@ import pytest
 
 from varwave import (AprioriViolationError, ConfigError, DegeneracyError,
                      Grid1D, NonContractionError, PolarState,
-                     QuasilinearConfig, StateEscapeError, advance,
+                     QuasilinearConfig, SemilinearConfig,
+                     StateEscapeError, advance,
                      centered_derivative, energy_density_polar, ensure_valid,
                      fit_order, flat_point_potential, integrate,
                      interpolate, read_polar_snapshot_csv,
@@ -638,9 +639,19 @@ def test_w1_sup_matches_materialized_derivative(n):
         U[2, edge] = 1.0
         stacks.append(U)
     for U in stacks:
-        want = max(float(np.max(np.abs(U))),
-                   float(np.max(np.abs(centered_derivative(g, U)))))
-        assert ql._w1_sup(g, U) == want
+        dU = float(np.max(np.abs(centered_derivative(g, U))))
+        assert ql._derivative_sup(g, U) == dU
+        assert ql._w1_sup(g, U) == max(float(np.max(np.abs(U))), dU)
+    # _measure's budget norm and gradient sup, on states with s in (0, 1)
+    p, ws = flat_point_potential(0.5), wave_speed(2.0, 1.0)
+    for U in [U for U in stacks if U.shape == (6, n)]:
+        st = PolarState(g, *U)
+        st.s = 0.5 + 0.4 * np.tanh(st.s)
+        dU = np.abs(centered_derivative(g, st.U))
+        _, _, norm, grad_sup = ql._measure(st, p, ws)
+        assert norm == max(float(np.max(np.abs(st.U))), float(np.max(dU)),
+                           float(np.max(1.0 / st.s)))
+        assert grad_sup == float(np.max(dU[2:]))
 
 
 def test_resolve_budgets_defaults_double_initial_values():
@@ -687,7 +698,9 @@ def _twelve_step_run(observer=None):
 
 def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
     # both characteristic families go through one stacked query set; the
-    # midpoints sample all six rows, the feet the four the Riemann updates read
+    # midpoints sample all six rows, the feet the four the Riemann updates
+    # read; each step first samples the four departure primitives' rows at
+    # the drifted nodes, through one stencil cached for the run's grid and dt
     import varwave.quasilinear as ql
     from varwave.fields import Stencil
     calls = {"step": 0, "stencil": 0, "sources": 0}
@@ -710,11 +723,15 @@ def test_transport_step_builds_two_stencils_and_one_source_call(monkeypatch):
     monkeypatch.setattr(ql, "rhs_sources",
                         counting("sources", ql.rhs_sources))
     monkeypatch.setattr(Stencil, "apply", recording)
-    _twelve_step_run()
+    ql._drift_stencil.cache_clear()
+    *_, res = _twelve_step_run()
     assert calls["step"] > 0
-    assert calls["stencil"] == 2 * calls["step"]
+    assert calls["stencil"] == 2 * calls["step"] + 1
     assert calls["sources"] == calls["step"]
-    assert rows == [6, 4] * calls["step"]
+    want = []
+    for t in res.traces:
+        want += [4] + [6, 4] * len(t.diff_norms)
+    assert rows == want
 
 
 def test_advance_evaluates_each_level_energy_once(monkeypatch):
@@ -762,13 +779,42 @@ def test_advance_conservation_residuals_refine():
     assert fit_order(pairs) >= 0.8
 
 
+def test_fixed_frame_time_error_is_second_order_up_to_the_gate():
+    # the fixed frame steps at any CFL number within the 4-cell gate: against
+    # a run at CFL 0.1, measured sup errors 4.2e-5, 1.7e-4 and 6.0e-4 at CFL
+    # 0.8, 1.6 and 3.2, and a run at CFL 4 (six steps of 3.8 cells each)
+    # contracts on every step and lands 1.1e-3 from the reference
+    g = Grid1D(-8.0, 8.0, 257)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    T = 1.0
+
+    def run(cfl):
+        steps = math.ceil(T / (cfl * g.dx / ws.c_max) - 1e-9)
+        return advance(_bump_state(g, ws), p, ws,
+                       QuasilinearConfig(dt=T / steps), T)
+
+    ref = run(0.1).state.U
+    pairs = []
+    for cfl in (0.8, 1.6, 3.2):
+        res = run(cfl)
+        pairs.append((T / len(res.traces),
+                      float(np.max(np.abs(res.state.U - ref)))))
+    assert pairs[0][1] < 1e-4
+    assert fit_order(pairs) >= 1.8
+    at_gate = run(4.0)
+    assert len(at_gate.traces) == 6 and at_gate.achieved_T == T
+    assert float(np.max(np.abs(at_gate.state.U - ref))) < 2e-3
+
+
 def test_advance_entry_validation():
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    with pytest.raises(ConfigError, match="dx"):
-        advance(st, p, ws, QuasilinearConfig(dt=g.dx), 0.2)
+    # dt = 3 dx moves a foot 3 c_max = 4.2 cells per step
+    with pytest.raises(ConfigError, match="cells per step"):
+        advance(st, p, ws, QuasilinearConfig(dt=3.0 * g.dx), 0.3)
     cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max)
     with pytest.raises(ConfigError, match="whole number"):
         advance(st, p, ws, cfg, 10.37 * cfg.dt)
@@ -785,18 +831,17 @@ def test_advance_entry_validation():
 # --- moving frame ------------------------------------------------------------
 
 
-def test_moving_frame_gate_bounds_the_foot_travel(monkeypatch):
-    # in a frame moving at V the gate is (c_max + |V|) dt / dx <= 4 cells,
-    # checked before any step; the fixed frame's 0.9 dx / c_max does not
-    # apply there
+@pytest.mark.parametrize("V", [1.1, 0.0, 1e-300])
+def test_moving_frame_gate_bounds_the_foot_travel(monkeypatch, V):
+    # in every frame, the fixed one included, the gate is
+    # (c_max + |V|) dt / dx <= 4 cells, checked before any step; it is
+    # continuous in V, so V = 0 and V = 1e-300 share one bound
     import varwave.quasilinear as ql
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
-    V = 1.1
     limit = ql._FOOT_CELLS * g.dx / (ws.c_max + V)
-    assert limit > ql._CFL_LIMIT * g.dx / ws.c_max
     out = advance(st, p, ws, QuasilinearConfig(dt=limit, frame_speed=V),
                   2 * limit)
     assert len(out.traces) == 2
@@ -841,7 +886,9 @@ def test_fixed_frame_levels_match_the_per_field_reference_bitwise(
 
     def reference(state, p, ws, dt, frozen_mid=None, frozen_end=None,
                   frame_speed=0.0, drifted=None):
-        assert frame_speed == 0.0 and drifted is None
+        # the drifted rows of the fixed frame are the departure rows
+        assert frame_speed == 0.0
+        assert drifted.tobytes() == state.U[:4].tobytes()
         U = _reference_transport_step(state, p, ws, dt, frozen_mid,
                                       frozen_end)
         return PolarState(state.grid, *U, time=state.time + dt,
@@ -902,24 +949,44 @@ def test_moving_frame_step_samples_the_departure_primitives_once(monkeypatch):
     assert rows == want
 
 
-def test_moving_frame_step_needs_the_drifted_rows():
+def test_moving_frame_step_samples_the_drifted_rows_itself():
+    # without the drifted rows a step samples them itself, to the same bits
     import varwave.quasilinear as ql
     g = Grid1D(-8.0, 8.0, 129)
     ws = wave_speed(2.0, 1.0)
     st = _bump_state(g, ws)
+    st.phi = 0.05 * np.sin(g.nodes)
     dt, V = 0.8 * g.dx / ws.c_max, 1.1
     p = flat_point_potential(0.5)
-    with pytest.raises(ValueError, match="drifted"):
-        transport_step(st, p, ws, dt, frame_speed=V)
-    out = transport_step(st, p, ws, dt, frame_speed=V,
-                         drifted=ql._drifted_rows(st, V * dt))
-    assert out.time == st.time + dt
+    out = transport_step(st, p, ws, dt, frame_speed=V)
+    given = transport_step(st, p, ws, dt, frame_speed=V,
+                           drifted=ql._drifted_rows(st, V * dt))
+    assert out.U.tobytes() == given.U.tobytes()
+    assert out.time == given.time == st.time + dt
 
 
 def test_config_rejects_non_finite_frame_speed():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="frame_speed"):
             QuasilinearConfig(dt=0.01, frame_speed=bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (QuasilinearConfig, "fixpoint_tol"), (QuasilinearConfig, "dt"),
+    (SemilinearConfig, "picard_tol")])
+def test_solver_configs_refuse_steps_and_tolerances_they_cannot_run(
+        cls, field, value):
+    # a NaN or negative tolerance never stops a fixed point, which then runs
+    # all its passes and raises NonContractionError, and inf stops one after
+    # its first pass unchecked; zero stays allowed, the way to force that
+    # last-pass path
+    kwargs = (dict(dt=0.01) if cls is QuasilinearConfig
+              else dict(c=1.0, dt=0.0625, T_window=0.25))
+    if field != "dt":
+        cls(**{**kwargs, field: 0.0})
+    with pytest.raises(ConfigError, match=field):
+        cls(**{**kwargs, field: value})
 
 
 # --- polar snapshots ---------------------------------------------------------
