@@ -38,8 +38,8 @@ from .quasilinear import (FixpointTrace, PolarState, QuasilinearConfig,
                           resolve_budgets, rhs_sources, transport_step,
                           write_polar_snapshot_csv)
 from .semilinear import (PicardTrace, SemilinearConfig, SemilinearResult,
-                         contraction_window, free_wave, picard_solve,
-                         source_term)
+                         contraction_window, free_wave, picard_iterates,
+                         picard_solve, source_term)
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,7 @@ __all__ = [
     "conservation_residuals", "fit_order", "write_energy_csv", "ENERGY_HEADER",
     # semilinear
     "SemilinearConfig", "SemilinearResult", "PicardTrace", "free_wave",
-    "picard_solve", "contraction_window", "source_term",
+    "picard_solve", "picard_iterates", "contraction_window", "source_term",
     # profiles
     "Profile", "gaussian", "sine_packet", "bump_slope", "constant",
     "make_profile",

@@ -252,7 +252,7 @@ def _cmd_run_semilinear(cfg: RunConfig, args) -> int:
                       t_final)
     if not args.quiet:
         print(f"semilinear run reached t = {t_final:g} "
-              f"({result.trace.iterate_count} contraction iterations)")
+              f"({len(result.trace.diff_norms)} windows)")
     return 0
 
 

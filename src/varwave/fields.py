@@ -5,8 +5,8 @@ Everything downstream (both wave solvers, the marker resampler, the
 diagnostics) flows through these primitives, so their contracts are narrow
 and heavily tested: cubic interpolation is exact on cubics and at nodes,
 quadrature is the whole-grid trapezoid rule along the last axis,
-state_distance is the solution-space metric of the semilinear fixed-point
-solver, and step_count / fit_steps are the one rule by which every solver,
+state_distance is the solution-space metric of the semilinear Picard
+iteration, and step_count / fit_steps are the one rule by which every solver,
 the CLI and the epsilon sweep turn a duration into whole steps.
 """
 
@@ -89,13 +89,15 @@ def step_count(t: float, dt: float) -> int:
 
 
 def fit_steps(t: float, dt_max: float) -> tuple[int, float]:
-    """(steps, t / steps) for the fewest equal steps of t no longer than
-    dt_max, to 1e-9 of a step; ConfigError when t / dt_max is not finite."""
+    """(steps, dt) for the fewest equal steps dt <= dt_max that make up t
+    by step_count's rule: dt = t / steps, or dt_max when t overruns
+    steps * dt_max by at most 1e-9 of a step; ConfigError when t / dt_max
+    is not finite."""
     ratio = t / dt_max
     if not math.isfinite(ratio):
         raise ConfigError(f"time / dt = {t} / {dt_max} must be finite")
     steps = max(1, math.ceil(ratio - 1e-9))
-    return steps, t / steps
+    return steps, min(t / steps, dt_max)
 
 
 @dataclass(frozen=True)
@@ -260,25 +262,13 @@ def state_distance(grid: Grid1D, zeta1, zeta_t1, zeta2, zeta_t2, p):
 
     Sup and L^2 norms of the differences of zeta, zeta_x, zeta_t, plus the
     L^1 difference of the densities of the potential p; this is the
-    contraction metric of the windowed fixed-point solver.  The arrays may
-    be (..., n) stacks of time levels: the distance is taken along the last
-    axis, one value per level.
+    contraction metric of the windowed fixed-point iteration.  The arrays
+    may be (..., n) stacks of time levels: the distance is taken along the
+    last axis, one value per level.
     """
     shapes = {np.shape(a) for a in (zeta1, zeta_t1, zeta2, zeta_t2)}
     if shapes != {np.shape(zeta1)[:-1] + (grid.n,)}:
         raise ConfigError("states must match each other and the grid")
-    return _difference_distance(
-        grid, np.asarray(zeta1) - zeta2, np.asarray(zeta_t1) - zeta_t2,
-        p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2)))
-
-
-def _difference_distance(grid: Grid1D, dz, dzt, dw):
-    """state_distance from the differences of zeta, of zeta_t and of the
-    potential densities W0(|zeta|); one value per level of a stack.
-
-    Each |difference| is taken once for its sup and its L^2 norm, and the
-    trapezoid weights once per call; the terms add in state_distance's order.
-    """
     w = trapezoid_weights(grid.n, grid.dx)
 
     def sup_l2(a):
@@ -288,9 +278,11 @@ def _difference_distance(grid: Grid1D, dz, dzt, dw):
         a *= w
         return sup, np.sqrt(np.sum(a, axis=-1))
 
+    dz = np.asarray(zeta1) - zeta2
     sup_z, l2_z = sup_l2(dz)
     sup_zx, l2_zx = sup_l2(centered_derivative(grid, dz))
-    sup_zt, l2_zt = sup_l2(dzt)
+    sup_zt, l2_zt = sup_l2(np.asarray(zeta_t1) - zeta_t2)
+    dw = p.eval_0(np.abs(zeta1)) - p.eval_0(np.abs(zeta2))
     return (sup_z + sup_zx + l2_z + l2_zx + sup_zt + l2_zt
             + np.sum(np.abs(dw) * w, axis=-1))
 

@@ -442,6 +442,24 @@ def test_quasilinear_cfl_is_gated_by_the_foot_travel(tmp_path, capsys, cfl,
         assert not out.exists()
 
 
+def test_quasilinear_cfl_4_runs_past_whole_steps_by_rounding(tmp_path):
+    # t_final is 9 steps of 0.25 and 1.25e-10 (dx = 1/8, c_max = 2): 9
+    # steps, each no longer than the 4 cells asked for, pass the gate
+    out = tmp_path / "runq"
+    cfg = _write_config(tmp_path, {
+        "solver": "quasilinear",
+        "potential": {"name": "flat4", "params": {"s0": 0.5}},
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 129},
+        "wave_speed": {"K1": 4.0, "K3": 1.0},
+        "time": {"t_final": 2.250000000125, "cfl": 4.0},
+        "initial_data": {"family": "gaussian", "psi_amplitude": 0.1,
+                         "width": 1.0},
+        "outputs": {"out_dir": str(out)},
+    })
+    assert main(["run-quasilinear", "--config", cfg, "--quiet"]) == 0
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + 10
+
+
 # --- marker runs -------------------------------------------------------------
 
 

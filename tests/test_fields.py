@@ -31,7 +31,7 @@ def test_fitted_steps_pass_the_step_count_rule(t, dt_max):
     # a fitted step must be whole steps of t, no longer than the one asked
     steps, dt = fit_steps(t, dt_max)
     assert step_count(t, dt) == steps
-    assert dt <= dt_max * (1.0 + 1e-9)
+    assert dt <= dt_max
 
 
 def test_grid_basic_geometry():

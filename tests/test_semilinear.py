@@ -11,13 +11,13 @@ from scipy.special import erf
 
 from varwave import (AprioriViolationError, ComplexField, ConfigError,
                      Grid1D, NonContractionError, SemilinearConfig,
-                     apriori_constants,
+                     StateEscapeError, apriori_constants,
                      contraction_window, ensure_valid,
-                     flat_point_potential, free_wave, picard_solve,
-                     reference_potential, source_term, state_distance,
-                     zero_potential)
+                     flat_point_potential, free_wave, picard_iterates,
+                     picard_solve, reference_potential, source_term,
+                     state_distance, zero_potential)
 from varwave import semilinear
-from varwave.semilinear import _Lattice, _padded
+from varwave.semilinear import _dalembert, _march, _padded
 
 
 # --- source_term -------------------------------------------------------------
@@ -179,6 +179,13 @@ def _compact_data_and_shift(draw):
     return f0, draw(st.floats(0.1, 10.0)), draw(st.integers(0, n - 1))
 
 
+def _free_march(f0, cfg, m):
+    """The free levels of an m-step window from f0, as an (m+1, 2, n)
+    stack: the march with no source, iterate 0 of the Picard check."""
+    return np.array(list(_march(f0, _dalembert(f0, cfg.c, -1, m), cfg, 0.0,
+                                lambda j, z: 0.0)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_compact_data_and_shift())
 def test_free_wave_exact_on_aligned_shifts(case):
@@ -189,18 +196,16 @@ def test_free_wave_exact_on_aligned_shifts(case):
     assert fw.zeta.tobytes() == zeta.tobytes()
     assert fw.zeta_t.tobytes() == zeta_t.tobytes()
     # the lattice's free march gives the free_wave levels: row for row up
-    # to level 1, up to rounding after
-    base_z, base_zt = np.empty((2, m + 1, f0.grid.n), dtype=complex)
-    lattice = _Lattice(f0.grid.n, m, 0.0, dt, None)
-    lattice.seed(f0, c)
-    lattice.march(None, base_z, base_zt)
+    # to level 1, up to rounding after; it pins the ends, where f0 is at
+    # its far field but a later level need not be
+    base = _free_march(f0, SemilinearConfig(c=c, dt=dt, T_window=math.inf), m)
     for j in range(m + 1):
         fw = free_wave(f0, c, j * dt)
-        for got, want in ((base_z[j], fw.zeta), (base_zt[j], fw.zeta_t)):
+        for got, want in ((base[j, 0], fw.zeta), (base[j, 1], fw.zeta_t)):
             scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    assert base_z[0].tobytes() == f0.zeta.tobytes()
-    assert base_zt[0].tobytes() == f0.zeta_t.tobytes()
+            assert np.max(np.abs(got - want)[1:-1]) <= 1e-12 * scale
+    assert np.array_equal(base[0, 0], f0.zeta)
+    assert np.array_equal(base[0, 1], f0.zeta_t)
 
 
 def test_free_wave_requires_aligned_time():
@@ -215,19 +220,24 @@ def test_free_wave_requires_aligned_time():
 # --- Duhamel cone corrections -----------------------------------------------
 
 
-def _lattice_corrections(g, levels, source, q_ff, dt, corr_z, corr_zt):
-    """The lattice march's Duhamel corrections at every level: the march
-    from the zero state over the sources of the given levels, unpinned."""
-    lattice = _Lattice(g.n, levels.shape[0] - 1, q_ff, dt, source)
-    lattice.march(levels, corr_z, corr_zt)
+def _lattice_corrections(g, levels, source, q_ff, c):
+    """The lattice march's Duhamel corrections at every level, as (zeta,
+    zeta_t) stacks: the march from the zero state over the sources of the
+    given levels; its ends are pinned to 0."""
+    zero = np.zeros(g.n, dtype=complex)
+    f0 = ComplexField(g, zero, zero, validate=False)
+    below = np.zeros((2, g.n + 2 * (levels.shape[0] - 1)), dtype=complex)
+    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=math.inf)
+    out = np.array(list(_march(f0, below, cfg, q_ff,
+                               lambda j, z: source(levels[j]))))
+    return out[:, 0], out[:, 1]
 
 
 def _duhamel_last(g, hist, p, c, dt, far_field=0.0 + 0.0j):
     """Cone corrections to (zeta, zeta_t) at the last level of a history."""
     q_ff = complex(source_term(p, np.asarray([far_field]))[0])
-    corr_z, corr_zt = np.empty((2,) + hist.shape, dtype=complex)
-    _lattice_corrections(g, hist, partial(source_term, p), q_ff, dt,
-                         corr_z, corr_zt)
+    corr_z, corr_zt = _lattice_corrections(g, hist, partial(source_term, p),
+                                           q_ff, g.dx / dt)
     return corr_z[-1], corr_zt[-1]
 
 
@@ -253,8 +263,9 @@ def test_duhamel_constant_history_closed_form():
     dz, dzt = _duhamel_last(g, hist, p, c, dt, far_field=zstar)
     q = source_term(p, np.array([zstar]))[0]
     t = m * dt
-    assert np.max(np.abs(dz - (-q * t * t / 2.0))) < 1e-14
-    assert np.max(np.abs(dzt - (-q * t))) < 1e-14
+    # inside the ends, which the march pins to the zero state's far field
+    assert np.max(np.abs(dz[1:-1] - (-q * t * t / 2.0))) < 1e-14
+    assert np.max(np.abs(dzt[1:-1] - (-q * t))) < 1e-14
 
 
 def test_duhamel_self_convergence_second_order():
@@ -320,126 +331,126 @@ def test_cone_running_sums_match_double_loop(n, m):
     c = 1.7
     q = rng.normal(size=(m + 1, n)) + 1j * rng.normal(size=(m + 1, n))
     q_ff = 0.3 - 0.7j
-    # NaN-filled outputs: every entry, level 0 included, must be written
-    got = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
+    got = _lattice_corrections(g, q, _identity, q_ff, c)
     want = [np.full((m + 1, n), np.nan, dtype=complex) for _ in range(2)]
-    _lattice_corrections(g, q, _identity, q_ff, g.dx / c, *got)
     _loop_cone_corrections(g, q, _identity, q_ff, c, g.dx / c, *want)
     for new, loop in zip(got, want):
         assert np.all(new[0] == 0.0)
         scale = max(1.0, float(np.max(np.abs(loop))))
-        assert np.max(np.abs(new - loop)) <= 1e-12 * scale
+        # inside the ends, which the march pins to the far field
+        assert np.max(np.abs(new - loop)[:, 1:-1]) <= 1e-12 * scale
+        assert np.all(new[:, [0, -1]] == 0.0)
 
 
-def _all_levels_window_iterate(picard_map):
-    """A Picard window with fresh arrays for every iterate (the solver's
-    kept stacks go unused), the distance taken by state_distance over every
-    level 0..m, stopped by the solver's rule; picard_map(lattice, f0, cfg,
-    hat_z, m) gives an iterate's unpinned levels, the free levels for hat_z
-    None."""
-    def window_iterate(grid, f0, p, cfg, lattice, stacks, w0):
-        m = stacks.shape[1] - 1
-        hat_z, hat_zt = picard_map(lattice, f0, cfg, None, m)
-        diffs = []
-        for _ in range(semilinear._PICARD_MAX):
-            new_z, new_zt = picard_map(lattice, f0, cfg, hat_z, m)
-            new_z[:, 0] = new_z[:, -1] = f0.far_field
-            new_zt[:, 0] = new_zt[:, -1] = 0.0
-            diffs.append(float(np.max(state_distance(
-                grid, new_z, new_zt, hat_z, hat_zt, p))))
-            hat_z, hat_zt = new_z, new_zt
-            if semilinear.contraction_stop(diffs, cfg.picard_tol):
-                return hat_z, hat_zt, diffs
-        raise NonContractionError("window failed to contract",
-                                  diff_norms=diffs)
-    return window_iterate
+def _picard_map(f0, cfg, p, hat):
+    """One Picard map of a window from f0: the march over the sources of
+    the (zeta, zeta_t) levels hat, as an (m+1, 2, n) stack."""
+    m = hat.shape[0] - 1
+    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+    return np.array(list(_march(f0, _dalembert(f0, cfg.c, -1, m), cfg, q_ff,
+                                lambda j, z: source_term(p, hat[j, 0]))))
 
 
-def _marched_iterate(lattice, f0, cfg, hat_z, m):
-    """An iterate by the solver's lattice march, into fresh arrays."""
-    new_z, new_zt = np.empty((2, m + 1, f0.grid.n), dtype=complex)
-    lattice.seed(f0, cfg.c)
-    lattice.march(hat_z, new_z, new_zt)
-    return new_z, new_zt
+def _marched_window(f0, p, cfg, m):
+    """The levels picard_solve marches over one m-step window from f0."""
+    levels = []
+    picard_solve(f0, p, cfg, m * cfg.dt, observer=levels.append)
+    return np.array([(f.zeta, f.zeta_t) for f in levels])
 
 
-def _cone_iterate(p):
-    """An iterate as free_wave levels plus the double-loop cone sum."""
-    def iterate(lattice, f0, cfg, hat_z, m):
-        levels = [free_wave(f0, cfg.c, j * cfg.dt) for j in range(m + 1)]
-        new_z = np.stack([f.zeta for f in levels])
-        new_zt = np.stack([f.zeta_t for f in levels])
-        if hat_z is not None:
-            corr = np.empty((2, m + 1, f0.grid.n), dtype=complex)
-            _loop_cone_corrections(f0.grid, hat_z, partial(source_term, p),
-                                   lattice.q_ff, cfg.c, cfg.dt, *corr)
-            new_z += corr[0]
-            new_zt += corr[1]
-        return new_z, new_zt
-    return iterate
+def _start_of(levels, f0, m, cfg):
+    """The state at level m of a window from f0, to start the next one."""
+    return ComplexField(f0.grid, levels[m, 0], levels[m, 1],
+                        far_field=f0.far_field, time=f0.time + m * cfg.dt,
+                        validate=False)
 
 
-def test_picard_iteration_unchanged_by_running_sums(monkeypatch):
-    # the lattice march against free_wave plus the double-loop cone sum;
-    # 32-step windows: the blocks of sources meet inside each window
+def _cone_fixed_point(f0, p, cfg, m):
+    """An m-step window as free_wave levels plus the double-loop cone sum,
+    iterated m + 2 times: the window map is nilpotent, so iterate m + 1 is
+    its fixed point and the last one leaves it in place."""
+    free = np.array([(f.zeta, f.zeta_t) for f in
+                     (free_wave(f0, cfg.c, j * cfg.dt) for j in range(m + 1))])
+    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+    levels = free
+    for _ in range(m + 2):
+        corr = np.empty((2, m + 1, f0.grid.n), dtype=complex)
+        _loop_cone_corrections(f0.grid, levels[:, 0], partial(source_term, p),
+                               q_ff, cfg.c, cfg.dt, *corr)
+        levels = free + corr.transpose(1, 0, 2)
+        levels[:, 0, [0, -1]] = f0.far_field
+        levels[:, 1, [0, -1]] = 0.0
+    return levels
+
+
+def test_picard_iteration_unchanged_by_running_sums():
+    # the causal lattice march against the fixed point of free_wave plus
+    # the double-loop cone sum, over two 32-step windows
     g = Grid1D(-8.0, 8.0, 257)
     zeta = 0.1 * np.exp(-g.nodes ** 2)
     f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
     cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=32 * g.dx)
     new = picard_solve(f0, p, cfg, 64 * g.dx)
-    monkeypatch.setattr(semilinear, "_window_iterate",
-                        _all_levels_window_iterate(_cone_iterate(p)))
-    old = picard_solve(f0, p, cfg, 64 * g.dx)
-    for a, b in ((new.field.zeta, old.field.zeta),
-                 (new.field.zeta_t, old.field.zeta_t)):
+    start = f0
+    for _ in range(2):
+        old = _cone_fixed_point(start, p, cfg, 32)
+        start = _start_of(old, start, 32, cfg)
+    for a, b in ((new.field.zeta, start.zeta), (new.field.zeta_t, start.zeta_t)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-    assert new.trace.iterate_count == old.trace.iterate_count
-    assert len(new.trace.diff_norms) == 2
-    assert ([len(d) for d in new.trace.diff_norms]
-            == [len(d) for d in old.trace.diff_norms])
+    assert new.trace.diff_norms == [[], []]
+
+
+def _all_levels_picard(f0, p, cfg, m):
+    """Picard iteration of one window with fresh arrays for every iterate,
+    the distance taken by state_distance over every level 0..m, stopped by
+    fields.contraction_stop; returns the last iterate and the diffs."""
+    hat, diffs = _free_march(f0, cfg, m), []
+    for _ in range(semilinear._PICARD_MAX):
+        new = _picard_map(f0, cfg, p, hat)
+        diffs.append(float(np.max(state_distance(
+            f0.grid, new[:, 0], new[:, 1], hat[:, 0], hat[:, 1], p))))
+        hat = new
+        if semilinear.contraction_stop(diffs, cfg.picard_tol):
+            return hat, diffs
+    raise NonContractionError("window failed to contract", diff_norms=diffs)
 
 
 @pytest.mark.parametrize("amp, width, c, window_steps, steps, windows", [
-    (2e-10, 9.0, 1.0, 0.5, 8, 8),  # one-step windows, edge 9e-11 off far field
+    (2e-10, 9.0, 1.0, 1, 8, 8),    # one-step windows, edge 9e-11 off far field
     (0.1, 1.0, 1.0, 8, 24, 3),     # three 8-step windows, edge 1.6e-29
-    # two 40-step windows, each crossing two block edges; c = 8 keeps the
-    # window (40 dt = 0.625) short enough to contract
+    # two 40-step windows; c = 8 keeps the window (40 dt = 0.625) short
+    # enough to contract
     (0.1, 1.0, 8.0, 40, 80, 2),
 ], ids=["one_step_windows", "three_8_step_windows", "two_40_step_windows"])
 def test_picard_distance_without_fixed_level_matches_all_levels(
-        monkeypatch, amp, width, c, window_steps, steps, windows):
-    # in the first case the first iterate's boundary pin moves level 0 by
-    # more than the Duhamel correction moves level 1, so leaving level 0 out
-    # of that first distance would change diff_norms
+        amp, width, c, window_steps, steps, windows):
+    # every iterate of picard_iterates, the free one too, starts from the
+    # pinned start state, so leaving level 0 out of its distances changes
+    # none of them, even where the start state's ends are off the far field
     g = Grid1D(-8.0, 8.0, 129)
     zeta = amp * np.exp(-(g.nodes / width) ** 2)
-    f0 = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
+    start = ComplexField(g, zeta.astype(complex), np.zeros(g.n, complex))
     p = ensure_valid(reference_potential())
-    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=window_steps * g.dx / c)
-    new = picard_solve(f0, p, cfg, steps * g.dx / c)
-    monkeypatch.setattr(semilinear, "_window_iterate",
-                        _all_levels_window_iterate(_marched_iterate))
-    old = picard_solve(f0, p, cfg, steps * g.dx / c)
-    assert len(new.trace.diff_norms) == windows
-    assert new.trace.diff_norms == old.trace.diff_norms
-    assert np.array_equal(new.field.zeta, old.field.zeta)
-    assert np.array_equal(new.field.zeta_t, old.field.zeta_t)
+    cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=math.inf)
+    for _ in range(steps // window_steps):
+        new_z, new_zt, diffs = picard_iterates(start, p, cfg, window_steps)
+        old, old_diffs = _all_levels_picard(start, p, cfg, window_steps)
+        assert diffs == old_diffs
+        assert np.array_equal(new_z, old[:, 0])
+        assert np.array_equal(new_zt, old[:, 1])
+        start = _start_of(old, start, window_steps, cfg)
+    assert steps // window_steps == windows
 
 
 def _lattice_iterates(f0, p, m, count):
-    """Iterates 0..count-1 of an m-level window's Picard map, each as a
-    (zeta, zeta_t) stack of levels; as in the solver, iterate 0 is the free
-    march and every later iterate has its ends pinned."""
-    g = f0.grid
-    lattice = _Lattice(g.n, m, 0.0, g.dx, partial(source_term, p))
-    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx)
-    iterates = [np.stack(_marched_iterate(lattice, f0, cfg, None, m))]
+    """Iterates 0..count-1 of an m-level window's Picard map, each as an
+    (m+1, 2, n) stack of levels; as in picard_iterates, iterate 0 is the
+    free march."""
+    cfg = SemilinearConfig(c=1.0, dt=f0.grid.dx, T_window=m * f0.grid.dx)
+    iterates = [_free_march(f0, cfg, m)]
     for _ in range(1, count):
-        new = np.stack(_marched_iterate(lattice, f0, cfg, iterates[-1][0], m))
-        new[0, :, 0] = new[0, :, -1] = f0.far_field
-        new[1, :, 0] = new[1, :, -1] = 0.0
-        iterates.append(new)
+        iterates.append(_picard_map(f0, cfg, p, iterates[-1]))
     return iterates
 
 
@@ -447,8 +458,7 @@ def test_window_iterates_settle_one_level_per_iterate():
     # iterate k's zeta level j reads the sources of iterate k-1's levels
     # below j, its zeta_t level j those up to j: so iterate k has its final
     # zeta on levels 0..k and zeta_t on 0..k-1, and iterate m+1 is the
-    # fixed point.  The start state's ends sit at the far field, so the
-    # pinning leaves level 0 of every iterate alike.
+    # fixed point.  Every iterate pins its ends, so level 0 is alike in all.
     g = Grid1D(-8.0, 8.0, 129)
     m = 8
     zeta = 0.3 * np.exp(-g.nodes ** 2)
@@ -457,10 +467,10 @@ def test_window_iterates_settle_one_level_per_iterate():
     p = ensure_valid(reference_potential())
     iterates = _lattice_iterates(f0, p, m, m + 3)
     final = iterates[m + 1]
-    scale = np.max(np.abs(final), axis=(1, 2))
+    scale = np.max(np.abs(final), axis=(0, 2))
 
     def off(a, b, which, levels):
-        return np.max(np.abs(a[which, levels] - b[which, levels])) / scale[which]
+        return np.max(np.abs(a[levels, which] - b[levels, which])) / scale[which]
 
     # and no further: the next level still moves
     for k in range(m + 1):
@@ -472,11 +482,17 @@ def test_window_iterates_settle_one_level_per_iterate():
             assert off(iterates[k], final, 1, slice(k, k + 1)) > 1e-10
     assert off(iterates[m + 2], final, 0, slice(None)) <= 1e-15
     assert off(iterates[m + 2], final, 1, slice(None)) <= 1e-15
+    # the causal march is that fixed point
+    marched = _marched_window(
+        f0, p, SemilinearConfig(c=1.0, dt=g.dx, T_window=math.inf), m)
+    assert off(marched, final, 0, slice(1, None)) <= 1e-15
+    assert off(marched, final, 1, slice(1, None)) <= 1e-15
 
 
 def test_picard_window_stops_within_its_tolerance_of_the_fixed_point():
-    # the fixed point of an m-level window is its iterate m+1; picard_solve
-    # stops before it, within picard_tol in state_distance at every level
+    # the fixed point of an m-level window is its iterate m+1; the Picard
+    # check stops before it, within picard_tol in state_distance at every
+    # level
     g = Grid1D(-8.0, 8.0, 129)
     m = 8
     zeta = 0.1 * np.exp(-g.nodes ** 2)
@@ -485,15 +501,81 @@ def test_picard_window_stops_within_its_tolerance_of_the_fixed_point():
     p = ensure_valid(reference_potential())
     final = _lattice_iterates(f0, p, m, m + 2)[-1]
     cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx)
-    levels = []
-    res = picard_solve(f0, p, cfg, m * g.dx, observer=levels.append)
-    assert res.trace.iterate_count < m + 1
-    dist = state_distance(g, np.stack([f.zeta for f in levels]),
-                          np.stack([f.zeta_t for f in levels]), *final, p)
+    zeta, zeta_t, diffs = picard_iterates(f0, p, cfg, m)
+    assert len(diffs) < m + 1
+    dist = state_distance(g, zeta, zeta_t, final[:, 0], final[:, 1], p)
     assert 0.0 < np.max(dist) <= cfg.picard_tol
 
 
-def test_window_holds_at_most_eight_level_stacks():
+@pytest.mark.parametrize("n, m, amp", [(129, 8, 0.1), (257, 64, 0.2),
+                                       (1025, 1, 0.3)])
+def test_picard_map_leaves_the_marched_window_in_place(n, m, amp):
+    # the march is the window's fixed point: one Picard map over its own
+    # levels gives them back
+    g = Grid1D(-8.0, 8.0, n)
+    zeta = (amp * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, 0.1j * np.exp(-(g.nodes - 1.0) ** 2))
+    p = ensure_valid(reference_potential())
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=math.inf)
+    marched = _marched_window(f0, p, cfg, m)
+    marched[0] = _picard_map(f0, cfg, p, marched)[0]  # the pinned start
+    again = _picard_map(f0, cfg, p, marched)
+    scale = np.max(np.abs(marched), axis=(0, 2))
+    for which in (0, 1):
+        assert (np.max(np.abs(again[:, which] - marched[:, which]))
+                <= 1e-15 * scale[which])
+
+
+def test_picard_solve_matches_the_picard_check_over_two_windows():
+    g = Grid1D(-8.0, 8.0, 257)
+    zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, 0.1j * np.exp(-g.nodes ** 2))
+    p = ensure_valid(reference_potential())
+    m = 16
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=m * g.dx, picard_tol=1e-13)
+    res = picard_solve(f0, p, cfg, 2 * m * g.dx)
+    start = f0
+    for _ in range(2):
+        z, zt, diffs = picard_iterates(start, p, cfg, m)
+        assert 2 < len(diffs) < m + 1
+        start = _start_of(np.stack((z, zt), axis=1), start, m, cfg)
+    for got, want in ((res.field.zeta, start.zeta),
+                      (res.field.zeta_t, start.zeta_t)):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_picard_solve_marches_a_window_the_iteration_cannot():
+    # the certified run's input (its certified window is 0.37 steps) in
+    # one window of 512 steps: the Picard iterates leave |zeta| < 1, while
+    # the causal march, the same discrete problem, completes
+    g = Grid1D(-7.998046875, 7.998046875, 4096)
+    zeta = (0.3 * np.exp(-(g.nodes / 0.6) ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
+    p = ensure_valid(reference_potential())
+    cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=512 * g.dx)
+    with pytest.raises(StateEscapeError):
+        picard_iterates(f0, p, cfg, 512)
+    res = picard_solve(f0, p, cfg, 512 * g.dx)
+    assert res.trace.diff_norms == [[]]
+    assert np.max(np.abs(res.field.zeta)) < 1.0
+
+
+def test_picard_solve_hands_out_fresh_levels():
+    # each level is its own pair of arrays, so an observer may keep them all
+    g = Grid1D(-8.0, 8.0, 129)
+    zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
+    levels = []
+    picard_solve(f0, ensure_valid(reference_potential()),
+                 SemilinearConfig(c=1.0, dt=g.dx, T_window=4 * g.dx),
+                 10 * g.dx, observer=levels.append)
+    arrays = [a for f in levels for a in (f.zeta, f.zeta_t)]
+    assert len(arrays) == 22
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_solve_holds_no_level_stack():
     # numpy reports its buffers to tracemalloc, so the peak is the arrays'
     # own bytes, whatever the allocator does with them
     import tracemalloc
@@ -511,11 +593,13 @@ def test_window_holds_at_most_eight_level_stacks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(res.trace.diff_norms) == 1 and res.trace.iterate_count >= 3
+    assert res.trace.diff_norms == [[]]
     stack = (m + 1) * g.n * 16
-    # four complex stacks, two real ones and the lattice's lines: a return
-    # to the six complex stacks of free levels plus iterates would not fit
-    assert (peak - before) / stack <= 8.0
+    # measured 0.48 of a stack: about 31 complex lines of n nodes (the
+    # march's lines and sources, the energy log's last three levels and one
+    # level's temporaries), whatever m is; one (m+1, n) complex stack more
+    # would not fit
+    assert (peak - before) / stack <= 1.0
 
 
 # --- contraction_window ------------------------------------------------------
@@ -563,14 +647,15 @@ def test_picard_zero_potential_reduces_to_free_wave():
     fw = free_wave(f0, cfg.c, T)
     assert np.max(np.abs(res.field.zeta - fw.zeta)) < 1e-14
     assert np.max(np.abs(res.field.zeta_t - fw.zeta_t)) < 1e-14
-    # source-free: every window converges on its first pass
-    assert res.trace.converged
-    assert res.trace.iterate_count == len(res.trace.diff_norms)
+    assert res.trace.diff_norms == [[]]
+    # source-free: the Picard check stops at its first iterate
+    assert picard_iterates(f0, zero_potential(), cfg,
+                           round(T / cfg.dt))[2] == [0.0]
 
 
 def test_picard_window_that_does_not_stop_raises(monkeypatch):
-    # picard_tol = 0 never accepts a nonzero change, so the first window
-    # runs out of iterations and raises with its diffs
+    # picard_tol = 0 never accepts a nonzero change, so the window runs
+    # out of iterations and raises with its diffs
     monkeypatch.setattr(semilinear, "_PICARD_MAX", 3)
     g = Grid1D(-8.0, 8.0, 129)
     zeta = 0.1 * np.exp(-g.nodes ** 2)
@@ -578,9 +663,11 @@ def test_picard_window_that_does_not_stop_raises(monkeypatch):
     cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=0.5, picard_tol=0.0)
     with pytest.raises(NonContractionError,
                        match="starting at t = 0.000000") as err:
-        picard_solve(f0, reference_potential(), cfg, 1.0)
+        picard_iterates(f0, reference_potential(), cfg, 4)
     assert len(err.value.diff_norms) == 3
     assert all(d > 0.0 for d in err.value.diff_norms)
+    with pytest.raises(ConfigError, match="at least one step"):
+        picard_iterates(f0, reference_potential(), cfg, 0)
 
 
 def test_picard_constant_equilibrium_is_a_fixed_point():
@@ -613,14 +700,21 @@ def test_picard_window_seams_refine_second_order():
 
 
 def test_picard_iterates_contract_geometrically():
+    # the two 4-step windows of a run to t = 0.5, each from the last level
+    # of the one before
     g, f0, cfg = _solve_setup(amp=0.1)
     p = ensure_valid(reference_potential())
-    res = picard_solve(f0, p, cfg, 0.5)
-    for diffs in res.trace.diff_norms:
+    measured = 0
+    for _ in range(2):
+        zeta, zeta_t, diffs = picard_iterates(f0, p, cfg, 4)
         # after the first comparison the ratio must stay below 0.9
         for a, b in zip(diffs[1:-1], diffs[2:]):
             if a > 1e-13:
+                measured += 1
                 assert b / a <= 0.9
+        f0 = ComplexField(g, zeta[-1], zeta_t[-1], time=f0.time + 0.25,
+                          validate=False)
+    assert measured >= 2
 
 
 def test_picard_small_amplitude_matches_linear_dispersion():
