@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import _MAX_SWEEP_STEPS
 from .diagnostics import fit_order
 from .errors import ConfigError, VarwaveError
 # centered_derivative and interpolate are not called here (embed takes the
@@ -371,15 +372,22 @@ def discrete_el_residual(coeffs: SlowCoefficients, dtau: float, dy: float,
 # ---------------------------------------------------------------------------
 # epsilon sweep against the marker reference
 
-# every full-dynamics run of the sweep: CFL number and fixed-point tolerance.
-# The CFL is chosen by a time-error budget: the largest of 0.8, 1.2, 1.6, 2.0
-# whose time error (the study's L2 distance of the standardized extracted
-# fields from a run at CFL / 8, criterion-10 inputs, epsilon = 0.2) stays
-# within 2 % of the smallest error the sweep reports (0.1147, epsilon =
-# 0.05): measured 4.7e-4, 1.1e-3, 1.9e-3 and 3.1e-3 against a budget of
-# 2.3e-3.  The error is second order in dt and about the same at every
-# epsilon; steps in the frame moving at c0 pass advance's foot-travel gate
-_CFL, _FIXPOINT_TOL = 1.6, 1e-8
+# every full-dynamics run of the sweep: CFL number and fixed-point tolerance,
+# each the loosest on its ladder whose error stays within a budget.  Both
+# errors are the study's measure, the combined L2 distance of the
+# standardized extracted fields, on the criterion-10 inputs.
+# - CFL, ladder 0.8, 1.2, 1.6, 2.0: the time error, the distance from a run
+#   at CFL / 8 at epsilon = 0.2, stays within 2 % of the smallest error the
+#   sweep reports (0.1147, epsilon = 0.05): measured 4.7e-4, 1.1e-3, 1.9e-3
+#   and 3.1e-3 against a budget of 2.3e-3.  It is second order in dt and
+#   about the same at every epsilon; steps in the frame moving at c0 pass
+#   advance's foot-travel gate.
+# - Tolerance, ladder 1e-8, 1e-7, ..., 1e-3: the fixed-point error, the
+#   distance from a run solved to 1e-12 at each of epsilon = 0.2, 0.1 and
+#   0.05, stays within 1 % of the time-error budget, 2.3e-5: its largest
+#   was measured 7.1e-8, 1.8e-7, 1.05e-6, 4.96e-6, 8.03e-6 and 3.22e-5 from
+#   1e-8 to 1e-3.  Most steps stop after their first pass.
+_CFL, _FIXPOINT_TOL = 1.6, 1e-4
 # evaluation points, reference markers, and the pad (in y) on each side of
 # y_span that the full-dynamics grids cover
 _N_EVAL, _N_MARKERS, _PAD = 400, 4001, 8.0
@@ -408,6 +416,22 @@ def _marker_reference(mapping: RescalingMap, u0: Profile, rho0: Callable,
     return u_ref - tau_final * E_ref, rho_ref, E_ref
 
 
+def _fast_run(cfg: AsymptoticConfig, mapping: RescalingMap, tau_final: float,
+              y_span: Tuple[float, float], dx: float
+              ) -> Tuple[Grid1D, float, int, float]:
+    """(grid, t_fast, steps, dt) of one epsilon's run: the grid over
+    y_span +- _PAD at spacing dx, the fast time of tau_final, and the
+    fewest steps of at most _CFL dx / c_max that make it up."""
+    rate = cfg.epsilon * mapping.time_scale
+    if rate == 0.0:
+        raise ConfigError(f"epsilon {cfg.epsilon} underflows the slow clock")
+    t_fast = tau_final / rate
+    x_lo = y_span[0] - _PAD
+    n_nodes = int(round((y_span[1] + _PAD - x_lo) / dx)) + 1
+    grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
+    return (grid, t_fast) + fit_steps(t_fast, _CFL * grid.dx / cfg.ws.c_max)
+
+
 def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
                u0: Profile, rho0: Callable, tau_final: float,
                y_grid: np.ndarray, u_ref: np.ndarray, rho_ref: np.ndarray,
@@ -417,11 +441,7 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
     extract, standardize, and measure against the reference.  Returns the
     run's study.json entry; a run that fails is marked, not raised."""
     V = cfg.c0
-    t_fast = tau_final / (cfg.epsilon * mapping.time_scale)
-    x_lo = y_span[0] - _PAD
-    n_nodes = int(round((y_span[1] + _PAD - x_lo) / dx)) + 1
-    grid = Grid1D(x_lo, x_lo + (n_nodes - 1) * dx, n_nodes)
-    n_steps, dt = fit_steps(t_fast, _CFL * grid.dx / cfg.ws.c_max)
+    grid, t_fast, n_steps, dt = _fast_run(cfg, mapping, tau_final, y_span, dx)
     qcfg = QuasilinearConfig(dt=dt, fixpoint_tol=_FIXPOINT_TOL, frame_speed=V)
     try:
         out = advance(embed(cfg, grid, p, u0, u0.derivative, rho0), p,
@@ -429,7 +449,7 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
         ext = standardize(extract(cfg, out.state, y_grid), mapping)
     except VarwaveError as exc:
         return {"epsilon": cfg.epsilon, "t_fast": t_fast, "frame_speed": V,
-                "dt": dt, "failed": True,
+                "dt": dt, "fixpoint_tol": _FIXPOINT_TOL, "failed": True,
                 "error": f"{type(exc).__name__}: {exc}"}
     err_u = ext.u - u_ref
     err_rho = ext.rho - rho_ref
@@ -441,6 +461,7 @@ def _sweep_run(p: PotentialSpec, cfg: AsymptoticConfig, mapping: RescalingMap,
         "grid_nodes": grid.n,
         "steps": n_steps,
         "dt": dt,
+        "fixpoint_tol": _FIXPOINT_TOL,
         "fixpoint_passes": sum(len(t.diff_norms) for t in out.traces),
         "achieved_T": out.achieved_T,
         "l2_u": float(l2_norm(err_u, dy)),
@@ -461,7 +482,9 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
 
     u0 is a Profile: its exact derivative seeds the reference slopes and
     the embedded gradient fields.  epsilons holds at least two values, each
-    in (0, 1); anything else is a ConfigError before any run.  tau_final is
+    in (0, 1), and no run (an epsilon's fast run, or the marker reference
+    at marker_dt) may take more than config._MAX_SWEEP_STEPS steps;
+    anything else is a ConfigError before any run.  tau_final is
     measured on the standardized slow clock.  One marker run of the
     standard reduced system (4001 markers; profiles u0 as-is, rho0 rescaled
     by the density factor) provides the reference.  For each epsilon the
@@ -477,8 +500,9 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     u/rho L2 per epsilon), fitted_order, the velocity-constant gauge of the
     reference, the rescaling map, and per-run detail (each run also records
     its frame_speed, its step dt (the largest of at most _CFL dx / c_max
-    that divides the fast time) and, unless it failed, its total
-    fixed-point passes fixpoint_passes).
+    that divides the fast time), the fixed-point tolerance fixpoint_tol of
+    its steps and, unless it failed, its total fixed-point passes
+    fixpoint_passes).
 
     Gauge handling: the marker reference pins u at the left end (the
     velocity constant is zero), so its u rises by tau*E ahead of the wave.
@@ -498,16 +522,26 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
         if not 0.0 < eps < 1.0:
             raise ConfigError(f"epsilon {eps} outside (0, 1)")
     epsilons.sort(reverse=True)
-    base = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=epsilons[0])
+    cfgs = [AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps)
+            for eps in epsilons]
+    base = cfgs[0]
     mapping = rescaling_map(base)
+    runs_steps = [(f"the marker reference at dt = {marker_dt}",
+                   fit_steps(tau_final, marker_dt)[0])]
+    runs_steps += [(f"the run at epsilon = {cfg.epsilon}",
+                    _fast_run(cfg, mapping, tau_final, y_span, dx)[2])
+                   for cfg in cfgs]
+    for what, steps in runs_steps:
+        if steps > _MAX_SWEEP_STEPS:
+            raise ConfigError(f"{what} would take {steps:.3g} steps; a sweep "
+                              f"run may take at most {_MAX_SWEEP_STEPS}")
     y_grid = np.linspace(y_span[0] + 1.0, y_span[1] - 1.0, _N_EVAL)
     u_ref, rho_ref, E_ref = _marker_reference(
         mapping, u0, rho0, y_span, y_grid, marker_dt, tau_final)
 
     runs: List[Dict] = []
     errors: List[Optional[float]] = []
-    for eps in epsilons:
-        cfg = AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps)
+    for cfg in cfgs:
         run = _sweep_run(p, cfg, mapping, u0, rho0, tau_final, y_grid,
                          u_ref, rho_ref, y_span, dx)
         runs.append(run)

@@ -64,6 +64,9 @@ _INITIAL_KEYS = {
 }
 # 256x the largest grid tests and benchmark run (4097); 16 MB per complex level
 _MAX_GRID_N = 2**20 + 1
+# the most steps one run of an epsilon sweep may take (each epsilon's fast
+# run and the marker reference): over 2000x criterion 10's longest run (434)
+_MAX_SWEEP_STEPS = 2**20
 # the initial_data keys that hold strings; every other one holds a number
 _INITIAL_STRINGS = {"family", "rho_family", "path"}
 

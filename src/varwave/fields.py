@@ -291,16 +291,17 @@ def contraction_stop(diffs, tol: float) -> bool:
     """Whether a fixed-point iteration may stop after its latest pass.
 
     diffs are the distances d_1, ..., d_k between successive iterates.  It
-    stops once d_k < tol, or, from pass 2 on, when the observed rate
-    q = d_k / d_{k-1} is below 1/2 and Banach's a-posteriori bound
-    q / (1 - q) * d_k on the distance to the fixed point is below tol.
+    stops once d_k < tol or d_k = 0 (an exact fixed point, even at tol 0),
+    or, from pass 2 on, when the observed rate q = d_k / d_{k-1} is below
+    1/2 and Banach's a-posteriori bound q / (1 - q) * d_k on the distance
+    to the fixed point is below tol.
     """
     d = diffs[-1]
     if len(diffs) >= 2 and diffs[-2] > 0.0:
         q = d / diffs[-2]
         if q < 0.5 and q / (1.0 - q) * d < tol:
             return True
-    return d < tol
+    return d < tol or d == 0.0
 
 
 # ---------------------------------------------------------------------------

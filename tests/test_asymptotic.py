@@ -12,7 +12,10 @@ from varwave import (AsymptoticConfig, ConfigError, Grid1D, QuasilinearConfig,
                      flat_point_potential, gaussian, integrate, make_markers,
                      fit_order, reference_potential, rescaling_map,
                      sample_eulerian, standardize, strong_residual, wave_speed)
+import varwave.asymptotic as asy
+import varwave.quasilinear as ql
 from varwave.diagnostics import EnergyLog, energy_density_polar
+from varwave.fields import l2_norm
 from varwave.profiles import zero
 
 
@@ -285,12 +288,13 @@ def test_study_small_sweep_structure_and_improvement():
     assert out["gauge_drop"] == pytest.approx(0.1 * out["reference_energy"])
     run = out["runs"][0]
     for key in ("epsilon", "t_fast", "frame_speed", "grid_nodes", "steps",
-                "dt", "fixpoint_passes", "achieved_T", "l2_u", "l2_rho",
-                "sup_u", "sup_rho", "failed"):
+                "dt", "fixpoint_tol", "fixpoint_passes", "achieved_T", "l2_u",
+                "l2_rho", "sup_u", "sup_rho", "failed"):
         assert key in run
     for run in out["runs"]:
         # solved in the frame moving at c0, on y_span +- 8 only
         assert run["frame_speed"] == out["c0"]
+        assert run["fixpoint_tol"] == asy._FIXPOINT_TOL
         assert run["grid_nodes"] == 241
         assert run["steps"] <= run["fixpoint_passes"] <= 40 * run["steps"]
         assert run["steps"] * run["dt"] == pytest.approx(run["t_fast"])
@@ -303,21 +307,50 @@ def test_study_requires_two_epsilons():
                           epsilons=(0.2,), tau_final=0.1)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0, math.nan])
-def test_study_refuses_epsilons_outside_the_unit_interval(bad, monkeypatch):
-    # refused before the reference or any run starts (0 used to divide by
-    # zero in the fast time)
-    import varwave.asymptotic as asy
-
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fails the test if the marker reference or any full run starts."""
     def no_run(*args, **kw):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(asy, "make_markers", no_run)
     monkeypatch.setattr(asy, "advance", no_run)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0, math.nan])
+def test_study_refuses_epsilons_outside_the_unit_interval(bad, no_runs):
+    # refused before the reference or any run starts (0 used to divide by
+    # zero in the fast time)
     with pytest.raises(ConfigError, match="outside"):
         convergence_study(flat_point_potential(0.5), wave_speed(2.0, 1.0),
                           math.pi / 4.0, 0.5, zero(), zero(),
                           epsilons=(0.5, bad), tau_final=0.1)
+
+
+@pytest.mark.parametrize("epsilon, marker_dt, match", [
+    (1e-300, 1e-3, r"epsilon = 1e-300 would take 4\.33e\+300 steps"),
+    (5e-324, 1e-3, "underflows"),
+    (0.25, 0.1 / (2**20 + 1), "marker reference at dt"),
+])
+def test_study_refuses_runs_over_the_step_cap(epsilon, marker_dt, match,
+                                              no_runs):
+    # a tiny epsilon makes a fast time near 1e300, and a fine marker_dt a
+    # long reference: either is refused before any run starts, not
+    # marched for ever
+    with pytest.raises(ConfigError, match=match):
+        convergence_study(flat_point_potential(0.5), wave_speed(2.0, 1.0),
+                          math.pi / 4.0, 0.5, zero(), zero(),
+                          epsilons=(0.5, epsilon), tau_final=0.1,
+                          marker_dt=marker_dt)
+
+
+def test_study_runs_a_reference_of_exactly_the_step_cap(no_runs):
+    # 2^20 steps is the cap itself: the sweep goes on to its first run
+    with pytest.raises(AssertionError, match="a run started"):
+        convergence_study(flat_point_potential(0.5), wave_speed(2.0, 1.0),
+                          math.pi / 4.0, 0.5, zero(), zero(),
+                          epsilons=(0.5, 0.25), tau_final=0.1,
+                          marker_dt=0.1 / 2**20)
 
 
 def _criterion_10_inputs():
@@ -325,11 +358,47 @@ def _criterion_10_inputs():
             bump_slope(0.5, 0.0, 1.0))
 
 
+def _criterion_10_run(eps, **constants):
+    """One sweep run on criterion 10's inputs at eps to tau = 0.5, with the
+    asymptotic module constants set as given: (its study.json entry, its
+    final state, its standardized extracted fields on 400 points of
+    [-5, 5])."""
+    kept = {}
+
+    def keeping_advance(*args, **kw):
+        out = advance(*args, **kw)
+        kept["state"] = out.state
+        return out
+
+    def keeping_standardize(*args):
+        kept["fields"] = standardize(*args)
+        return kept["fields"]
+
+    p, u0, rho0 = _criterion_10_inputs()
+    cfg = _background(eps)
+    y_grid = np.linspace(-5.0, 5.0, 400)
+    no_ref = np.zeros_like(y_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asy, "advance", keeping_advance)
+        mp.setattr(asy, "standardize", keeping_standardize)
+        for name, value in constants.items():
+            mp.setattr(asy, name, value)
+        run = asy._sweep_run(p, cfg, rescaling_map(cfg), u0, rho0, 0.5,
+                             y_grid, no_ref, no_ref, (-6.0, 6.0), 0.05)
+    assert not run["failed"]
+    return run, kept["state"], kept["fields"]
+
+
+def _field_distance(a, b):
+    """The study's measure: combined L2 distance of two runs' fields."""
+    dy = a.y[1] - a.y[0]
+    return math.hypot(l2_norm(a.u - b.u, dy), l2_norm(a.rho - b.rho, dy))
+
+
 def test_moving_frame_error_is_converged_in_dx():
     # criterion 10's inputs at epsilon = 0.1: the sweep's error against the
     # marker reference moves by 0.20 % when dx halves (measured), so it is
     # the asymptotic error and not the scheme's
-    import varwave.asymptotic as asy
     p, u0, rho0 = _criterion_10_inputs()
     cfg = _background(0.1)
     mapping = rescaling_map(cfg)
@@ -345,71 +414,43 @@ def test_moving_frame_error_is_converged_in_dx():
     assert abs(errs[1] - errs[0]) <= 0.01 * errs[1]
 
 
-def test_sweep_run_is_within_the_stop_tolerance_of_a_tight_solve(
-        monkeypatch):
+def test_sweep_run_is_within_the_stop_tolerance_of_a_tight_solve():
     # criterion 10's inputs at epsilon = 0.2: the predictor and the
     # a-posteriori stop move where each step's iteration starts and ends,
-    # not its fixed point, so the final state lies within 100 fixpoint_tol
-    # in W^{1,inf} of a run solved to 1e-12; the run takes 343 passes
-    # (545 from y = x with the plain stop)
-    import varwave.asymptotic as asy
-    import varwave.quasilinear as ql
-    p, u0, rho0 = _criterion_10_inputs()
-    cfg = _background(0.2)
-    y_grid = np.linspace(-5.0, 5.0, 400)
-    no_ref = np.zeros_like(y_grid)
-    finals, passes = [], []
-
-    def keeping(*args, **kw):
-        out = advance(*args, **kw)
-        finals.append(out.state)
-        return out
-
-    monkeypatch.setattr(asy, "advance", keeping)
-    for tol in (asy._FIXPOINT_TOL, 1e-12):
-        monkeypatch.setattr(asy, "_FIXPOINT_TOL", tol)
-        run = asy._sweep_run(p, cfg, rescaling_map(cfg), u0, rho0, 0.5,
-                             y_grid, no_ref, no_ref, (-6.0, 6.0), 0.05)
-        assert not run["failed"]
-        passes.append(run["fixpoint_passes"])
-    loose, tight = finals
-    assert passes[0] == 343
-    assert ql._w1_sup(loose.grid, loose.U - tight.U) < 100.0 * 1e-8
+    # not its fixed point, so the final state lies within fixpoint_tol in
+    # W^{1,inf} of a run solved to 1e-12 (2.7e-5 measured); the run takes
+    # 218 passes over its 109 steps
+    loose_run, loose, _ = _criterion_10_run(0.2)
+    _, tight, _ = _criterion_10_run(0.2, _FIXPOINT_TOL=1e-12)
+    assert (loose_run["steps"], loose_run["fixpoint_passes"]) == (109, 218)
+    assert ql._w1_sup(loose.grid, loose.U - tight.U) < asy._FIXPOINT_TOL
 
 
 # the smallest error the criterion-10 sweep reports (the plain error at
-# epsilon = 0.05, seed-0 inputs); the sweep's time-error budget is 2 % of it
+# epsilon = 0.05, seed-0 inputs); the sweep's time-error budget is 2 % of
+# it, and its fixed-point error budget 1 % of that
 _SMALLEST_SWEEP_ERROR = 0.1147
+_TIME_ERROR_BUDGET = 0.02 * _SMALLEST_SWEEP_ERROR
 
 
-def test_sweep_time_error_is_within_its_budget(monkeypatch):
+def test_sweep_time_error_is_within_its_budget():
     # criterion 10's inputs at epsilon = 0.2, at the sweep's CFL and at an
-    # eighth of it: the combined L2 distance of the standardized extracted
-    # fields measures the time error (1.95e-3 measured, budget 2.29e-3)
-    import varwave.asymptotic as asy
-    from varwave.fields import l2_norm
-    p, u0, rho0 = _criterion_10_inputs()
-    cfg = _background(0.2)
-    y_grid = np.linspace(-5.0, 5.0, 400)
-    no_ref = np.zeros_like(y_grid)
-    fields = []
+    # eighth of it: the distance of the standardized extracted fields
+    # measures the time error (1.94e-3 measured, budget 2.29e-3)
+    coarse = _criterion_10_run(0.2)[2]
+    fine = _criterion_10_run(0.2, _CFL=asy._CFL / 8.0)[2]
+    assert _field_distance(coarse, fine) <= _TIME_ERROR_BUDGET
 
-    def keeping(*args):
-        ext = standardize(*args)
-        fields.append(ext)
-        return ext
 
-    monkeypatch.setattr(asy, "standardize", keeping)
-    for cfl in (asy._CFL, asy._CFL / 8.0):
-        monkeypatch.setattr(asy, "_CFL", cfl)
-        run = asy._sweep_run(p, cfg, rescaling_map(cfg), u0, rho0, 0.5,
-                             y_grid, no_ref, no_ref, (-6.0, 6.0), 0.05)
-        assert not run["failed"]
-    coarse, fine = fields
-    dy = y_grid[1] - y_grid[0]
-    time_error = math.hypot(l2_norm(coarse.u - fine.u, dy),
-                            l2_norm(coarse.rho - fine.rho, dy))
-    assert time_error <= 0.02 * _SMALLEST_SWEEP_ERROR
+def test_sweep_fixpoint_error_is_within_its_budget():
+    # criterion 10's inputs at each epsilon of its sweep, at the sweep's
+    # fixed-point tolerance and solved to 1e-12: the distance of the
+    # standardized extracted fields measures the fixed-point error (at most
+    # 8.03e-6 measured, at epsilon = 0.1; budget 2.29e-5)
+    for eps in (0.2, 0.1, 0.05):
+        loose = _criterion_10_run(eps)[2]
+        tight = _criterion_10_run(eps, _FIXPOINT_TOL=1e-12)[2]
+        assert _field_distance(loose, tight) <= 0.01 * _TIME_ERROR_BUDGET
 
 
 def test_moving_frame_energy_residuals_carry_the_frame_flux():

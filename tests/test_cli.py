@@ -643,6 +643,20 @@ def test_asymptotic_sweep_argument_is_validated(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_asymptotic_sweep_over_the_step_cap_exits_2_before_writing(
+        tmp_path, capsys):
+    # epsilon = 1e-300 puts the fast time near 1e300, some 1e301 steps: the
+    # sweep is refused before any run instead of marching them
+    out = tmp_path / "study"
+    cfg = _write_config(tmp_path, _asymptotic_doc())
+    assert main(["run-asymptotic", "--config", cfg, "--out", str(out),
+                 "--epsilon-sweep", "0.2,1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "epsilon = 1e-300" in err and "at most 1048576" in err
+    assert not out.exists()
+
+
 def test_asymptotic_run_writes_study(tmp_path, capsys):
     out = tmp_path / "study"
     cfg = _write_config(tmp_path, _asymptotic_doc())

@@ -377,8 +377,10 @@ def test_contraction_stop_cases():
     # rate 0.6 is not below 1/2: the change itself must fall below tol
     assert not contraction_stop([0.1, 0.06], 0.05)
     assert contraction_stop([0.05, 0.03], 0.05)
-    # a zero change stops; a NaN change never does
+    # a zero change stops, even at tol 0; a NaN change never does
     assert contraction_stop([1.0, 0.0], 1e-12)
+    assert contraction_stop([1.0, 0.0], 0.0)
+    assert not contraction_stop([1.0, 1e-300], 0.0)
     assert not contraction_stop([1.0, math.nan], 1.0)
 
 

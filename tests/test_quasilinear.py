@@ -317,6 +317,21 @@ def test_fixpoint_equilibrium_converges_immediately():
     assert np.max(np.abs(res.state.s - 0.5)) < 1e-14
 
 
+def test_fixpoint_at_tolerance_zero_stops_on_an_exact_fixed_point():
+    # fixpoint_tol = 0 accepts no nonzero change, but the equilibrium's
+    # passes reach an exact fixed point (changes 2.7e-16, 3.0e-35, ...,
+    # then 0) and stop there instead of running out of passes
+    g = Grid1D(-8.0, 8.0, 129)
+    p = flat_point_potential(0.5)
+    ws = wave_speed(2.0, 1.0)
+    cfg = QuasilinearConfig(dt=0.8 * g.dx / ws.c_max, fixpoint_tol=0.0)
+    res = advance(_equilibrium_state(g), p, ws, cfg, 3 * cfg.dt)
+    for trace in res.traces:
+        assert trace.diff_norms[-1] == 0.0
+        assert all(d > 0.0 for d in trace.diff_norms[:-1])
+    assert np.max(np.abs(res.state.psi - math.pi / 4.0)) < 1e-14
+
+
 def test_fixpoint_iterates_decay_geometrically():
     g = Grid1D(-8.0, 8.0, 257)
     p = flat_point_potential(0.5)
@@ -979,8 +994,8 @@ def test_solver_configs_refuse_steps_and_tolerances_they_cannot_run(
         cls, field, value):
     # a NaN or negative tolerance never stops a fixed point, which then runs
     # all its passes and raises NonContractionError, and inf stops one after
-    # its first pass unchecked; zero stays allowed, the way to force that
-    # last-pass path
+    # its first pass unchecked; zero stays allowed: it stops only on a pass
+    # that changes nothing, the way to force that last-pass path
     kwargs = (dict(dt=0.01) if cls is QuasilinearConfig
               else dict(c=1.0, dt=0.0625, T_window=0.25))
     if field != "dt":
