@@ -482,9 +482,9 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
 
     u0 is a Profile: its exact derivative seeds the reference slopes and
     the embedded gradient fields.  epsilons holds at least two values, each
-    in (0, 1), and no run (an epsilon's fast run, or the marker reference
-    at marker_dt) may take more than config._MAX_SWEEP_STEPS steps;
-    anything else is a ConfigError before any run.  tau_final is
+    in (0, 1), c'(psi0) > 0, and no run (an epsilon's fast run, or the
+    marker reference at marker_dt) may take more than _MAX_SWEEP_STEPS
+    steps; anything else is a ConfigError before any run.  tau_final is
     measured on the standardized slow clock.  One marker run of the
     standard reduced system (4001 markers; profiles u0 as-is, rho0 rescaled
     by the density factor) provides the reference.  For each epsilon the
@@ -525,6 +525,9 @@ def convergence_study(p: PotentialSpec, ws: WaveSpeed, psi0: float, s0: float,
     cfgs = [AsymptoticConfig(ws=ws, psi0=psi0, s0=s0, epsilon=eps)
             for eps in epsilons]
     base = cfgs[0]
+    if base.lam < 0.0:  # the standard clock c'(psi0) tau would run backwards
+        raise ConfigError(f"the sweep needs c'(psi0) > 0, got c'(psi0) = "
+                          f"{base.lam:.6g} at psi0 = {psi0:.6g}")
     mapping = rescaling_map(base)
     runs_steps = [(f"the marker reference at dt = {marker_dt}",
                    fit_steps(tau_final, marker_dt)[0])]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError
 
@@ -69,7 +68,7 @@ def rational_potential(numerator: Polynomial, zeros=(), flat_point=None, name=""
 
     The k-th derivative is N_k(s) / (1-s)^(2+k) with N_0 = P and
     N_{k+1} = (1-s) N_k' + (2+k) N_k, so each eval_k is one polynomial
-    evaluation and one power.
+    evaluation and one power, taken as a product.
     """
     nums = [numerator.convert()]  # coefficients in s itself, whatever the domain
     for k in range(4):
@@ -80,7 +79,12 @@ def rational_potential(numerator: Polynomial, zeros=(), flat_point=None, name=""
 
         def ev(s):
             s = np.asarray(s, dtype=float)
-            return polyval(s, coef) * (1.0 - s) ** (-(2 + order))
+            out = np.full(s.shape, coef[-1])
+            for a in coef[-2::-1]:  # Horner's rule, in place
+                out *= s
+                out += a
+            out /= reduce(np.multiply, [1.0 - s] * (2 + order))
+            return out[()]  # a scalar for scalar or 0-d s
 
         return ev
 

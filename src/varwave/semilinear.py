@@ -8,11 +8,13 @@ on the lattice dt = dx/c (trapezoid weights in time and space), both parts
 obey the parallelogram rule of the 1-D wave equation, and the window map is
 causal: level j reads the sources of earlier levels only, and zeta_t of
 level j those up to j.  So picard_solve reaches each window's discrete fixed
-point in one forward march of a three-term recurrence (_march).  The Picard
-iteration of the argument stays as a check, picard_iterates: the same march
-with its sources read from the iterate before, whose successive distances
-in the metric of fields.state_distance contract geometrically inside the
-certified window.
+point in one forward march of a three-term recurrence (_march), computing
+each level's |zeta|, source and zeta_x once: a window starts from the source
+and zeta_x of the last level of the window before.  The Picard iteration of
+the argument stays as a check, picard_iterates: the same march with its
+sources read from the iterate before, whose successive distances in the
+metric of fields.state_distance contract geometrically inside the certified
+window.
 """
 
 from __future__ import annotations
@@ -47,15 +49,15 @@ __all__ = [
 _PICARD_MAX = 60  # picard_iterates' iterates before NonContractionError
 
 
-def source_term(p: PotentialSpec, z):
+def source_term(p: PotentialSpec, z, s=None):
     """g(z) = (W0'(|z|)/|z|) z with the removable singularity filled in.
 
     Near z = 0 the ratio W0'(s)/s tends to W0''(0); a two-term expansion is
     used below |z| = 1e-7 so the vectorized form stays smooth through zero.
-    Raises StateEscapeError when |z| leaves [0, 1).
+    Raises StateEscapeError when |z| leaves [0, 1); s is |z|, if known.
     """
     z = np.asarray(z, dtype=complex)
-    s = np.abs(z)
+    s = np.abs(z) if s is None else s
     if np.any(s >= 1.0):
         raise StateEscapeError("|zeta| reached 1: outside the potential domain")
     small = s < 1e-7
@@ -81,17 +83,21 @@ def free_wave(f0: ComplexField, c: float, t: float) -> ComplexField:
                         time=f0.time + t, validate=False)
 
 
-def _dalembert(f0: ComplexField, c: float, shift: int, width: int):
+def _dalembert(f0: ComplexField, c: float, shift: int, width: int,
+               zeta_x: Optional[np.ndarray] = None):
     """d'Alembert level (zeta, zeta_t) of f0 after a whole-cell shift
     (negative: back in time), on the grid widened by `width` cells a side;
-    off the grid zeta is its far field and zeta_t, zeta_x are zero."""
+    off the grid zeta is its far field and zeta_t, zeta_x (if not given,
+    centered_derivative of f0.zeta) are zero."""
     g = f0.grid
     n, pad = g.n, abs(shift) + width
     if max(abs(shift), width) >= n:
         raise DomainError(f"characteristics crossed the whole grid of {n} nodes")
+    if zeta_x is None:
+        zeta_x = centered_derivative(g, f0.zeta)
     z = _padded(f0.zeta, f0.far_field, pad)
     zt = _padded(f0.zeta_t, 0.0, pad)
-    zx = _padded(centered_derivative(g, f0.zeta), 0.0, pad)
+    zx = _padded(zeta_x, 0.0, pad)
     cells = _padded(0.5 * (f0.zeta_t[1:] + f0.zeta_t[:-1]) * g.dx, 0.0, pad)
     pref = np.concatenate(([0.0], np.cumsum(cells)))
     hi = slice(pad + shift - width, pad + shift + width + n)
@@ -102,12 +108,21 @@ def _dalembert(f0: ComplexField, c: float, shift: int, width: int):
 
 def _padded(q: np.ndarray, q_ff: complex, pad: int):
     """One level extended by pad far-field values on both sides."""
-    return np.concatenate((np.full(pad, q_ff, dtype=q.dtype), q,
-                           np.full(pad, q_ff, dtype=q.dtype)))
+    ends = np.full(pad, q_ff, dtype=q.dtype)
+    return np.concatenate((ends, q, ends))
+
+
+def _march_buffers(n: int, m: int, q_ff: complex):
+    """_march's work arrays for up to m levels on n nodes: (zeta, zeta_t) of
+    level j in row j % 2, sources of level l in row l % 3, cell sums, s_j."""
+    size = n + 2 * (m + 1)
+    return (np.zeros((2, 2, size), dtype=complex),
+            np.full((3, size), q_ff, dtype=complex),
+            np.empty(size - 1, complex), np.empty(size - 2, complex))
 
 
 def _march(f0: ComplexField, below: np.ndarray, cfg: SemilinearConfig,
-           q_ff: complex, source: Callable):
+           q_ff: complex, source: Callable, work: Optional[tuple] = None):
     """Levels 0..m of one window from f0 on the lattice c dt = dx, each
     yielded as (zeta, zeta_t): fresh arrays with their ends pinned to the
     (equilibrium) far field, never written again.  below is level -1 as
@@ -126,38 +141,40 @@ def _march(f0: ComplexField, below: np.ndarray, cfg: SemilinearConfig,
     of levels below j and zeta_t,j those up to j, so Q_j is taken between
     the two, from the pinned zeta_j: a source of the level itself makes the
     march causal, and its levels are the window's fixed point; a source
-    read from the levels of an earlier iterate makes it one Picard map.
-    The lines are padded by m + 1 cells a side, as each level spoils one
-    more end cell.
+    read from the levels of an earlier iterate makes it one Picard map
+    (Q_0 = source(0, zeta_0) too: picard_solve hands on the last Q of the
+    window before).  The lines are padded by m + 1 cells a side, as each
+    level spoils one more end cell.  work is _march_buffers(n, M, q_ff) for
+    an M >= m, allocated once per run (default: fresh); a window uses their
+    middle, so the grid and the far-field sources keep their place.
     """
     n, dt = f0.grid.n, cfg.dt
     m = (np.shape(below)[-1] - n) // 2
     pad = m + 1
     h = dt / 2.0
+    off = 0 if work is None else (work[1].shape[-1] - n) // 2 - pad
+    lines, q, cells, s = (a[..., off:a.shape[-1] - off]
+                          for a in work or _march_buffers(n, m, q_ff))
 
     def pinned(line, end):
         level = line[pad:pad + n].copy()
         level[0] = level[-1] = end
         return level
 
-    # (zeta, zeta_t) lines of level j in row j % 2
-    lines = np.zeros((2, 2, n + 2 * pad), dtype=complex)
-    lines[0] = (_padded(f0.zeta, f0.far_field, pad),
-                _padded(f0.zeta_t, 0.0, pad))
+    lines[0, :, :pad] = lines[0, :, pad + n:] = ((f0.far_field,), (0.0,))
+    lines[0, 0, pad:pad + n] = f0.zeta
+    lines[0, 1, pad:pad + n] = f0.zeta_t
     lines[1, :, 1:-1] = below
-    # the sources of levels j - 2, j - 1 and j, level l in row l % 3
-    q = np.full((3, n + 2 * pad), q_ff, dtype=complex)
-    s = np.empty(n + 2 * pad - 2, dtype=complex)
     zeta = pinned(lines[0, 0], f0.far_field)
     q[0, pad:pad + n] = source(0, zeta)
     yield zeta, pinned(lines[0, 1], 0.0)
     for j in range(1, m + 1):
         now, last = lines[j % 2], lines[(j - 1) % 2]
         # twice the cell averages of Q_{j-1}
-        cells = q[(j - 1) % 3, 1:] + q[(j - 1) % 3, :-1]
+        np.add(q[(j - 1) % 3, 1:], q[(j - 1) % 3, :-1], out=cells)
         cells[pad - 1] = cells[pad + n - 1] = 2.0 * q_ff
-        np.multiply(cells[1:] + cells[:-1], h * dt / (4.0 if j == 1 else 2.0),
-                    out=s)
+        np.add(cells[1:], cells[:-1], out=s)
+        s *= h * dt / (4.0 if j == 1 else 2.0)
         _parallelogram(now[0], last[0], s)
         zeta = pinned(now[0], f0.far_field)
         q[j % 3, pad:pad + n] = source(j, zeta)
@@ -319,12 +336,21 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     bound = apriori.cE + 1e-6 if apriori is not None else None
 
     log = EnergyLog(grid, cfg.dt)
+    work = _march_buffers(grid.n, win, q_ff)
+    abs_zeta = q = None  # of the level last marched
 
-    def record_level(zeta, zeta_t, t):
+    def source(j, zeta):  # level 0 is the last level of the window before
+        nonlocal abs_zeta, q
+        if j > 0 or q is None:
+            abs_zeta = np.abs(zeta)
+            q = source_term(p, zeta, abs_zeta)
+        return q
+
+    def record_level(zeta, zeta_t, t, az):  # returns the level's zeta_x
         zx = centered_derivative(grid, zeta)
-        sup = float(np.max(np.abs(zeta)))
+        sup = float(np.max(az))
         violated = bound is not None and sup > bound
-        log.record(t, energy_density_complex(zeta, zeta_t, zx, p, cfg.c),
+        log.record(t, energy_density_complex(zeta, zeta_t, zx, p, cfg.c, az),
                    sup, violated)
         if violated:
             raise AprioriViolationError(
@@ -333,23 +359,22 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
         if observer is not None:
             observer(ComplexField(grid, zeta, zeta_t, far_field=f0.far_field,
                                   time=t, validate=False))
+        return zx
 
     # windows only read their start state, so f0 is never written
     state = f0
-    record_level(state.zeta, state.zeta_t, state.time)
-    windows: List[List[float]] = []
-    done = 0
-    while done < total_steps:
+    zx = record_level(state.zeta, state.zeta_t, state.time, np.abs(state.zeta))
+    starts = range(0, total_steps, win)
+    for done in starts:
         m = min(win, total_steps - done)
-        levels = _march(state, _dalembert(state, cfg.c, -1, m), cfg, q_ff,
-                        lambda j, z: source_term(p, z))
+        levels = _march(state, _dalembert(state, cfg.c, -1, m, zx), cfg, q_ff,
+                        source, work)
         next(levels)  # level 0, the start state, is recorded already
         for j, (zeta, zeta_t) in enumerate(levels, start=1):
-            record_level(zeta, zeta_t, state.time + j * cfg.dt)
+            zx = record_level(zeta, zeta_t, state.time + j * cfg.dt, abs_zeta)
         state = ComplexField(grid, zeta, zeta_t, far_field=state.far_field,
                              time=state.time + m * cfg.dt, validate=False)
-        windows.append([])
-        done += m
 
-    return SemilinearResult(field=state, trace=PicardTrace(diff_norms=windows),
+    return SemilinearResult(field=state,
+                            trace=PicardTrace(diff_norms=[[] for _ in starts]),
                             energy_reports=log.reports)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,6 +655,32 @@ def test_asymptotic_sweep_over_the_step_cap_exits_2_before_writing(
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "epsilon = 1e-300" in err and "at most 1048576" in err
+    assert not out.exists()
+
+
+def test_asymptotic_sweep_with_a_falling_speed_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # the benchmark's tiny sweep with K1 and K3 swapped: c'(psi0) < 0 at
+    # psi0 = pi/4, so the standard clock would run backwards; the sweep is
+    # refused before the marker reference or any epsilon runs
+    import varwave.asymptotic as asy
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(asy, "_marker_reference", no_run)
+    monkeypatch.setattr(asy, "_sweep_run", no_run)
+    tiny = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "tiny"
+    doc = _read_json(tiny / "slow_sweep.json")
+    doc["wave_speed"] = {"K1": doc["wave_speed"]["K3"],
+                         "K3": doc["wave_speed"]["K1"]}
+    out = tmp_path / "study"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run-asymptotic", "--config", cfg, "--out", str(out),
+                 "--epsilon-sweep", "0.2,0.1,0.05"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "c'(psi0) = -0.408248" in err and "psi0 = 0.785398" in err
     assert not out.exists()
 
 

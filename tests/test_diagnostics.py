@@ -2,9 +2,13 @@
 
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from varwave import (ComplexField, ConfigError, EnergyReport, Grid1D,
                      PolarState, QuasilinearConfig, SemilinearConfig, advance,
@@ -166,6 +170,44 @@ def test_residuals_detect_broken_law():
     bad_c2F = [-arr for arr in tr["c2F"]]
     rE_bad, _ = conservation_residuals(g, tr["E"], bad_c2F, tr["F"], tr["EmW"], dt)
     assert rE_bad > 100.0 * rE_good
+
+
+def _gradient_residuals(grid, triple_E, triple_c2F, triple_F, triple_EmW, dt):
+    """The residuals as first computed: np.gradient over whole lines, then
+    the one-sided end values zeroed."""
+    dE_dt = (triple_E[2] - triple_E[0]) / (2.0 * dt)
+    dF_dt = (triple_F[2] - triple_F[0]) / (2.0 * dt)
+    res = np.abs([dE_dt - np.gradient(triple_c2F[1], grid.dx, edge_order=2),
+                  dF_dt - np.gradient(triple_EmW[1], grid.dx, edge_order=2)])
+    res[:, [0, -1]] = 0.0
+    return tuple(float(r) for r in integrate(grid, res))
+
+
+def _assert_residuals_match_gradient_formula(grid, lines, dt):
+    E, c2F, F, EmW = (tuple(t) for t in lines)
+    assert (conservation_residuals(grid, E, c2F, F, EmW, dt)
+            == _gradient_residuals(grid, E, c2F, F, EmW, dt))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_residuals_equal_the_gradient_formula_on_short_lines(n):
+    # Grid1D wants 16 nodes; the residuals read only n and dx, so shorter
+    # lines, down to a single interior node, go in on a stand-in grid
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        _assert_residuals_match_gradient_formula(
+            SimpleNamespace(n=n, dx=float(rng.uniform(1e-3, 1.0))),
+            rng.normal(size=(4, 3, n)), float(rng.uniform(1e-3, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 40), dt=st.floats(1e-4, 1.0),
+       dx=st.floats(1e-3, 1.0), data=st.data())
+def test_residuals_equal_the_gradient_formula_bit_for_bit(n, dt, dx, data):
+    lines = data.draw(hnp.arrays(float, (4, 3, n),
+                                 elements=st.floats(-1e3, 1e3)))
+    _assert_residuals_match_gradient_formula(SimpleNamespace(n=n, dx=dx),
+                                             lines, dt)
 
 
 # --- fit_order ---------------------------------------------------------------

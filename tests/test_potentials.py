@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from varwave import (ConfigError, apriori_constants, ensure_valid,
@@ -117,6 +118,51 @@ def test_numerator_domain_is_honoured():
     for k, ev in enumerate(_evals(rational_potential(numerator))):
         oracle = _leibniz(numerator, k, _S)
         assert np.max(np.abs(ev(_S) - oracle) / (1.0 + np.abs(oracle))) <= 1e-12
+
+
+def _polyval_times_power(numerator):
+    """The evaluators as first built: numpy's polyval of N_k times the
+    float power (1-s)^-(2+k)."""
+    nums = [numerator.convert()]
+    for k in range(4):
+        nums.append(Polynomial([1.0, -1.0]) * nums[-1].deriv()
+                    + (2 + k) * nums[-1])
+    return [lambda s, c=num.coef, k=k: polyval(s, c) * (1.0 - s) ** (-(2 + k))
+            for k, num in enumerate(nums)]
+
+
+_NUMERATORS = {
+    "reference": Polynomial([0.0, 0.0, 1.0]),
+    "flat4": Polynomial([0.0, 0.0, 1.0]) * Polynomial([-0.5, 1.0]) ** 4,
+    "quadratic": Polynomial([0.0, 0.0, 1.0]) * Polynomial([1.0, -1.0]) ** 2,
+    "on_domain": Polynomial([0.0, 0.0, 1.0], domain=[0.0, 1.0]),
+    "mixed_signs": Polynomial([0.3, -1.0, 0.5, 2.0, -0.7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMERATORS))
+def test_evaluators_match_polyval_times_power(name):
+    # pytest turns RuntimeWarnings into errors, so none is raised either
+    s = np.linspace(0.0, 0.999, 20001)
+    numerator = _NUMERATORS[name]
+    for ev, ref in zip(_evals(rational_potential(numerator)),
+                       _polyval_times_power(numerator)):
+        want = ref(s)
+        assert np.all(np.abs(ev(s) - want) <= 1e-14 * np.abs(want))
+
+
+def test_evaluators_take_the_scalars_quad_passes():
+    p = flat_point_potential(0.3)
+    for ev in _evals(p):
+        want = ev(np.array([0.7]))[0]
+        for s in (0.7, np.float64(0.7), np.array(0.7)):
+            got = ev(s)  # a float, as polyval times a power gave
+            assert isinstance(got, float) and got == want
+    val, _ = quad(p.eval_0, 0.0, 0.9)
+    ref, _ = quad(_polyval_times_power(
+        Polynomial([0.0, 0.0, 1.0]) * Polynomial([-0.3, 1.0]) ** 4)[0],
+        0.0, 0.9)
+    assert val == pytest.approx(ref, rel=1e-13)
 
 
 def test_quadratic_high_derivatives_vanish():

@@ -575,6 +575,79 @@ def test_picard_solve_hands_out_fresh_levels():
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
+def _fresh_window_levels(f0, p, cfg, steps):
+    """The levels of a picard_solve run rebuilt one window at a time, each
+    window from a fresh _march: new buffers, level -1 from _dalembert's
+    own zeta_x, and Q_0 recomputed from the start state."""
+    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+    win = max(1, int(math.floor(min(cfg.T_window / cfg.dt + 1e-9, steps))))
+    levels, state, done = [(f0.zeta, f0.zeta_t)], f0, 0
+    while done < steps:
+        m = min(win, steps - done)
+        window = list(_march(state, _dalembert(state, cfg.c, -1, m), cfg,
+                             q_ff, lambda j, z: source_term(p, z)))
+        levels += window[1:]
+        state = ComplexField(f0.grid, *window[-1], far_field=f0.far_field,
+                             time=state.time + m * cfg.dt, validate=False)
+        done += m
+    return np.array(levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(32, 64), steps=st.integers(1, 24),
+       window=st.one_of(st.just(math.inf), st.integers(1, 24)),
+       amp=st.floats(0.0, 0.2), phase=st.floats(0.0, 2.0 * math.pi),
+       flat=st.booleans())
+def test_picard_solve_carries_its_seams_as_fresh_windows_would(
+        n, steps, window, amp, phase, flat):
+    # picard_solve allocates the march's buffers once and hands each
+    # window the source and zeta_x of its start state; one-step windows, a
+    # shorter last window and one window over the run all match a run of
+    # fresh per-window marches, on the reference potential's far field 0
+    # and on flat4's equilibrium |far field| = 0.5
+    g = Grid1D(-4.0, 4.0, n)
+    p = flat_point_potential(0.5) if flat else reference_potential()
+    ff = 0.5 * complex(math.cos(phase), math.sin(phase)) if flat else 0j
+    bump = amp * np.exp(-2.0 * (g.nodes - 0.3) ** 2) * (1.0 + 0.5j)
+    f0 = ComplexField(g, ff + bump, 0.3 * bump, far_field=ff, validate=False)
+    cfg = SemilinearConfig(c=1.3, dt=g.dx / 1.3, T_window=window * g.dx / 1.3)
+    got = []
+    picard_solve(f0, p, cfg, steps * cfg.dt, observer=got.append)
+    got = np.array([(f.zeta, f.zeta_t) for f in got])
+    want = _fresh_window_levels(f0, p, cfg, steps)
+    assert got.shape == want.shape == (steps + 1, 2, n)
+    scale = max(1e-300, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_one_step_windows_take_one_source_and_one_slope_per_level(
+        monkeypatch):
+    # the seam's Q and zeta_x are handed to the next window, not recomputed:
+    # k one-step windows evaluate the source at k + 1 levels, plus once for
+    # the far-field check, and zeta_x once per level
+    counts = {"source": 0, "slope": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(semilinear, "source_term",
+                        counted("source", semilinear.source_term))
+    monkeypatch.setattr(semilinear, "centered_derivative",
+                        counted("slope", semilinear.centered_derivative))
+    g = Grid1D(-8.0, 8.0, 129)
+    zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
+    k = 7
+    res = picard_solve(f0, reference_potential(),
+                       SemilinearConfig(c=1.0, dt=g.dx, T_window=g.dx),
+                       k * g.dx)
+    assert len(res.trace.diff_norms) == k
+    assert counts == {"source": k + 2, "slope": k + 1}
+
+
 def test_solve_holds_no_level_stack():
     # numpy reports its buffers to tracemalloc, so the peak is the arrays'
     # own bytes, whatever the allocator does with them

@@ -99,3 +99,28 @@ def test_notes_match_the_results_of_traced_runs():
     # module binding, once per stage
     rhs = store.names.index("hunter_saxton.marker_rhs")
     assert sum(nid == rhs for nid in store.name_id) == 4 * 10
+
+
+def test_traced_semilinear_run_evaluates_one_source_per_level(tmp_path):
+    # run-semilinear hands each window the source of its start state, so a
+    # run of one-step windows evaluates it once per level, plus once for
+    # the far-field check
+    cli = importlib.import_module("varwave.cli")
+    config = _TRACING.parent / "inputs" / "tiny" / "semilinear_certified.json"
+    out = tmp_path / "run"
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(tracing.SpanStore())
+    tracer.install()
+    try:
+        rc = cli.main(["run-semilinear", "--config", str(config),
+                       "--out", str(out), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    # energy_every is 1, so energy.csv has a row per level
+    levels = len((out / "energy.csv").read_text().splitlines()) - 1
+    store = tracer.store
+    assert levels == tracer.notes[store.current_iteration][
+        "semilinear.windows"] + 1 == 9
+    source = store.names.index("semilinear.source_term")
+    assert sum(nid == source for nid in store.name_id) == levels + 1
