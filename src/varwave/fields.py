@@ -202,8 +202,18 @@ def integrate(grid: Grid1D, samples):
 
 def centered_derivative(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     """Second-order spatial derivative along the last axis: centered inside,
-    one-sided at the ends."""
-    return np.gradient(np.asarray(samples), grid.dx, axis=-1, edge_order=2)
+    one-sided at the ends.  These are np.gradient's edge_order = 2 formulas
+    on a uniform grid, evaluated in its order, so the result is bit for bit
+    np.gradient(samples, grid.dx, axis=-1, edge_order=2)."""
+    f = np.asarray(samples)
+    dx = grid.dx
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    out[..., 0] = ((-1.5 / dx) * f[..., 0] + (2.0 / dx) * f[..., 1]
+                   + (-0.5 / dx) * f[..., 2])
+    out[..., -1] = ((0.5 / dx) * f[..., -3] + (-2.0 / dx) * f[..., -2]
+                    + (1.5 / dx) * f[..., -1])
+    return out
 
 
 # ---------------------------------------------------------------------------

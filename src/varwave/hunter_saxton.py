@@ -26,7 +26,10 @@ allocated once per run, so each step allocates only the (5, m) array of its
 new level, (x, u, alpha, rho, J).  A run hands each level to an optional
 observer as a MarkerState whose arrays are the rows of that level's array,
 and reports breaking on its result (broke, t_star, marker_index) instead of
-raising.
+raising.  sample_eulerian resamples a cloud onto Eulerian positions in
+numpy: u by the PCHIP interpolant (Fritsch & Carlson, SIAM J. Numer. Anal.
+17, 1980), rho as the derivative of the not-a-knot cubic spline through the
+cumulative rho mass (de Boor, A Practical Guide to Splines, ch. IV).
 """
 
 from __future__ import annotations
@@ -278,28 +281,119 @@ def evolve_markers(st: MarkerState, t_final: float, dt: float,
                     energy_history=hist, sup_alpha=sup_alpha)
 
 
+def _hermite(x, y, h, m, d, xq, derivative=False):
+    """The cubic Hermite interpolant through (x, y) with node slopes d, or
+    its derivative, at the points xq inside [x[0], x[-1]]; h and m are the
+    interval widths and secants.
+
+    Each interval holds the power form y_i + d_i s + c2_i s^2 + c3_i s^3 in
+    s = xq - x_i, with the coefficients scipy's CubicHermiteSpline builds; a
+    point on a node belongs to the interval on its right, x[-1] to the last.
+    """
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    h, m, d0, d1 = h[i], m[i], d[i], d[i + 1]
+    t = (d0 + d1 - 2.0 * m) / h
+    c3 = t / h
+    c2 = (m - d0) / h - t
+    s = xq - x[i]
+    if derivative:
+        return (3.0 * c3 * s + 2.0 * c2) * s + d0
+    return ((c3 * s + c2) * s + d0) * s + y[i]
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """PCHIP's end slope: the three-point one-sided estimate from the end
+    secant m0 and its neighbour m1, set to 0 where its sign is not m0's and
+    clamped to 3 m0 where the secants change sign."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    """Node slopes of the PCHIP interpolant (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 17, 1980) from the interval widths h and secants m: inside,
+    the weighted harmonic mean of the adjacent secants, 0 where they change
+    sign or one is 0; _pchip_end at the two ends."""
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.empty(m.size + 1)
+    # a secant of 0 or tiny against the widths makes a mean of infinite
+    # reciprocal; those nodes are flat, or their slope underflows to 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0,
+                           (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]))
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _not_a_knot_slopes(x, h, m):
+    """Node slopes of the not-a-knot cubic spline (de Boor, A Practical
+    Guide to Splines, ch. IV) from the nodes x, widths h and secants m: the
+    tridiagonal system of C2 continuity inside, third-derivative continuity
+    across x[1] and x[-2] at the ends, solved by Thomas elimination."""
+    n = x.size
+    diag, b = np.empty(n), np.empty(n)
+    sub, sup = np.zeros(n), np.zeros(n)
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    sub[1:-1], sup[1:-1] = h[1:], h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag[0], sup[0] = h[1], d0
+    b[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+    diag[-1], sub[-1] = h[-2], d1
+    b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    diag, b, sub, sup = diag.tolist(), b.tolist(), sub.tolist(), sup.tolist()
+    for k in range(1, n):
+        w = sub[k] / diag[k - 1]
+        diag[k] -= w * sup[k - 1]
+        b[k] -= w * b[k - 1]
+    s = [0.0] * n
+    s[-1] = b[-1] / diag[-1]
+    for k in range(n - 2, -1, -1):
+        s[k] = (b[k] - sup[k] * s[k + 1]) / diag[k]
+    return np.array(s)
+
+
 def sample_eulerian(st: MarkerState, x_query) -> Tuple[np.ndarray, np.ndarray]:
     """Resample (u, rho) on given positions from the marker cloud.
 
-    x_query is an array of positions or a Grid1D.  u is monotone-safe
-    (piecewise cubic Hermite through the markers); rho is the derivative of
+    x_query is an array of positions or a Grid1D.  u is the PCHIP
+    interpolant through the markers (monotone-safe piecewise cubic
+    Hermite); rho is the derivative of the not-a-knot cubic spline through
     the cumulative rho mass, which keeps the integral of rho across any
-    marker range exact even where markers bunch up.  scipy.interpolate is
-    imported here, on the first call, so importing varwave stays cheap.
-    """
-    from scipy.interpolate import CubicSpline, PchipInterpolator
+    marker range exact even where markers bunch up.  Both are the
+    interpolants of scipy's PchipInterpolator and CubicSpline, built here in
+    numpy.  An empty query returns two empty arrays.
 
+    DomainError when the cloud has fewer than 4 markers or is not finite,
+    when the marker positions are not increasing (too close to breaking),
+    and when a query point is NaN or outside the marker span.
+    """
     x = st.x
-    if np.any(np.diff(x) <= 0.0):
-        raise DomainError("marker positions are not increasing: too close to "
-                          "breaking for Eulerian sampling")
-    xq = np.asarray(getattr(x_query, "nodes", x_query), dtype=float)
-    if np.min(xq) < x[0] or np.max(xq) > x[-1]:
-        raise DomainError("query points outside the marker span")
-    u_of_x = PchipInterpolator(x, st.u)
+    if x.size < 4:
+        raise DomainError("Eulerian sampling needs at least 4 markers")
     # cumulative mass of rho in the label variable mapped to positions
     dens = st.rho * st.J
     mass = np.concatenate(([0.0],
                            np.cumsum(0.5 * (dens[1:] + dens[:-1]) * st.dxi)))
-    rho_of_x = CubicSpline(x, mass).derivative()
-    return u_of_x(xq), rho_of_x(xq)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(st.u))
+            and math.isfinite(mass[-1])):
+        raise DomainError("marker positions, u or rho mass not finite")
+    h = x[1:] - x[:-1]
+    if not np.all(h > 0.0):
+        raise DomainError("marker positions are not increasing: too close to "
+                          "breaking for Eulerian sampling")
+    xq = np.asarray(getattr(x_query, "nodes", x_query), dtype=float)
+    if xq.size and not (np.min(xq) >= x[0] and np.max(xq) <= x[-1]):
+        raise DomainError("query points NaN or outside the marker span")
+    u = st.u
+    m_u, m_mass = (u[1:] - u[:-1]) / h, (mass[1:] - mass[:-1]) / h
+    return (_hermite(x, u, h, m_u, _pchip_slopes(h, m_u), xq),
+            _hermite(x, mass, h, m_mass, _not_a_knot_slopes(x, h, m_mass), xq,
+                     derivative=True))

@@ -272,6 +272,28 @@ def test_integrate_second_order_convergence():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
+# --- centered_derivative -----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(16, 80), k=st.integers(0, 3),
+       width=st.floats(1e-3, 1e3), kind=st.sampled_from([float, complex]),
+       seed=st.integers(0, 2**32 - 1))
+def test_centered_derivative_is_np_gradient_bit_for_bit(n, k, width, kind,
+                                                        seed):
+    # k = 0 is one line, k >= 1 a (k, n) stack
+    g = Grid1D(-0.5 * width, 0.5 * width, n)
+    rng = np.random.default_rng(seed)
+    shape = (k, n) if k else (n,)
+    f = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
+    if kind is complex:
+        f = f + 1j * rng.standard_normal(shape)
+    got = centered_derivative(g, f)
+    want = np.gradient(f, g.dx, axis=-1, edge_order=2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # --- ComplexField ------------------------------------------------------------
 
 

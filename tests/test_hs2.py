@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varwave import (ConfigError, DomainError, MarkerState,
+import varwave.asymptotic as asy
+from varwave import (AsymptoticConfig, ConfigError, DomainError, MarkerState,
                      WavebreakingError, breaking_time_riccati, bump_slope,
                      constant, evolve_markers, gaussian, make_markers,
-                     marker_rhs, sample_eulerian)
+                     marker_rhs, rescaling_map, sample_eulerian, wave_speed)
 from varwave.profiles import zero
 
 
@@ -419,3 +420,101 @@ def test_sampling_domain_guards():
     st.x[10] = st.x[9] - 1e-9  # fold the map
     with pytest.raises(DomainError, match="increasing"):
         sample_eulerian(st, np.array([0.0]))
+
+
+def test_sampling_refuses_a_nan_query():
+    u0 = gaussian(0.2)
+    st = make_markers((-2.0, 2.0), 32, u0, zero(), du0=u0.derivative)
+    with pytest.raises(DomainError, match="NaN"):
+        sample_eulerian(st, np.array([0.0, np.nan]))
+
+
+def test_sampling_an_empty_query_returns_two_empty_arrays():
+    u0 = gaussian(0.2)
+    st = make_markers((-2.0, 2.0), 32, u0, zero(), du0=u0.derivative)
+    u_s, rho_s = sample_eulerian(st, np.array([]))
+    assert u_s.shape == rho_s.shape == (0,)
+
+
+@pytest.mark.parametrize("row", ["x", "u", "rho", "J"])
+def test_sampling_refuses_a_non_finite_marker_cloud(row):
+    u0 = gaussian(0.2)
+    st = make_markers((-2.0, 2.0), 32, u0, zero(), du0=u0.derivative)
+    getattr(st, row)[10] = np.nan
+    with pytest.raises(DomainError, match="not finite"):
+        sample_eulerian(st, np.array([0.0]))
+
+
+def test_sampling_refuses_fewer_than_four_markers():
+    st = MarkerState(xi=np.arange(3.0), x=np.arange(3.0), u=np.zeros(3),
+                     alpha=np.zeros(3), rho=np.ones(3), J=np.ones(3))
+    with pytest.raises(DomainError, match="4 markers"):
+        sample_eulerian(st, np.array([1.0]))
+
+
+def _assert_sampling_matches_scipy(state, xq):
+    """u against PchipInterpolator, rho against the derivative of
+    CubicSpline through the cumulative mass, within 1e-12 relative."""
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
+    dens = state.rho * state.J
+    mass = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * state.dxi)))
+    u_s, rho_s = sample_eulerian(state, xq)
+    for got, want in ((u_s, PchipInterpolator(state.x, state.u)(xq)),
+                      (rho_s, CubicSpline(state.x, mass).derivative()(xq))):
+        np.testing.assert_allclose(
+            got, want, rtol=0.0, atol=1e-12 * float(np.max(np.abs(want))))
+
+
+# rounded to 1e-6, so no secant is so small that its reciprocal overflows
+# (scipy's PCHIP warns there)
+_levels = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                    st.floats(-2.0, 2.0).map(lambda v: round(v, 6)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), m=st.integers(8, 64))
+@example(data=None, m=8)
+def test_sampling_matches_scipy_interpolants(data, m):
+    # non-uniform spacing; u with sign changes and flat runs reaches PCHIP's
+    # zero-slope branch and both end rules; rho >= 0 with zeros.  The
+    # explicit example clamps the left end slope to 3 m0 (secants 1, -6).
+    if data is None:
+        gaps = [1.0] * (m - 1)
+        u = [0.0, 1.0, -5.0] + [0.0] * (m - 3)
+        rho = [0.0] * m
+        fractions = [0.05, 0.5]  # 0.05 lands in the clamped first interval
+    else:
+        gaps = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m - 1,
+                                  max_size=m - 1))
+        u = data.draw(st.lists(_levels, min_size=m, max_size=m))
+        rho = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                                 min_size=m, max_size=m))
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    x = np.concatenate(([0.0], np.cumsum(gaps)))
+    state = MarkerState(xi=np.linspace(0.0, 1.0, m), x=x, u=np.array(u),
+                        alpha=np.zeros(m), rho=np.array(rho),
+                        J=np.linspace(0.5, 2.0, m))
+    xq = np.concatenate((x, x[0] + np.array(fractions) * (x[-1] - x[0])))
+    _assert_sampling_matches_scipy(state, xq)
+
+
+def test_sampling_matches_scipy_on_the_criterion_10_reference():
+    # the 4001-marker reference state of criterion 10 at tau = 0.5, sampled
+    # where the sweep samples it
+    kept = {}
+
+    def keeping_sample(state, y):
+        kept["state"], kept["y"] = state, y
+        return sample_eulerian(state, y)
+
+    cfg = AsymptoticConfig(ws=wave_speed(2.0, 1.0), psi0=math.pi / 4.0,
+                           s0=0.5, epsilon=0.2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asy, "sample_eulerian", keeping_sample)
+        asy._marker_reference(rescaling_map(cfg), gaussian(1.0, 0.0, 1.0),
+                              bump_slope(0.5, 0.0, 1.0), (-6.0, 6.0),
+                              np.linspace(-5.0, 5.0, 400), 2e-3, 0.5)
+    assert kept["state"].x.size == 4001
+    _assert_sampling_matches_scipy(kept["state"], kept["y"])
