@@ -7,10 +7,11 @@ Duhamel integral of the source over the backward light cone.  Made discrete
 on the lattice dt = dx/c (trapezoid weights in time and space), both parts
 obey the parallelogram rule of the 1-D wave equation, and the window map is
 causal: level j reads the sources of earlier levels only, and zeta_t of
-level j those up to j.  So picard_solve reaches each window's discrete fixed
-point in one forward march of a three-term recurrence (_march), computing
-each level's |zeta|, source and zeta_x once: a window starts from the source
-and zeta_x of the last level of the window before.  The Picard iteration of
+level j those up to j.  So picard_solve reaches every window's discrete
+fixed point in one forward march of a three-term recurrence over the run
+(_march), computing each level's |zeta|, source and zeta_x once: a window
+starts in place from the last level of the one before, its free level -1
+by the three-point back-step (_back_step).  The Picard iteration of
 the argument stays as a check, picard_iterates: the same march with its
 sources read from the iterate before, whose successive distances in the
 metric of fields.state_distance contract geometrically inside the certified
@@ -83,21 +84,16 @@ def free_wave(f0: ComplexField, c: float, t: float) -> ComplexField:
                         time=f0.time + t, validate=False)
 
 
-def _dalembert(f0: ComplexField, c: float, shift: int, width: int,
-               zeta_x: Optional[np.ndarray] = None):
+def _dalembert(f0: ComplexField, c: float, shift: int, width: int):
     """d'Alembert level (zeta, zeta_t) of f0 after a whole-cell shift
     (negative: back in time), on the grid widened by `width` cells a side;
-    off the grid zeta is its far field and zeta_t, zeta_x (if not given,
-    centered_derivative of f0.zeta) are zero."""
+    off the grid zeta is its far field and zeta_t, zeta_x are zero."""
     g = f0.grid
     n, pad = g.n, abs(shift) + width
-    if max(abs(shift), width) >= n:
-        raise DomainError(f"characteristics crossed the whole grid of {n} nodes")
-    if zeta_x is None:
-        zeta_x = centered_derivative(g, f0.zeta)
+    _refuse_crossing(n, max(abs(shift), width))
     z = _padded(f0.zeta, f0.far_field, pad)
     zt = _padded(f0.zeta_t, 0.0, pad)
-    zx = _padded(zeta_x, 0.0, pad)
+    zx = _padded(centered_derivative(g, f0.zeta), 0.0, pad)
     cells = _padded(0.5 * (f0.zeta_t[1:] + f0.zeta_t[:-1]) * g.dx, 0.0, pad)
     pref = np.concatenate(([0.0], np.cumsum(cells)))
     hi = slice(pad + shift - width, pad + shift + width + n)
@@ -112,78 +108,92 @@ def _padded(q: np.ndarray, q_ff: complex, pad: int):
     return np.concatenate((ends, q, ends))
 
 
-def _march_buffers(n: int, m: int, q_ff: complex):
-    """_march's work arrays for up to m levels on n nodes: (zeta, zeta_t) of
-    level j in row j % 2, sources of level l in row l % 3, cell sums, s_j."""
-    size = n + 2 * (m + 1)
-    return (np.zeros((2, 2, size), dtype=complex),
-            np.full((3, size), q_ff, dtype=complex),
-            np.empty(size - 1, complex), np.empty(size - 2, complex))
+def _march(f0: ComplexField, cfg: SemilinearConfig, steps: int,
+           q_ff: complex, source: Callable, win: Optional[int] = None,
+           slope: Optional[Callable] = None):
+    """Levels 0..steps from f0 on the lattice c dt = dx, in windows of win
+    levels (default: one), each yielded as (zeta, zeta_t): fresh arrays
+    with their ends pinned to the (equilibrium) far field, never written
+    again.
 
-
-def _march(f0: ComplexField, below: np.ndarray, cfg: SemilinearConfig,
-           q_ff: complex, source: Callable, work: Optional[tuple] = None):
-    """Levels 0..m of one window from f0 on the lattice c dt = dx, each
-    yielded as (zeta, zeta_t): fresh arrays with their ends pinned to the
-    (equilibrium) far field, never written again.  below is level -1 as
-    (zeta, zeta_t) on the grid widened by m cells a side, for a window
-    from f0 its free d'Alembert level _dalembert(f0, c, -1, m).
-
-    Level j >= 1 of zeta and of zeta_t follows the parallelogram rule
+    Level j >= 1 of a window, of zeta and of zeta_t, follows the
+    parallelogram rule
       u_j[i] = u_{j-1}[i+1] + u_{j-1}[i-1] - u_{j-2}[i] - s_j[i]
-    from the start state (level 0) and level -1.  With
-    Q_l = source(l, zeta_l) the source of level l, s_j = (dt^2/2) T_{j-1}
-    for zeta, T_l[i] the sum of Q_l's averages over the two cells by node i,
-    and s_j = (dt/2) (Q_j - Q_{j-2}) for zeta_t; off the grid Q_l and its
-    cell averages are q_ff.  At j = 1 the T_0 term halves and Q_{-1} =
-    -(Q_0[i+1] + Q_0[i-1])/2.  That is exactly d'Alembert plus the
-    trapezoid Duhamel sum over the backward cone.  zeta_j reads the sources
-    of levels below j and zeta_t,j those up to j, so Q_j is taken between
-    the two, from the pinned zeta_j: a source of the level itself makes the
-    march causal, and its levels are the window's fixed point; a source
-    read from the levels of an earlier iterate makes it one Picard map
-    (Q_0 = source(0, zeta_0) too: picard_solve hands on the last Q of the
-    window before).  The lines are padded by m + 1 cells a side, as each
-    level spoils one more end cell.  work is _march_buffers(n, M, q_ff) for
-    an M >= m, allocated once per run (default: fresh); a window uses their
-    middle, so the grid and the far-field sources keep their place.
+    from its start level 0 and the free level -1 (_back_step).  With
+    Q_l = source(l, zeta_l) the source of level l (l counted over the
+    run), s_j = (dt^2/2) T_{j-1} for zeta, T_l[i] the sum of Q_l's
+    averages over the two cells by node i, and s_j = (dt/2) (Q_j - Q_{j-2})
+    for zeta_t; off the grid Q_l and its cell averages are q_ff.  At j = 1
+    the T_0 term halves and Q_{-1} = -(Q_0[i+1] + Q_0[i-1])/2.  That is
+    exactly d'Alembert plus the trapezoid Duhamel sum over the window's
+    backward cone.  zeta_j reads the sources of levels below j and
+    zeta_t,j those up to j, so Q_j is taken between the two, from the
+    pinned zeta_j: a source of the level itself makes the march causal,
+    and its levels are the window's fixed point; a source read from the
+    levels of an earlier iterate makes it one Picard map.  The lines are
+    padded by win + 1 cells a side, as each level spoils one more end
+    cell.  A window after the first starts in place from the last level of
+    the one before: pads reset to the far field, ends pinned, Q_0 read from
+    the row that holds it.  slope(zeta) is a start level's zeta_x
+    (default: its centered_derivative).
     """
-    n, dt = f0.grid.n, cfg.dt
-    m = (np.shape(below)[-1] - n) // 2
-    pad = m + 1
-    h = dt / 2.0
-    off = 0 if work is None else (work[1].shape[-1] - n) // 2 - pad
-    lines, q, cells, s = (a[..., off:a.shape[-1] - off]
-                          for a in work or _march_buffers(n, m, q_ff))
+    g, dt = f0.grid, cfg.dt
+    win = steps if win is None else win
+    slope = slope or (lambda zeta: centered_derivative(g, zeta))
+    n, pad = g.n, win + 1
+    size, grid, h = n + 2 * pad, slice(pad, pad + n), dt / 2.0
+    lines = np.zeros((2, 2, size), dtype=complex)
+    q = np.full((3, size), q_ff, dtype=complex)
+    cells, s = np.empty(size - 1, complex), np.empty(size - 2, complex)
 
     def pinned(line, end):
-        level = line[pad:pad + n].copy()
+        level = line[grid].copy()
         level[0] = level[-1] = end
         return level
 
-    lines[0, :, :pad] = lines[0, :, pad + n:] = ((f0.far_field,), (0.0,))
-    lines[0, 0, pad:pad + n] = f0.zeta
-    lines[0, 1, pad:pad + n] = f0.zeta_t
-    lines[1, :, 1:-1] = below
+    lines[0, 0, grid], lines[0, 1, grid] = f0.zeta, f0.zeta_t
     zeta = pinned(lines[0, 0], f0.far_field)
-    q[0, pad:pad + n] = source(0, zeta)
+    q[0, grid] = source(0, zeta)
     yield zeta, pinned(lines[0, 1], 0.0)
-    for j in range(1, m + 1):
+    for j in range(1, steps + 1):
         now, last = lines[j % 2], lines[(j - 1) % 2]
+        first = (j - 1) % win == 0  # level j - 1 starts a window
+        if first:
+            edge = pad + (j > 1)  # the pads, and the ends after f0
+            last[:, :edge] = last[:, -edge:] = ((f0.far_field,), (0.0,))
+            _back_step(last, now, slope(last[0, grid]), cfg.c, g.dx)
         # twice the cell averages of Q_{j-1}
         np.add(q[(j - 1) % 3, 1:], q[(j - 1) % 3, :-1], out=cells)
         cells[pad - 1] = cells[pad + n - 1] = 2.0 * q_ff
         np.add(cells[1:], cells[:-1], out=s)
-        s *= h * dt / (4.0 if j == 1 else 2.0)
+        s *= h * dt / (4.0 if first else 2.0)
         _parallelogram(now[0], last[0], s)
         zeta = pinned(now[0], f0.far_field)
-        q[j % 3, pad:pad + n] = source(j, zeta)
-        if j == 1:
-            s[:] = h * (q[1, 1:-1] + 0.5 * (q[0, 2:] + q[0, :-2]))
+        q[j % 3, grid] = source(j, zeta)
+        if first:
+            s[:] = h * (q[j % 3, 1:-1]
+                        + 0.5 * (q[(j - 1) % 3, 2:] + q[(j - 1) % 3, :-2]))
         else:
             np.multiply(q[j % 3, 1:-1] - q[(j - 2) % 3, 1:-1], h, out=s)
         _parallelogram(now[1], last[1], s)
         yield zeta, pinned(now[1], 0.0)
+
+
+def _back_step(seam: np.ndarray, below: np.ndarray, zeta_x: np.ndarray,
+               c: float, dx: float):
+    """The free level one cell back from the padded (zeta, zeta_t) lines
+    seam, into below's interior by the three-point parallelogram rule; as
+    in _dalembert, zeta_x (given on the grid) is 0 off it, and zeta_t is
+    integrated over the grid's cells only."""
+    (z, zt), n = seam, zeta_x.size
+    pad = (z.size - n) // 2
+    cells = dx / (4.0 * c) * (zt[1:] + zt[:-1])
+    cells[pad - 1] = cells[-pad] = 0.0
+    below[0, 1:-1] = 0.5 * (z[2:] + z[:-2]) - (cells[1:] + cells[:-1])
+    below[1, 1:-1] = 0.5 * (zt[2:] + zt[:-2])
+    half = (0.5 * c) * zeta_x
+    below[1, pad + 1:pad + n + 1] += half
+    below[1, pad - 1:pad + n - 1] -= half
 
 
 def _parallelogram(now: np.ndarray, last: np.ndarray, s: np.ndarray):
@@ -268,6 +278,12 @@ def _far_field_source(f0: ComplexField, p: PotentialSpec,
     return q_ff
 
 
+def _refuse_crossing(n: int, win: int):
+    """Windows stay shorter than the grid, as d'Alembert's shifts do."""
+    if win >= n:
+        raise DomainError(f"characteristics crossed the whole grid of {n} nodes")
+
+
 def picard_iterates(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
                     steps: int):
     """Picard iteration of one window of `steps` levels from f0, the
@@ -289,11 +305,11 @@ def picard_iterates(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     if steps < 1:
         raise ConfigError(f"a window takes at least one step, not {steps}")
     q_ff = _far_field_source(f0, p, cfg)
-    below = _dalembert(f0, cfg.c, -1, steps)
-    hat = np.array(list(_march(f0, below, cfg, 0.0, lambda j, z: 0.0)))
+    _refuse_crossing(f0.grid.n, steps)
+    hat = np.array(list(_march(f0, cfg, steps, 0.0, lambda j, z: 0.0)))
     diffs: List[float] = []
     for _ in range(_PICARD_MAX):
-        new = np.array(list(_march(f0, below, cfg, q_ff,
+        new = np.array(list(_march(f0, cfg, steps, q_ff,
                                    lambda j, z: source_term(p, hat[j, 0]))))
         diffs.append(float(np.max(state_distance(
             f0.grid, new[1:, 0], new[1:, 1], hat[1:, 0], hat[1:, 1], p))))
@@ -315,8 +331,8 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     its start state, solved by one causal lattice march (_march) that
     hands each level on as soon as it is marched; the windows concatenate
     exactly because the step is grid aligned.  Each window starts afresh
-    from the free d'Alembert level before its start state, so the window
-    length is part of the scheme.  When certified constants are supplied,
+    from the free level before its start state (the three-point back-step,
+    in place), so the window length is part of the scheme.  When certified constants are supplied,
     sup|zeta| is checked against cE + 1e-6 at every level (the pinning
     bound is an invariant of the true flow, so tripping it means the
     configuration lied about its energy).  Energy reports carry totals each
@@ -332,19 +348,17 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
     total_steps = step_count(t_final, cfg.dt)
     win = max(1, int(math.floor(min(cfg.T_window / cfg.dt + 1e-9,
                                     total_steps))))
+    _refuse_crossing(grid.n, win)
 
     bound = apriori.cE + 1e-6 if apriori is not None else None
 
     log = EnergyLog(grid, cfg.dt)
-    work = _march_buffers(grid.n, win, q_ff)
-    abs_zeta = q = None  # of the level last marched
+    abs_zeta = None  # of the level last marched
 
-    def source(j, zeta):  # level 0 is the last level of the window before
-        nonlocal abs_zeta, q
-        if j > 0 or q is None:
-            abs_zeta = np.abs(zeta)
-            q = source_term(p, zeta, abs_zeta)
-        return q
+    def source(j, zeta):
+        nonlocal abs_zeta
+        abs_zeta = np.abs(zeta)
+        return source_term(p, zeta, abs_zeta)
 
     def record_level(zeta, zeta_t, t, az):  # returns the level's zeta_x
         zx = centered_derivative(grid, zeta)
@@ -361,20 +375,20 @@ def picard_solve(f0: ComplexField, p: PotentialSpec, cfg: SemilinearConfig,
                                   time=t, validate=False))
         return zx
 
-    # windows only read their start state, so f0 is never written
-    state = f0
-    zx = record_level(state.zeta, state.zeta_t, state.time, np.abs(state.zeta))
-    starts = range(0, total_steps, win)
+    # f0 is only read; each window starts from the zeta_x that record_level
+    # took of its start level, the level the march handed on last
+    zx = record_level(f0.zeta, f0.zeta_t, f0.time, np.abs(f0.zeta))
+    levels = _march(f0, cfg, total_steps, q_ff, source, win, lambda z: zx)
+    next(levels)  # level 0, f0 itself, is recorded already
+    t, starts = f0.time, range(0, total_steps, win)
     for done in starts:
         m = min(win, total_steps - done)
-        levels = _march(state, _dalembert(state, cfg.c, -1, m, zx), cfg, q_ff,
-                        source, work)
-        next(levels)  # level 0, the start state, is recorded already
-        for j, (zeta, zeta_t) in enumerate(levels, start=1):
-            zx = record_level(zeta, zeta_t, state.time + j * cfg.dt, abs_zeta)
-        state = ComplexField(grid, zeta, zeta_t, far_field=state.far_field,
-                             time=state.time + m * cfg.dt, validate=False)
+        for j, (zeta, zeta_t) in zip(range(1, m + 1), levels):
+            zx = record_level(zeta, zeta_t, t + j * cfg.dt, abs_zeta)
+        t += m * cfg.dt
 
-    return SemilinearResult(field=state,
+    field = ComplexField(grid, zeta, zeta_t, far_field=f0.far_field, time=t,
+                         validate=False)
+    return SemilinearResult(field=field,
                             trace=PicardTrace(diff_norms=[[] for _ in starts]),
                             energy_reports=log.reports)

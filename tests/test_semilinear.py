@@ -1,6 +1,7 @@
 """Constant-speed complex solver: d'Alembert, Duhamel, Picard windows."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from varwave import (AprioriViolationError, ComplexField, ConfigError,
-                     Grid1D, NonContractionError, SemilinearConfig,
-                     StateEscapeError, apriori_constants,
-                     contraction_window, ensure_valid,
+                     DomainError, Grid1D, NonContractionError,
+                     SemilinearConfig, StateEscapeError, apriori_constants,
+                     centered_derivative, contraction_window, ensure_valid,
                      flat_point_potential, free_wave, picard_iterates,
                      picard_solve, reference_potential, source_term,
                      state_distance, zero_potential)
 from varwave import semilinear
-from varwave.semilinear import _dalembert, _march, _padded
+from varwave.semilinear import _back_step, _dalembert, _march, _padded
 
 
 # --- source_term -------------------------------------------------------------
@@ -182,8 +183,7 @@ def _compact_data_and_shift(draw):
 def _free_march(f0, cfg, m):
     """The free levels of an m-step window from f0, as an (m+1, 2, n)
     stack: the march with no source, iterate 0 of the Picard check."""
-    return np.array(list(_march(f0, _dalembert(f0, cfg.c, -1, m), cfg, 0.0,
-                                lambda j, z: 0.0)))
+    return np.array(list(_march(f0, cfg, m, 0.0, lambda j, z: 0.0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,6 +208,32 @@ def test_free_wave_exact_on_aligned_shifts(case):
     assert np.array_equal(base[0, 1], f0.zeta_t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(32, 64), data=st.data(), c=st.floats(0.1, 10.0),
+       ends=st.tuples(_bounded_complex, _bounded_complex),
+       phase=st.floats(0.0, 2.0 * math.pi), flat=st.booleans())
+def test_back_step_is_the_dalembert_level_before(n, data, c, ends, phase,
+                                                 flat):
+    # a window's level -1, written by the three-point back-step from its
+    # padded start level, is d'Alembert's one step back, on ends off the
+    # far field too, for the reference potential's far field 0 and flat4's
+    # e^{i phase}/2; the bound is line-scale, as _dalembert's prefix-sum
+    # difference rounds with the partial sums, not with the two cells
+    m = data.draw(st.integers(1, n - 1))
+    g = Grid1D(-4.0, 4.0, n)
+    ff = 0.5 * complex(math.cos(phase), math.sin(phase)) if flat else 0j
+    bump = 0.3 * np.exp(-2.0 * (g.nodes - 0.3) ** 2) * (1.0 + 0.5j)
+    zeta, zeta_t = ff + bump, 0.7j * np.cos(g.nodes) * bump
+    zeta[0], zeta[-1] = ends
+    zeta_t[0], zeta_t[-1] = ends[::-1]
+    f0 = ComplexField(g, zeta, zeta_t, far_field=ff, validate=False)
+    seam = np.stack((_padded(zeta, ff, m + 1), _padded(zeta_t, 0.0, m + 1)))
+    below = np.full_like(seam, np.nan)
+    _back_step(seam, below, centered_derivative(g, zeta), c, g.dx)
+    for got, want in zip(below[:, 1:-1], _dalembert(f0, c, -1, m)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_free_wave_requires_aligned_time():
     g = Grid1D(-8.0, 8.0, 257)
     f0 = _zero_velocity_bump(g)
@@ -226,9 +252,8 @@ def _lattice_corrections(g, levels, source, q_ff, c):
     given levels; its ends are pinned to 0."""
     zero = np.zeros(g.n, dtype=complex)
     f0 = ComplexField(g, zero, zero, validate=False)
-    below = np.zeros((2, g.n + 2 * (levels.shape[0] - 1)), dtype=complex)
     cfg = SemilinearConfig(c=c, dt=g.dx / c, T_window=math.inf)
-    out = np.array(list(_march(f0, below, cfg, q_ff,
+    out = np.array(list(_march(f0, cfg, levels.shape[0] - 1, q_ff,
                                lambda j, z: source(levels[j]))))
     return out[:, 0], out[:, 1]
 
@@ -347,7 +372,7 @@ def _picard_map(f0, cfg, p, hat):
     the (zeta, zeta_t) levels hat, as an (m+1, 2, n) stack."""
     m = hat.shape[0] - 1
     q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
-    return np.array(list(_march(f0, _dalembert(f0, cfg.c, -1, m), cfg, q_ff,
+    return np.array(list(_march(f0, cfg, m, q_ff,
                                 lambda j, z: source_term(p, hat[j, 0]))))
 
 
@@ -577,20 +602,19 @@ def test_picard_solve_hands_out_fresh_levels():
 
 def _fresh_window_levels(f0, p, cfg, steps):
     """The levels of a picard_solve run rebuilt one window at a time, each
-    window from a fresh _march: new buffers, level -1 from _dalembert's
-    own zeta_x, and Q_0 recomputed from the start state."""
-    q_ff = complex(source_term(p, np.asarray([f0.far_field]))[0])
+    window a fresh one-window picard_solve from the last level of the one
+    before: new buffers, zeta_x and Q_0 recomputed from its start state."""
     win = max(1, int(math.floor(min(cfg.T_window / cfg.dt + 1e-9, steps))))
-    levels, state, done = [(f0.zeta, f0.zeta_t)], f0, 0
+    levels, state, done = [f0], f0, 0
     while done < steps:
         m = min(win, steps - done)
-        window = list(_march(state, _dalembert(state, cfg.c, -1, m), cfg,
-                             q_ff, lambda j, z: source_term(p, z)))
+        window = []
+        picard_solve(state, p, replace(cfg, T_window=math.inf), m * cfg.dt,
+                     observer=window.append)
         levels += window[1:]
-        state = ComplexField(f0.grid, *window[-1], far_field=f0.far_field,
-                             time=state.time + m * cfg.dt, validate=False)
+        state = window[-1]
         done += m
-    return np.array(levels)
+    return np.array([(f.zeta, f.zeta_t) for f in levels])
 
 
 @settings(max_examples=60, deadline=None)
@@ -646,6 +670,25 @@ def test_one_step_windows_take_one_source_and_one_slope_per_level(
                        k * g.dx)
     assert len(res.trace.diff_norms) == k
     assert counts == {"source": k + 2, "slope": k + 1}
+
+
+def test_picard_solve_builds_no_window(monkeypatch):
+    # one lattice march per run: every window, the first too, takes its
+    # level -1 from the back-step in place, never from the padded
+    # d'Alembert level
+    calls = []
+    for name in ("_dalembert", "_padded"):
+        monkeypatch.setattr(semilinear, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    g = Grid1D(-8.0, 8.0, 129)
+    zeta = (0.2 * np.exp(-g.nodes ** 2)).astype(complex)
+    f0 = ComplexField(g, zeta, np.zeros(g.n, complex))
+    p = reference_potential()
+    for window in (1, 3, math.inf):
+        res = picard_solve(f0, p, SemilinearConfig(
+            c=1.0, dt=g.dx, T_window=window * g.dx), 7 * g.dx)
+        assert len(res.trace.diff_norms) == {1: 7, 3: 3}.get(window, 1)
+    assert calls == []
 
 
 def test_solve_holds_no_level_stack():
@@ -871,6 +914,25 @@ def test_picard_enforces_aligned_step_and_equilibrium_far_field():
                          far_field=0.3)
     with pytest.raises(ConfigError, match="far field"):
         picard_solve(f_bad, p, cfg, 0.5)
+
+
+def test_windows_as_long_as_the_grid_are_refused():
+    # a window of n or more levels: its characteristics cross the grid
+    g = Grid1D(-1.0, 1.0, 17)
+    f0 = ComplexField(g, (0.1 * np.exp(-(g.nodes / 0.2) ** 2)).astype(complex),
+                      np.zeros(g.n, complex))
+    p = ensure_valid(reference_potential())
+    seen = []
+    for window in (17, math.inf):
+        cfg = SemilinearConfig(c=1.0, dt=g.dx, T_window=window * g.dx)
+        with pytest.raises(DomainError, match="crossed the whole grid of 17"):
+            picard_solve(f0, p, cfg, 20 * g.dx, observer=seen.append)
+    assert seen == []  # refused before the initial state is recorded
+    with pytest.raises(DomainError, match="crossed the whole grid of 17"):
+        picard_iterates(f0, p, cfg, 17)
+    picard_solve(f0, p, SemilinearConfig(c=1.0, dt=g.dx, T_window=16 * g.dx),
+                 20 * g.dx)
+    assert len(picard_iterates(f0, p, cfg, 16)[2]) > 0
 
 
 @pytest.mark.parametrize("c, cells", [(1.0, 2.0), (2.0, 1.0)])
